@@ -10,14 +10,7 @@ intersections of product loci, and the Bernoulli/Hodge-integral
 constants tying everything together.
 """
 
-from .polyring import (
-    Poly,
-    elem_sym_rewrite,
-    exact_divide,
-    graded_part,
-    series_inverse,
-    taylor_part,
-)
+from .polyring import Poly, elem_sym_rewrite
 from .trees import ExtremalTree, Smoothing, aut_order, depth, enumerate_trees, mon, smoothings
 from .excess import (
     Contribution,

@@ -84,11 +84,8 @@ def cmd_pullback(args) -> int:
     expr = strata.assemble_pullback(
         args.genus, method=args.method, cache_dir=_cache_dir(), jobs=args.jobs
     )
-    fmt = {"json": "json", "admcycles": "admcycles-text"}.get(args.format)
-    if fmt is None:
-        data = strata.serialize(expr, "admcycles-text")
-    else:
-        data = strata.serialize(expr, fmt)
+    fmt = {"json": "json", "admcycles": "admcycles-text"}[args.format]
+    data = strata.serialize(expr, fmt)
     sys.stdout.write(data.decode("utf-8"))
     return 0
 
@@ -214,8 +211,11 @@ def cmd_zeroint(args) -> int:
 def cmd_verify(args) -> int:
     results = verify.run_checks()
     failures = 0
-    for slug, ok in results:
-        print("%-36s %s" % (slug, "PASS" if ok else "FAIL"))
+    for slug, ok, error in results:
+        status = "PASS" if ok else "FAIL"
+        if error is not None:
+            status += " (%s)" % error
+        print("%-36s %s" % (slug, status))
         failures += 0 if ok else 1
     print("%d/%d checks passed" % (len(results) - failures, len(results)))
     return 1 if failures else 0
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_contribution)
 
     p = sub.add_parser("pullback", help="full decorated-strata expression")
-    add_common(p, fmt=("json", "text", "admcycles"), jobs=True)
+    add_common(p, fmt=("json", "admcycles"), jobs=True)
     p.add_argument("--method", choices=("recursion", "pixton"), default="recursion")
     p.set_defaults(fn=cmd_pullback)
 

@@ -4,17 +4,20 @@ Every tree T with n edges and k leaves has a torus-equivariant local
 model: coordinates z_e on C^n, a rank (g-1) bundle with total Chern
 class
 
-    c(N) = prod_leaves (1 + sum_{e in path(v)} z_e) * prod_j (1 + l_j),
+    c(N) = prod_leaves (1 + sum_{e in path(v)} z_e) * (1 + e_1 + ... + e_ell),
 
-and a section whose components are the leaf path monomials.  The
-contribution Cont_T is the homogeneous degree g-1-n polynomial in the
-z_e and the formal Chern classes c_i(N) solving
+where e_i, a formal variable of degree i, is the i-th elementary class
+of the ell = g-1-k line bundles, and a section whose components are the
+leaf path monomials.  The contribution Cont_T is the homogeneous degree
+g-1-n polynomial in the z_e and the formal Chern classes c_i(N) solving
 
     Cont_T * prod_e z_e  =  c_{g-1}(N) - sum_{T'} (prod_{e in E(T')} z_e) * Cont_{T'}
 
 over all smoothings T' of T; irreducible trees (no smoothings) are the
-base case.  A closed formula computes the same polynomial as the degree
-g-1-n part of the Taylor part of
+base case.  The equation is solved in the z_e and e_i; the last step
+replaces each e_i by [c(N)/A]_i, A being the leaf factor.  A closed
+formula computes the same polynomial as the degree g-1-n part of the
+Taylor part of
 
     (-1)^k * prod_v (1 + sum_{e in path(v)} z_e)^(val(v)-2) / prod_e z_e
 
@@ -32,7 +35,7 @@ from .polyring import (
     Poly,
     cvar,
     elem_sym_rewrite,
-    lvar,
+    evar,
     prod,
     zvar,
 )
@@ -59,7 +62,7 @@ class LocalModel:
     n: int
     ell_count: int
     leaf_factor: Poly  # prod over leaves of (1 + sum of path z's)
-    total_chern: Poly  # leaf_factor * prod_j (1 + l_j)
+    chern_parts: tuple  # c_0 .. c_{g-1} of leaf_factor * (1 + e_1 + ... + e_ell)
 
 
 def local_model(t: ExtremalTree, g: int) -> LocalModel:
@@ -76,11 +79,12 @@ def local_model(t: ExtremalTree, g: int) -> LocalModel:
         for i in t.path_labels(v):
             s = s + Poly.var(zvar(i))
         A = A * s
-    total = A
-    for j in range(1, ell_count + 1):
-        total = total * (Poly.const(1) + Poly.var(lvar(j)))
-    return LocalModel(tree=t, g=g, k=k, n=n, ell_count=ell_count,
-                      leaf_factor=A, total_chern=total)
+    e = Poly.const(1)
+    for i in range(1, ell_count + 1):
+        e = e + Poly.var(evar(i))
+    total = A * e
+    return LocalModel(tree=t, g=g, k=k, n=n, ell_count=ell_count, leaf_factor=A,
+                      chern_parts=tuple(total.graded_part(i) for i in range(g)))
 
 
 @dataclass(frozen=True)
@@ -126,7 +130,7 @@ def recursion_contribution(t: ExtremalTree, g: int, cache: dict) -> Contribution
     Contributions (transported automatically through each edge map).
     """
     lm = local_model(t, g)
-    rhs = lm.total_chern.graded_part(g - 1)
+    rhs = lm.chern_parts[g - 1]
     for rec in smoothings(t):
         got = cache.get(rec.target.code)
         if got is None:
@@ -158,7 +162,7 @@ def _transport(poly: Poly, edge_map, lm: LocalModel) -> Poly:
     cvals = {}
     for v in out.variables():
         if v[0] == "c":
-            cvals[v] = lm.total_chern.graded_part(v[1])
+            cvals[v] = lm.chern_parts[v[1]]
     if cvals:
         out = out.substitute(cvals)
     return out

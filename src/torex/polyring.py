@@ -5,7 +5,7 @@ nonzero Fractions.  A monomial is a sorted tuple of (variable, exponent)
 pairs with nonzero exponents; a variable is a plain tuple
 
     ('z', i)          edge variable, degree 1
-    ('l', j)          line-bundle class, degree 1
+    ('e', 'l', i)     i-th elementary class of the line bundles, degree i
     ('c', i)          formal Chern class, degree i
     ('lam', v, i)     lambda class on vertex v (v = -1 when untagged), degree i
     ('psi', v, m)     cotangent class at marking m of vertex v, degree 1
@@ -39,20 +39,12 @@ class NotUnitConstantTerm(PolyError):
     """Series inversion requires constant term 1."""
 
 
-class NotSymmetric(PolyError):
-    """Input was not symmetric in the line-bundle variables."""
-
-
-class ResidualEll(PolyError):
-    """Line-bundle variables survived elimination (internal bug)."""
-
-
 def zvar(i: int) -> Variable:
     return ("z", i)
 
 
-def lvar(j: int) -> Variable:
-    return ("l", j)
+def evar(i: int) -> Variable:
+    return ("e", "l", i)
 
 
 def cvar(i: int) -> Variable:
@@ -80,8 +72,6 @@ def var_name(v: Variable) -> str:
     ns = v[0]
     if ns == "z":
         return "z%d" % v[1]
-    if ns == "l":
-        return "l%d" % v[1]
     if ns == "c":
         return "c%d" % v[1]
     if ns == "lam":
@@ -162,9 +152,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self._t
-
-    def is_laurent(self) -> bool:
-        return any(e < 0 for m in self._t for _, e in m)
 
     def constant_term(self) -> Fraction:
         return self._t.get(ONE_MONO, Fraction(0))
@@ -267,9 +254,6 @@ class Poly:
     def truncate(self, max_deg: int) -> "Poly":
         """Drop all terms of Chow degree greater than max_deg."""
         return Poly({m: c for m, c in self._t.items() if mono_degree(m) <= max_deg})
-
-    def homogeneous_degrees(self) -> list:
-        return sorted({mono_degree(m) for m in self._t})
 
     # -- division ------------------------------------------------------
 
@@ -389,27 +373,6 @@ class Poly:
         return Poly(t)
 
 
-# ---------------------------------------------------------------------------
-# module-level operation aliases
-# ---------------------------------------------------------------------------
-
-
-def graded_part(p: Poly, d: int) -> Poly:
-    return p.graded_part(d)
-
-
-def exact_divide(p: Poly, m: Monomial) -> Poly:
-    return p.exact_divide(m)
-
-
-def taylor_part(p: Poly) -> Poly:
-    return p.taylor_part()
-
-
-def series_inverse(p: Poly, max_deg: int) -> Poly:
-    return p.series_inverse(max_deg)
-
-
 def prod(polys: Iterable[Poly], max_deg: int | None = None) -> Poly:
     out = Poly.const(1)
     for p in polys:
@@ -419,101 +382,19 @@ def prod(polys: Iterable[Poly], max_deg: int | None = None) -> Poly:
     return out
 
 
-# ---------------------------------------------------------------------------
-# elementary-symmetric elimination of the line-bundle variables
-# ---------------------------------------------------------------------------
+def elem_sym_rewrite(p: Poly, ell_count: int, A: Poly) -> Poly:
+    """Replace each elementary class e_i (i <= ell_count) by [c(N)/A]_i.
 
-
-def elementary_symmetric(vs: list, i: int) -> Poly:
-    """e_i of the given variables."""
-    from itertools import combinations
-
-    if i == 0:
-        return Poly.const(1)
-    if i > len(vs):
-        return Poly.zero()
-    t = {}
-    for combo in combinations(vs, i):
-        m = tuple(sorted((v, 1) for v in combo))
-        t[m] = Fraction(1)
-    return Poly(t)
-
-
-def _split_ell(m: Monomial):
-    ell = tuple((v, e) for v, e in m if v[0] == "l")
-    rest = tuple((v, e) for v, e in m if v[0] != "l")
-    return ell, rest
-
-
-def symmetric_decompose(p: Poly, ell_count: int) -> dict:
-    """Write p = sum q_a(rest) * e^a(l1..lm); keys are e-exponent tuples.
-
-    Raises NotSymmetric when p is not symmetric in the l-variables.
+    The total class c(N) = A * (1 + e_1 + ... + e_ell) is kept formal
+    (variables c1, c2, ...); A is the leaf factor of the local model, with
+    constant term 1.  The parts s_i = [c/A]_i are solved degree by degree
+    from s_i = c_i - sum_{j=1..i} [A]_j * s_{i-j}.
     """
-    ells = [lvar(j) for j in range(1, ell_count + 1)]
-    result: dict = {}
-    f = p
-    while not f.is_zero():
-        # leading l-exponent vector, lexicographic in (l1, ..., lm)
-        best = None
-        for m in f.terms:
-            expmap = dict(m)
-            vec = tuple(expmap.get(v, 0) for v in ells)
-            if best is None or vec > best:
-                best = vec
-        if best is None or all(x == 0 for x in best):
-            # l-free remainder: an e-exponent of all zeros
-            key = (0,) * ell_count
-            result[key] = result.get(key, Poly.zero()) + f
-            break
-        if any(best[i] < best[i + 1] for i in range(len(best) - 1)):
-            raise NotSymmetric("leading exponent %s is not dominant" % (best,))
-        # coefficient of the leading l-monomial
-        lead_mono = tuple(sorted((v, e) for v, e in zip(ells, best) if e))
-        q = Poly.zero()
-        for m, c in f.terms.items():
-            ell, rest = _split_ell(m)
-            if ell == lead_mono:
-                q = q + Poly({rest: c})
-        epows = tuple(
-            best[i] - (best[i + 1] if i + 1 < len(best) else 0)
-            for i in range(len(best))
-        )
-        key = epows
-        result[key] = result.get(key, Poly.zero()) + q
-        eprod = Poly.const(1)
-        for i, a in enumerate(epows):
-            if a:
-                eprod = eprod * elementary_symmetric(ells, i + 1) ** a
-        f = f - q * eprod
-    return {k: v for k, v in result.items() if not v.is_zero()}
-
-
-def elem_sym_rewrite(p: Poly, ell_count: int, A: Poly, max_deg: int | None = None) -> Poly:
-    """Eliminate l-variables from p using e_i(l) = [c(N)/A]_i.
-
-    The total class c(N) is kept formal (variables c1, c2, ...); A is the
-    l-free factor of the local model's total Chern class.  The result is
-    the unique polynomial in the edge and Chern variables equal to p.
-    """
-    if ell_count == 0:
-        if any(v[0] == "l" for v in p.variables()):
-            raise ResidualEll("l-variables present with ell_count = 0")
-        return p
-    decomp = symmetric_decompose(p, ell_count)
-    need = max_deg if max_deg is not None else p.degree()
-    cser = Poly.const(1)
-    for i in range(1, need + 1):
-        cser = cser + Poly.var(cvar(i))
-    subs_series = (cser * A.series_inverse(need)).truncate(need)
-    s = {i: subs_series.graded_part(i) for i in range(1, ell_count + 1)}
-    out = Poly.zero()
-    for epows, q in decomp.items():
-        factor = q
-        for i, a in enumerate(epows):
-            if a:
-                factor = factor * s[i + 1] ** a
-        out = out + factor
-    if any(v[0] == "l" for v in out.variables()):
-        raise ResidualEll("elimination left l-variables behind")
-    return out
+    a = [A.graded_part(j) for j in range(ell_count + 1)]
+    s = [Poly.const(1)]
+    for i in range(1, ell_count + 1):
+        si = Poly.var(cvar(i))
+        for j in range(1, i + 1):
+            si = si - a[j] * s[i - j]
+        s.append(si)
+    return p.substitute({evar(i): s[i] for i in range(1, ell_count + 1)})

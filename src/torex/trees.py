@@ -148,12 +148,6 @@ class ExtremalTree:
         return ExtremalTree(parse_code(s))
 
     @staticmethod
-    def from_vertex_data(genera, edges, root) -> "ExtremalTree":
-        """Canonicalize an arbitrary labeling of an extremal tree."""
-        code, _ = canonicalize(genera, edges, root)
-        return ExtremalTree(code)
-
-    @staticmethod
     def star(leaf_genera) -> "ExtremalTree":
         kids = tuple(sorted((g, ()) for g in leaf_genera))
         return ExtremalTree((1, kids))
@@ -458,7 +452,6 @@ def depth(t: ExtremalTree) -> int:
     got = _depth_cache.get(t.code)
     if got is not None:
         return got
-    _depth_cache[t.code] = 0  # placeholder; smoothings strictly shrink edges
     records = smoothings(t)
     d = 0 if not records else 1 + max(depth(r.target) for r in records)
     _depth_cache[t.code] = d

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from . import agring, constants, products, strata
 from .excess import all_contributions
-from .polyring import Poly, cvar, lamvar, lvar, psivar, zvar, elem_sym_rewrite
+from .polyring import Poly, cvar, elem_sym_rewrite, evar, lamvar, psivar, zvar
 from .trees import ExtremalTree, depth, enumerate_trees, mon, smoothings
 
 
@@ -23,8 +23,8 @@ def _c(i):
     return Poly.var(cvar(i))
 
 
-def _ell(j):
-    return Poly.var(lvar(j))
+def _e(i):
+    return Poly.var(evar(i))
 
 
 def _contribution(g, code, method="recursion"):
@@ -85,8 +85,8 @@ def _check_graded_leaf():
 
 
 def _check_rewrite_example():
-    # z2 + z3 - 3 l1 - 3 l2 with A = (1+z1+z2)(1+z1+z3)
-    p = _z(2) + _z(3) - 3 * _ell(1) - 3 * _ell(2)
+    # z2 + z3 - 3 e1 with A = (1+z1+z2)(1+z1+z3), two line bundles
+    p = _z(2) + _z(3) - 3 * _e(1)
     A = (1 + _z(1) + _z(2)) * (1 + _z(1) + _z(3))
     got = elem_sym_rewrite(p, 2, A)
     want = -3 * _c(1) + 6 * _z(1) + 4 * _z(2) + 4 * _z(3)
@@ -241,14 +241,14 @@ CHECKS = [
 
 
 def run_checks(names=None) -> list:
-    """Run the reference checks; returns (slug, passed) pairs."""
+    """Run the reference checks; returns (slug, passed, error) triples,
+    error naming the exception a failed check raised (None otherwise)."""
     results = []
     for slug, fn in CHECKS:
         if names and slug not in names:
             continue
         try:
-            ok = bool(fn())
-        except Exception:
-            ok = False
-        results.append((slug, ok))
+            results.append((slug, bool(fn()), None))
+        except Exception as exc:
+            results.append((slug, False, "%s: %s" % (type(exc).__name__, exc)))
     return results

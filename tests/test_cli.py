@@ -136,11 +136,32 @@ class TestVerify:
         lines = out.strip().splitlines()
         assert all(line.endswith("PASS") for line in lines[:-1])
 
+    def test_failing_check_says_why(self, capsys, monkeypatch):
+        from torex import verify
+
+        def broken():
+            raise ValueError("leaf factor lost")
+
+        checks = list(verify.CHECKS)
+        checks[1] = (checks[1][0], broken)
+        monkeypatch.setattr(verify, "CHECKS", checks)
+        code, out, _ = run(capsys, "verify-paper")
+        assert code == 1
+        lines = out.strip().splitlines()
+        assert lines[1] == "%-36s FAIL (ValueError: leaf factor lost)" % checks[1][0]
+        assert all(line.endswith("PASS") for i, line in enumerate(lines[:-1]) if i != 1)
+        assert lines[-1] == "%d/%d checks passed" % (len(checks) - 1, len(checks))
+
 
 class TestUsage:
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["trees", "--genus", "4", "--bogus"])
+        assert exc.value.code == 2
+
+    def test_pullback_text_format_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pullback", "--genus", "4", "--format", "text"])
         assert exc.value.code == 2
 
     def test_missing_subcommand_exits_2(self, capsys):

@@ -9,7 +9,7 @@ from torex.excess import (
     pixton_contribution,
     recursion_contribution,
 )
-from torex.polyring import Poly, cvar, lvar, zvar
+from torex.polyring import Poly, cvar, evar, zvar
 from torex.trees import ExtremalTree, depth, enumerate_trees
 
 
@@ -29,10 +29,9 @@ class TestLocalModel:
     def test_total_chern_top_degree(self):
         for g, code in [(4, "(1(0(1)(2)))"), (6, "(1(0(0(1)(1))(3)))")]:
             lm = local_model(T(code), g)
-            assert lm.total_chern.graded_part(g - 1) == lm.total_chern.graded_part(
-                lm.total_chern.degree()
-            )
-            assert lm.total_chern.degree() == g - 1
+            assert len(lm.chern_parts) == g
+            assert all(part.is_homogeneous(i) for i, part in enumerate(lm.chern_parts))
+            assert not lm.chern_parts[g - 1].is_zero()
             assert lm.ell_count == g - 1 - lm.k
 
     def test_factorization_shape(self):
@@ -42,10 +41,9 @@ class TestLocalModel:
             (1 + z(1) + z(2) + z(4))
             * (1 + z(1) + z(2) + z(5))
             * (1 + z(1) + z(3))
-            * (1 + Poly.var(lvar(1)))
-            * (1 + Poly.var(lvar(2)))
+            * (1 + Poly.var(evar(1)) + Poly.var(evar(2)))
         )
-        assert lm.total_chern == want
+        assert sum(lm.chern_parts, Poly.zero()) == want
 
 
 class TestBaseContribution:
@@ -168,7 +166,7 @@ class TestRecursionMechanics:
         for code in ["(1(0(1)(3))(1))", "(1(0(0(1)(1))(3)))", "(1(0(2)(3)))"]:
             t = T(code)
             lm = local_model(t, g)
-            rhs = lm.total_chern.graded_part(g - 1)
+            rhs = lm.chern_parts[g - 1]
             for rec in smoothings(t):
                 cont = table[rec.target.code].poly
                 cont = cont.rename(
@@ -176,7 +174,7 @@ class TestRecursionMechanics:
                 )
                 cont = cont.substitute(
                     {
-                        v: lm.total_chern.graded_part(v[1])
+                        v: lm.chern_parts[v[1]]
                         for v in cont.variables()
                         if v[0] == "c"
                     }
@@ -191,7 +189,7 @@ class TestRecursionMechanics:
             rewritten = table[code].poly
             back = rewritten.substitute(
                 {
-                    v: lm.total_chern.graded_part(v[1])
+                    v: lm.chern_parts[v[1]]
                     for v in rewritten.variables()
                     if v[0] == "c"
                 }

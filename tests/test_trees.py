@@ -3,6 +3,7 @@ import random
 import pytest
 
 from torex.polyring import zvar
+from torex import trees as trees_module
 from torex.trees import (
     ExtremalTree,
     NotALeaf,
@@ -180,6 +181,22 @@ class TestDepth:
             return longest[code]
         for t in trees:
             assert depth(t) == chain(t.code), t.code
+
+    def test_no_placeholder_while_computing(self, monkeypatch):
+        # a concurrent reader must never see a value for a tree whose
+        # depth is still being computed
+        monkeypatch.setattr(trees_module, "_depth_cache", {})
+        seen = []
+
+        def checked(t):
+            assert t.code not in trees_module._depth_cache
+            seen.append(t.code)
+            return smoothings(t)
+
+        monkeypatch.setattr(trees_module, "smoothings", checked)
+        for t in enumerate_trees(6, 5):
+            depth(t)
+        assert len(seen) == len(set(seen)) == 24
 
 
 class TestJson:
