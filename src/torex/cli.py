@@ -29,6 +29,27 @@ def _emit_json(obj) -> None:
     _print(json.dumps(obj, indent=1))
 
 
+def _int_at_least(low: int):
+    """argparse type: an int >= low; anything else is a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
+def _tree_code(text: str) -> ExtremalTree:
+    """argparse type: a well-formed canonical tree code."""
+    try:
+        return ExtremalTree.from_code(text)
+    except TreeError as exc:
+        raise argparse.ArgumentTypeError("malformed tree code: %s" % exc) from None
+
+
 def cmd_trees(args) -> int:
     max_edges = args.max_edges if args.max_edges is not None else args.genus - 1
     ts = enumerate_trees(args.genus, max_edges)
@@ -58,7 +79,7 @@ def cmd_contribution(args) -> int:
             for code in sorted(table):
                 print("%-28s %s" % (code, table[code].poly))
         return 0
-    tree = ExtremalTree.from_code(args.tree)
+    tree = args.tree
     values = {}
     for method in methods:
         if tree.code not in tables[method]:
@@ -229,23 +250,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, genus=True, fmt=("json", "text"), jobs=False):
-        if genus:
-            p.add_argument("--genus", type=int, required=True)
-        if fmt:
-            p.add_argument("--format", choices=fmt, default=fmt[0])
+    def add_common(p, min_genus=2, fmt=("json", "text"), jobs=False):
+        p.add_argument("--genus", type=_int_at_least(min_genus), required=True)
+        p.add_argument("--format", choices=fmt, default=fmt[0])
         if jobs:
-            p.add_argument("--jobs", type=int, default=1,
+            p.add_argument("--jobs", type=_int_at_least(1), default=1,
                            help="bound on parallel workers (output unchanged)")
 
     p = sub.add_parser("trees", help="enumerate contributing trees")
     add_common(p)
-    p.add_argument("--max-edges", type=int, default=None)
+    p.add_argument("--max-edges", type=_int_at_least(1), default=None)
     p.set_defaults(fn=cmd_trees)
 
     p = sub.add_parser("contribution", help="excess class of one tree")
     add_common(p, jobs=True)
-    p.add_argument("--tree", default=None,
+    p.add_argument("--tree", type=_tree_code, default=None,
                    help="canonical tree code (omit for the full table)")
     p.add_argument("--method", choices=("recursion", "pixton", "both"),
                    default="recursion")
@@ -257,11 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_pullback)
 
     p = sub.add_parser("ring", help="lambda-ring dimensions and pairings")
-    add_common(p)
+    add_common(p, min_genus=1)
     p.set_defaults(fn=cmd_ring)
 
     p = sub.add_parser("constants", help="projection coefficient and integrals")
-    add_common(p, fmt=("text", "json"))
+    add_common(p, min_genus=1, fmt=("text", "json"))
     p.set_defaults(fn=cmd_constants)
 
     p = sub.add_parser("zeroint", help="product-locus intersection vanishing")

@@ -92,7 +92,7 @@ def _log_sine_series(order: int) -> Poly:
     power = Poly.const(1)
     j = 1
     while True:
-        power = (power * u).truncate(max_deg)
+        power = power.mul(u, max_deg)
         if power.is_zero():
             break
         out = out - power * Fraction((-1) ** (j + 1), j)

@@ -39,7 +39,7 @@ from .polyring import (
     prod,
     zvar,
 )
-from .trees import ExtremalTree, enumerate_trees, smoothings
+from .trees import ExtremalTree, TreeError, enumerate_trees, smoothings, tree_codes
 
 
 class ExcessError(Exception):
@@ -119,7 +119,7 @@ def base_contribution(t: ExtremalTree, g: int) -> Contribution:
     denom = prod(
         (Poly.const(1) + Poly.var(zvar(i)) for i in range(1, lm.n + 1))
     )
-    series = (_formal_total_class(d) * denom.series_inverse(d)).truncate(d)
+    series = _formal_total_class(d).mul(denom.series_inverse(d), d)
     return Contribution(tree=t, g=g, poly=series.graded_part(d))
 
 
@@ -182,10 +182,10 @@ def pixton_contribution(t: ExtremalTree, g: int) -> Contribution:
             s = s + Poly.var(zvar(i))
         e = t.valence(v) - 2
         if e >= 0:
-            num = (num * s ** e).truncate(max_num_deg)
+            num = num.mul(s ** e, max_num_deg)
         else:
             inv = s.series_inverse(max_num_deg)
-            num = (num * inv ** (-e)).truncate(max_num_deg)
+            num = num.mul(inv ** (-e), max_num_deg)
     if lm.k % 2:
         num = -num
     all_edges = tuple(sorted((zvar(i), 1) for i in range(1, lm.n + 1)))
@@ -262,17 +262,26 @@ def _cache_path(cache_dir, g, method, max_edges):
 
 
 def _cache_load(cache_dir, g, method, max_edges):
+    """The cached table, or None for a miss.  A file that does not parse,
+    was written for another genus, method or edge bound, or does not hold
+    each enumerated tree exactly once is a miss: the table is recomputed
+    and the file rewritten."""
     if not cache_dir:
         return None
     path = _cache_path(cache_dir, g, method, max_edges)
-    if not os.path.exists(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        if (data["genus"], data["method"], data["max_edges"]) != (g, method, max_edges):
+            return None
+        out = {}
+        for entry in data["contributions"]:
+            t = ExtremalTree.from_code(entry["code"])
+            out[t.code] = Contribution(tree=t, g=g, poly=Poly.from_json(entry["poly"]))
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError, TreeError):
         return None
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    out = {}
-    for entry in data["contributions"]:
-        t = ExtremalTree.from_code(entry["code"])
-        out[t.code] = Contribution(tree=t, g=g, poly=Poly.from_json(entry["poly"]))
+    if len(out) != len(data["contributions"]) or set(out) != tree_codes(g, max_edges):
+        return None
     return out
 
 
@@ -289,6 +298,13 @@ def _cache_store(cache_dir, g, method, max_edges, table) -> None:
             for code, cont in table.items()
         ],
     }
+    # a reader sees the old file or the new one, never a partial write
     path = _cache_path(cache_dir, g, method, max_edges)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(data, fh, indent=1, sort_keys=True)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)

@@ -1,7 +1,9 @@
 """Exact multivariate polynomial arithmetic over Q.
 
 Sparse representation: a polynomial is a dict mapping monomials to
-nonzero Fractions.  A monomial is a sorted tuple of (variable, exponent)
+nonzero exact coefficients, each an int when it is integral and a
+Fraction only when it is not (every contribution is integral, so the
+work stays in int).  A monomial is a sorted tuple of (variable, exponent)
 pairs with nonzero exponents; a variable is a plain tuple
 
     ('z', i)          edge variable, degree 1
@@ -14,6 +16,11 @@ Variables order by tuple comparison; monomials by graded lexicographic
 order.  Negative exponents are tolerated only transiently inside the
 Laurent helpers (`laurent_divide`); every public result is a true
 polynomial.
+
+`Poly.mul(other, max_deg)` is the truncated product: a pair of terms
+whose Chow degrees add up to more than max_deg is skipped before its
+monomial is formed, so the result equals `(a * b).truncate(max_deg)`
+without ever holding the discarded terms.
 """
 
 from __future__ import annotations
@@ -84,22 +91,40 @@ def var_name(v: Variable) -> str:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    """Product of two sorted monomials by a linear merge; exponents that
+    cancel to zero are dropped."""
     if not a:
         return b
     if not b:
         return a
-    exps = dict(a)
-    for v, e in b:
-        ne = exps.get(v, 0) + e
-        if ne:
-            exps[v] = ne
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va == vb:
+            e = ea + eb
+            if e:
+                out.append((va, e))
+            i += 1
+            j += 1
+        elif va < vb:
+            out.append(a[i])
+            i += 1
         else:
-            del exps[v]
-    return tuple(sorted(exps.items()))
+            out.append(b[j])
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
 
 
 def mono_degree(m: Monomial) -> int:
-    return sum(e * var_degree(v) for v, e in m)
+    d = 0
+    for v, e in m:
+        d += e * var_degree(v)
+    return d
 
 
 def mono_str(m: Monomial) -> str:
@@ -111,13 +136,22 @@ def mono_str(m: Monomial) -> str:
     return "*".join(parts)
 
 
+def _exact(c):
+    """c as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _mono_sort_key(m: Monomial):
     # graded, then lexicographic in the variable order
     return (mono_degree(m), m)
 
 
 class Poly:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial with exact (int or Fraction) coefficients."""
 
     __slots__ = ("_t",)
 
@@ -126,8 +160,22 @@ class Poly:
         if terms:
             for m, c in terms.items():
                 if c:
-                    t[m] = c if isinstance(c, Fraction) else Fraction(c)
+                    t[m] = _exact(c)
         self._t = t
+
+    @staticmethod
+    def _of(t: dict) -> "Poly":
+        """Wrap a dict already holding nonzero int-or-Fraction coefficients."""
+        out = Poly.__new__(Poly)
+        out._t = t
+        return out
+
+    @staticmethod
+    def _of_sums(t: dict) -> "Poly":
+        """Wrap a dict of accumulated sums: drop zeros, and store integral
+        Fractions as int."""
+        return Poly._of({m: c if type(c) is int else _exact(c)
+                         for m, c in t.items() if c})
 
     # -- constructors ------------------------------------------------
 
@@ -137,12 +185,12 @@ class Poly:
 
     @staticmethod
     def const(c) -> "Poly":
-        c = Fraction(c)
-        return Poly({ONE_MONO: c}) if c else Poly()
+        c = _exact(c)
+        return Poly._of({ONE_MONO: c} if c else {})
 
     @staticmethod
     def var(v: Variable) -> "Poly":
-        return Poly({((v, 1),): Fraction(1)})
+        return Poly._of({((v, 1),): 1})
 
     # -- inspection --------------------------------------------------
 
@@ -153,8 +201,8 @@ class Poly:
     def is_zero(self) -> bool:
         return not self._t
 
-    def constant_term(self) -> Fraction:
-        return self._t.get(ONE_MONO, Fraction(0))
+    def constant_term(self):
+        return self._t.get(ONE_MONO, 0)
 
     def degree(self) -> int:
         """Total Chow degree (0 for the zero polynomial)."""
@@ -165,8 +213,8 @@ class Poly:
     def variables(self) -> set:
         return {v for m in self._t for v, _ in m}
 
-    def coeff(self, m: Monomial) -> Fraction:
-        return self._t.get(m, Fraction(0))
+    def coeff(self, m: Monomial):
+        return self._t.get(m, 0)
 
     def is_homogeneous(self, d: int) -> bool:
         return all(mono_degree(m) == d for m in self._t)
@@ -193,19 +241,15 @@ class Poly:
         for m, c in other._t.items():
             nc = t.get(m, 0) + c
             if nc:
-                t[m] = nc
+                t[m] = nc if type(nc) is int else _exact(nc)
             else:
                 t.pop(m, None)
-        out = Poly.__new__(Poly)
-        out._t = t
-        return out
+        return Poly._of(t)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        out = Poly.__new__(Poly)
-        out._t = {m: -c for m, c in self._t.items()}
-        return out
+        return Poly._of({m: -c for m, c in self._t.items()})
 
     def __sub__(self, other) -> "Poly":
         return self + (-Poly._coerce(other))
@@ -213,23 +257,37 @@ class Poly:
     def __rsub__(self, other) -> "Poly":
         return Poly._coerce(other) + (-self)
 
-    def __mul__(self, other) -> "Poly":
+    def mul(self, other, max_deg: int | None = None) -> "Poly":
+        """Product; with max_deg, the product truncated above that Chow
+        degree, where a pair of terms whose degrees add up to more than
+        max_deg is skipped before its monomial is formed."""
         other = Poly._coerce(other)
         a, b = self._t, other._t
         if len(a) > len(b):
             a, b = b, a
+        if max_deg is None:
+            # unbounded: give every term degree 0 against a bound of 0
+            left = [(m, c, 0) for m, c in a.items()]
+            right = [(m, c, 0) for m, c in b.items()]
+            max_deg = 0
+        else:
+            # the inner operand by ascending degree, so a row stops at its bound
+            left = [(m, c, mono_degree(m)) for m, c in a.items()]
+            right = sorted(((m, c, mono_degree(m)) for m, c in b.items()),
+                           key=lambda mcd: mcd[2])
         t: dict = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
+        get = t.get
+        for m1, c1, d1 in left:
+            room = max_deg - d1
+            for m2, c2, d2 in right:
+                if d2 > room:
+                    break
                 m = mono_mul(m1, m2)
-                nc = t.get(m, 0) + c1 * c2
-                if nc:
-                    t[m] = nc
-                else:
-                    t.pop(m, None)
-        out = Poly.__new__(Poly)
-        out._t = t
-        return out
+                t[m] = get(m, 0) + c1 * c2
+        return Poly._of_sums(t)
+
+    def __mul__(self, other) -> "Poly":
+        return self.mul(other)
 
     __rmul__ = __mul__
 
@@ -266,16 +324,12 @@ class Poly:
             if any(e < 0 for _, e in q):
                 raise NotDivisible("term %s not divisible by %s" % (mono_str(mono), mono_str(m)))
             t[q] = c
-        out = Poly.__new__(Poly)
-        out._t = t
-        return out
+        return Poly._of(t)
 
     def laurent_divide(self, m: Monomial) -> "Poly":
         """Quotient by a monomial, permitting negative exponents (transient)."""
         neg = tuple((v, -e) for v, e in m)
-        out = Poly.__new__(Poly)
-        out._t = {mono_mul(mono, neg): c for mono, c in self._t.items()}
-        return out
+        return Poly._of({mono_mul(mono, neg): c for mono, c in self._t.items()})
 
     def taylor_part(self) -> "Poly":
         """Drop every term carrying a negative exponent."""
@@ -287,11 +341,11 @@ class Poly:
         """Inverse modulo degree > max_deg; constant term must equal 1."""
         if self.constant_term() != 1:
             raise NotUnitConstantTerm("constant term %s != 1" % self.constant_term())
-        u = (self - 1).truncate(max_deg)
+        minus_u = -(self - 1).truncate(max_deg)
         result = Poly.const(1)
         power = Poly.const(1)
         for _ in range(max_deg):
-            power = (power * (-u)).truncate(max_deg)
+            power = power.mul(minus_u, max_deg)
             if power.is_zero():
                 break
             result = result + power
@@ -319,16 +373,17 @@ class Poly:
                 cache[key] = got
             return got
 
-        out = Poly.zero()
+        t: dict = {}
+        get = t.get
         for m, c in self._t.items():
-            factor = Poly.const(c)
+            # the variables left alone stay one monomial
+            factor = Poly._of({tuple(ve for ve in m if ve[0] not in values): c})
             for v, e in m:
                 if v in values:
-                    factor = factor * vpow(v, e)
-                else:
-                    factor = factor * Poly({((v, e),): Fraction(1)})
-            out = out + factor
-        return out
+                    factor = factor.mul(vpow(v, e))
+            for fm, fc in factor._t.items():
+                t[fm] = get(fm, 0) + fc
+        return Poly._of_sums(t)
 
     # -- canonical text / JSON --------------------------------------------
 
@@ -376,9 +431,7 @@ class Poly:
 def prod(polys: Iterable[Poly], max_deg: int | None = None) -> Poly:
     out = Poly.const(1)
     for p in polys:
-        out = out * p
-        if max_deg is not None:
-            out = out.truncate(max_deg)
+        out = out.mul(p, max_deg)
     return out
 
 

@@ -45,9 +45,10 @@ def parse_code(s: str) -> Code:
         start = pos
         while pos < len(s) and (s[pos].isdigit() or s[pos] == "-"):
             pos += 1
-        if start == pos:
-            raise TreeError("expected genus at %d in %r" % (pos, s))
-        g = int(s[start:pos])
+        try:
+            g = int(s[start:pos])
+        except ValueError:
+            raise TreeError("expected genus at %d in %r" % (start, s)) from None
         kids = []
         while pos < len(s) and s[pos] == "(":
             kids.append(node())
@@ -313,17 +314,26 @@ def _child_multisets(h: int, edge_budget: int, max_code, min_children: int) -> l
     return results
 
 
-def enumerate_trees(g: int, max_edges: int) -> list:
-    """All isomorphism classes of extremal trees of genus g with at most
-    max_edges edges, in canonical-code order."""
+def _root_codes(g: int, max_edges: int) -> set:
     if g < 2:
         raise TreeError("genus must be >= 2")
     if max_edges < 1:
         raise TreeError("max_edges must be >= 1")
-    codes = set()
-    for kids in _child_multisets(g - 1, max_edges, None, 1):
-        codes.add((1, tuple(sorted(kids))))
-    return sorted((ExtremalTree(c) for c in codes), key=lambda t: t.code)
+    return {(1, tuple(sorted(kids)))
+            for kids in _child_multisets(g - 1, max_edges, None, 1)}
+
+
+def enumerate_trees(g: int, max_edges: int) -> list:
+    """All isomorphism classes of extremal trees of genus g with at most
+    max_edges edges, in canonical-code order."""
+    return sorted((ExtremalTree(c) for c in _root_codes(g, max_edges)),
+                  key=lambda t: t.code)
+
+
+def tree_codes(g: int, max_edges: int) -> set:
+    """The printable codes of enumerate_trees(g, max_edges), without
+    building the trees."""
+    return {_code_str(c) for c in _root_codes(g, max_edges)}
 
 
 def aut_order(t: ExtremalTree) -> int:

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -90,6 +91,112 @@ class TestPullback:
         assert a == b
 
 
+class TestCacheMisses:
+    """A cache file that cannot be trusted is a miss: the table is
+    recomputed, the output is the uncached output, and the file is
+    rewritten."""
+
+    PATH = "contrib-g5-recursion-e4.json"
+
+    @pytest.fixture
+    def uncached(self, capsys, monkeypatch):
+        from torex import excess
+
+        monkeypatch.delenv("EXCESS_CACHE_DIR", raising=False)
+        excess._MEMO.clear()
+        code, out, _ = run(capsys, "pullback", "--genus", "5")
+        assert code == 0
+        excess._MEMO.clear()
+        return out
+
+    def cached_run(self, capsys, monkeypatch, tmp_path, content):
+        from torex import excess
+
+        path = tmp_path / self.PATH
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+        monkeypatch.setenv("EXCESS_CACHE_DIR", str(tmp_path))
+        code, out, err = run(capsys, "pullback", "--genus", "5")
+        excess._MEMO.clear()
+        assert code == 0 and err == ""
+        assert [p.name for p in tmp_path.iterdir()] == [self.PATH]
+        # rewritten: a valid table under the right header
+        data = json.loads(path.read_text())
+        assert (data["genus"], data["method"], data["max_edges"]) == (5, "recursion", 4)
+        assert excess._cache_load(str(tmp_path), 5, "recursion", 4) is not None
+        return out
+
+    def valid_file(self, tmp_path, monkeypatch, capsys):
+        from torex import excess
+
+        monkeypatch.setenv("EXCESS_CACHE_DIR", str(tmp_path))
+        run(capsys, "pullback", "--genus", "5")
+        excess._MEMO.clear()
+        return json.loads((tmp_path / self.PATH).read_text())
+
+    def test_empty_table_without_header(self, capsys, monkeypatch, tmp_path, uncached):
+        got = self.cached_run(capsys, monkeypatch, tmp_path,
+                              {"genus": 5, "contributions": []})
+        assert got == uncached
+
+    def test_not_json(self, capsys, monkeypatch, tmp_path, uncached):
+        assert self.cached_run(capsys, monkeypatch, tmp_path, "{garbage") == uncached
+
+    def test_wrong_type(self, capsys, monkeypatch, tmp_path, uncached):
+        assert self.cached_run(capsys, monkeypatch, tmp_path, [1, 2]) == uncached
+
+    @pytest.mark.parametrize("field,value", [("poly", [["1/0", []]]), ("code", "(((")])
+    def test_bad_entry(self, capsys, monkeypatch, tmp_path, uncached, field, value):
+        data = self.valid_file(tmp_path, monkeypatch, capsys)
+        data["contributions"][0][field] = value
+        assert self.cached_run(capsys, monkeypatch, tmp_path, data) == uncached
+
+    @pytest.mark.parametrize("key,value", [("genus", 4), ("method", "pixton"),
+                                           ("max_edges", 3)])
+    def test_header_mismatch(self, capsys, monkeypatch, tmp_path, uncached, key, value):
+        data = self.valid_file(tmp_path, monkeypatch, capsys)
+        data[key] = value
+        assert self.cached_run(capsys, monkeypatch, tmp_path, data) == uncached
+
+    def test_tree_set_mismatch(self, capsys, monkeypatch, tmp_path, uncached):
+        data = self.valid_file(tmp_path, monkeypatch, capsys)
+        data["contributions"].pop()
+        assert self.cached_run(capsys, monkeypatch, tmp_path, data) == uncached
+        data = self.valid_file(tmp_path, monkeypatch, capsys)
+        data["contributions"].append({"code": "(1(5))", "poly": [["1", []]]})
+        assert self.cached_run(capsys, monkeypatch, tmp_path, data) == uncached
+
+    def test_duplicate_tree(self, capsys, monkeypatch, tmp_path, uncached):
+        data = self.valid_file(tmp_path, monkeypatch, capsys)
+        data["contributions"].append({"code": "(1(4))", "poly": [["1", []]]})
+        assert self.cached_run(capsys, monkeypatch, tmp_path, data) == uncached
+
+    def test_hit_leaves_file_untouched(self, capsys, monkeypatch, tmp_path, uncached):
+        self.valid_file(tmp_path, monkeypatch, capsys)
+        path = tmp_path / self.PATH
+        os.utime(path, ns=(10**9, 10**9))
+        before = path.read_bytes()
+        _, out, _ = run(capsys, "pullback", "--genus", "5")
+        assert out == uncached
+        assert path.read_bytes() == before
+        assert path.stat().st_mtime_ns == 10**9
+
+    def test_failed_write_keeps_old_file(self, monkeypatch, tmp_path):
+        from torex import excess
+
+        path = tmp_path / self.PATH
+        path.write_text("old")
+
+        def broken_dump(data, fh, **kw):
+            fh.write("partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(excess.json, "dump", broken_dump)
+        with pytest.raises(OSError):
+            excess._cache_store(str(tmp_path), 5, "recursion", 4, {})
+        assert path.read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == [self.PATH]
+
+
 class TestRing:
     def test_json(self, capsys):
         code, out, _ = run(capsys, "ring", "--genus", "6")
@@ -168,6 +275,25 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["pullback", "--genus", "1"],
+        ["contribution", "--genus", "1"],
+        ["trees", "--genus", "1"],
+        ["trees", "--genus", "4", "--max-edges", "0"],
+        ["contribution", "--genus", "4", "--tree", "((("],
+        ["contribution", "--genus", "4", "--tree", "(-)"],
+        ["pullback", "--genus", "4", "--jobs", "0"],
+        ["contribution", "--genus", "4", "--jobs", "-1"],
+        ["constants", "--genus", "0"],
+        ["ring", "--genus", "0"],
+        ["zeroint", "--genus", "1"],
+    ], ids=" ".join)
+    def test_invalid_value_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error: argument" in capsys.readouterr().err
 
     def test_determinism(self, capsys):
         _, a, _ = run(capsys, "trees", "--genus", "5")

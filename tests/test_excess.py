@@ -224,6 +224,13 @@ class TestOracleEquivalence:
         for code in rec:
             assert rec[code].poly == pix[code].poly, code
 
+    def test_recursion_equals_closed_formula_g8_bytes(self):
+        rec = all_contributions(8, "recursion")
+        pix = all_contributions(8, "pixton")
+        assert len(rec) == 179 and list(rec) == list(pix)
+        for code in rec:
+            assert rec[code].poly.to_json() == pix[code].poly.to_json(), code
+
 
 class TestCacheDir:
     def test_json_cache_roundtrip(self, tmp_path):

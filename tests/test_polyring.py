@@ -13,6 +13,7 @@ from torex.polyring import (
     elem_sym_rewrite,
     evar,
     lamvar,
+    mono_mul,
     psivar,
     zvar,
 )
@@ -57,6 +58,89 @@ def polys(vars_, max_terms=4, max_exp=2):
         return out
 
     return st.lists(term, max_size=max_terms).map(build)
+
+
+# int and non-integral Fraction coefficients, plus Fractions that are integral
+COEFFS = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=4))
+GRADED_VARS = [zvar(1), zvar(2), cvar(2), evar(3)]
+
+
+@st.composite
+def mixed_polys(draw, vars_=GRADED_VARS, max_terms=5, max_exp=2):
+    """Polynomials in variables of degrees 1, 1, 2 and 3 whose coefficients
+    are given as int or Fraction, integral or not."""
+    t = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        exps = draw(st.lists(st.integers(0, max_exp), min_size=len(vars_),
+                             max_size=len(vars_)))
+        mono = tuple(sorted((v, x) for v, x in zip(vars_, exps) if x))
+        t[mono] = draw(COEFFS)
+    return Poly(t)
+
+
+def stored_exactly(p):
+    """Every stored coefficient is a nonzero int or a non-integral Fraction."""
+    return all(c and (type(c) is int or (type(c) is Fraction and c.denominator != 1))
+               for c in p.terms.values())
+
+
+def mono_mul_reference(a, b):
+    exps = dict(a)
+    for v, x in b:
+        exps[v] = exps.get(v, 0) + x
+    return tuple(sorted((v, x) for v, x in exps.items() if x))
+
+
+class TestKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_polys(), mixed_polys(), st.integers(-1, 8))
+    def test_truncated_mul_is_truncated_product(self, a, b, d):
+        assert a.mul(b, d) == (a * b).truncate(d)
+        assert a.mul(b, d).terms.keys() == (a * b).truncate(d).terms.keys()
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_polys(), mixed_polys(), mixed_polys(max_terms=2))
+    def test_no_integral_fraction_stored(self, a, b, q):
+        assert stored_exactly(a) and stored_exactly(b)
+        assert stored_exactly(a + b) and stored_exactly(a - b)
+        assert stored_exactly(a * b) and stored_exactly(a.mul(b, 3))
+        assert stored_exactly(a.substitute({zvar(1): q, cvar(2): b}))
+        assert stored_exactly(Poly.from_json(a.to_json()))
+        assert stored_exactly((1 + q - q.constant_term()).series_inverse(4))
+
+    def test_integral_fractions_become_int(self):
+        p = Poly({((zvar(1), 1),): Fraction(4, 2), (): Fraction(1, 2)})
+        assert type(p.coeff(((zvar(1), 1),))) is int
+        assert type((p + p).constant_term()) is int
+        assert type(Poly.const(Fraction(6, 3)).constant_term()) is int
+        assert z(1).coeff(()) == 0 and type(z(1).constant_term()) is int
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_mono_mul_matches_reference(self, data):
+        pool = [zvar(1), zvar(2), zvar(3), cvar(1), evar(2), lamvar(1, 0), psivar(1, 0)]
+
+        def mono():
+            vs = data.draw(st.lists(st.sampled_from(pool), unique=True, max_size=5))
+            xs = data.draw(st.lists(st.integers(-3, 3).filter(bool), min_size=len(vs),
+                                    max_size=len(vs)))
+            return tuple(sorted(zip(vs, xs)))
+
+        a, b = mono(), mono()
+        assert mono_mul(a, b) == mono_mul_reference(a, b)
+
+    def test_mono_mul_cancels_to_one(self):
+        a = ((zvar(1), 2), (cvar(3), -1))
+        assert mono_mul(a, ((zvar(1), -2), (cvar(3), 1))) == ()
+
+    def test_rational_text_unchanged(self):
+        half = Poly.const(Fraction(1, 2))
+        assert str(half) == "1/2"
+        assert half.to_json() == [["1/2", []]]
+        p = Fraction(-3, 4) * z(1) + 2 * c(2)
+        assert str(p) == "-3/4*z1 + 2*c2"
+        assert p.to_json() == [["-3/4", [[["z", 1], 1]]], ["2", [[["c", 2], 1]]]]
+        assert str(Poly.const(Fraction(6, 3))) == "2"
 
 
 class TestArith:

@@ -15,6 +15,7 @@ from torex.trees import (
     mon,
     parse_code,
     smoothings,
+    tree_codes,
 )
 
 
@@ -40,6 +41,10 @@ class TestEnumeration:
         codes = [t.code for t in enumerate_trees(6, 5)]
         assert len(codes) == len(set(codes))
 
+    @pytest.mark.parametrize("g,max_edges", [(2, 1), (5, 2), (6, 5), (8, 7)])
+    def test_codes_without_trees(self, g, max_edges):
+        assert tree_codes(g, max_edges) == {t.code for t in enumerate_trees(g, max_edges)}
+
     @pytest.mark.parametrize("g", range(2, 9))
     def test_irreducible_count_is_partitions(self, g):
         trees = enumerate_trees(g, g - 1)
@@ -53,6 +58,8 @@ class TestEnumeration:
             ExtremalTree.from_code("(1(0(1)))")  # 2-valent genus-0 vertex
         with pytest.raises(TreeError):
             ExtremalTree.from_code("(1(0(0)(1)))")  # genus-0 leaf
+        with pytest.raises(TreeError):
+            ExtremalTree.from_code("(1(-))")  # sign without digits
 
 
 class TestAutomorphisms:
