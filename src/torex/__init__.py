@@ -11,7 +11,7 @@ constants tying everything together.
 """
 
 from .polyring import Poly, elem_sym_rewrite
-from .trees import ExtremalTree, Smoothing, aut_order, depth, enumerate_trees, mon, smoothings
+from .trees import ExtremalTree, Smoothing, depth, enumerate_trees, mon, smoothings
 from .excess import (
     Contribution,
     LocalModel,

@@ -19,7 +19,7 @@ from itertools import combinations
 from math import comb
 
 from .constants import product_coefficient
-from .polyring import Poly, lamvar
+from .polyring import Poly, det, lamvar
 
 
 class AgRingError(Exception):
@@ -256,30 +256,7 @@ def jacobi_trudi_wedge2(g: int, dual: bool = False) -> Poly:
         v = lam(idx)
         return -v if (dual and idx % 2) else v
 
-    memo: dict = {}
-
-    def minor(i: int, colmask: int) -> Poly:
-        if i > g:
-            return Poly.const(1)
-        key = (i, colmask)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        acc = Poly.zero()
-        pos = 0  # parity of the column among the remaining ones
-        for j in range(1, g + 1):
-            bit = 1 << (j - 1)
-            if colmask & bit:
-                continue
-            e = entry(i, j)
-            if not e.is_zero():
-                term = e * minor(i + 1, colmask | bit)
-                acc = acc + (term if pos % 2 == 0 else -term)
-            pos += 1
-        memo[key] = acc
-        return acc
-
-    return minor(1, 0)
+    return det([[entry(i, j) for j in range(1, g + 1)] for i in range(1, g + 1)])
 
 
 def schur_wedge2(g: int) -> TautClassAg:

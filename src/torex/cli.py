@@ -173,21 +173,9 @@ def cmd_constants(args) -> int:
     return 0
 
 
-def _partitions_of(n: int):
-    def rec(n, mx):
-        if n == 0:
-            yield ()
-            return
-        for p in range(min(n, mx), 0, -1):
-            for rest in rec(n - p, p):
-                yield (p,) + rest
-
-    return [p for p in rec(n, n)]
-
-
 def cmd_zeroint(args) -> int:
     g = args.genus
-    parts = [p for p in _partitions_of(g) if len(p) >= 2]
+    parts = products.split_partitions(g)
     report = []
     all_ok = True
     for p in parts:

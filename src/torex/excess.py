@@ -189,7 +189,7 @@ def pixton_contribution(t: ExtremalTree, g: int) -> Contribution:
     if lm.k % 2:
         num = -num
     all_edges = tuple(sorted((zvar(i), 1) for i in range(1, lm.n + 1)))
-    taylor = num.laurent_divide(all_edges).taylor_part().truncate(d)
+    taylor = num.taylor_part(all_edges).truncate(d)
     poly = (taylor * _formal_total_class(d)).graded_part(d)
     return Contribution(tree=t, g=g, poly=poly)
 

@@ -13,9 +13,7 @@ pairs with nonzero exponents; a variable is a plain tuple
     ('psi', v, m)     cotangent class at marking m of vertex v, degree 1
 
 Variables order by tuple comparison; monomials by graded lexicographic
-order.  Negative exponents are tolerated only transiently inside the
-Laurent helpers (`laurent_divide`); every public result is a true
-polynomial.
+order.
 
 `Poly.mul(other, max_deg)` is the truncated product: a pair of terms
 whose Chow degrees add up to more than max_deg is skipped before its
@@ -326,16 +324,16 @@ class Poly:
             t[q] = c
         return Poly._of(t)
 
-    def laurent_divide(self, m: Monomial) -> "Poly":
-        """Quotient by a monomial, permitting negative exponents (transient)."""
+    def taylor_part(self, m: Monomial) -> "Poly":
+        """Taylor part of the Laurent quotient by a monomial: the quotient
+        of every term that m divides; the other terms are dropped."""
         neg = tuple((v, -e) for v, e in m)
-        return Poly._of({mono_mul(mono, neg): c for mono, c in self._t.items()})
-
-    def taylor_part(self) -> "Poly":
-        """Drop every term carrying a negative exponent."""
-        return Poly(
-            {m: c for m, c in self._t.items() if all(e >= 0 for _, e in m)}
-        )
+        t = {}
+        for mono, c in self._t.items():
+            q = mono_mul(mono, neg)
+            if all(e > 0 for _, e in q):
+                t[q] = c
+        return Poly._of(t)
 
     def series_inverse(self, max_deg: int) -> "Poly":
         """Inverse modulo degree > max_deg; constant term must equal 1."""
@@ -433,6 +431,35 @@ def prod(polys: Iterable[Poly], max_deg: int | None = None) -> Poly:
     for p in polys:
         out = out.mul(p, max_deg)
     return out
+
+
+def det(matrix) -> Poly:
+    """Determinant of a square matrix of polynomials by Laplace expansion
+    along the rows.  Each minor is memoized on the bit mask of the columns
+    already used; the row it starts at is the number of those columns."""
+    n = len(matrix)
+    memo: dict = {}
+
+    def minor(i: int, colmask: int) -> Poly:
+        if i == n:
+            return Poly.const(1)
+        got = memo.get(colmask)
+        if got is not None:
+            return got
+        acc = Poly.zero()
+        pos = 0  # parity of the column among the remaining ones
+        for j, e in enumerate(matrix[i]):
+            bit = 1 << j
+            if colmask & bit:
+                continue
+            if not e.is_zero():
+                term = e * minor(i + 1, colmask | bit)
+                acc = acc + (term if pos % 2 == 0 else -term)
+            pos += 1
+        memo[colmask] = acc
+        return acc
+
+    return minor(0, 0)
 
 
 def elem_sym_rewrite(p: Poly, ell_count: int, A: Poly) -> Poly:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .polyring import Poly
+from .polyring import Poly, det
 
 
 class ProductsError(Exception):
@@ -31,6 +31,21 @@ class GenusMismatch(ProductsError):
 
 class RankTooLarge(ProductsError):
     pass
+
+
+def split_partitions(g: int) -> list:
+    """The partitions of g with at least two parts (their parts are all
+    below g), as weakly decreasing tuples in descending lexicographic order."""
+
+    def rec(n: int, largest: int):
+        if n == 0:
+            yield ()
+            return
+        for p in range(min(n, largest), 0, -1):
+            for rest in rec(n - p, p):
+                yield (p,) + rest
+
+    return list(rec(g, g - 1))
 
 
 @dataclass(frozen=True)
@@ -241,37 +256,12 @@ def euler_tensor_e_basis(a: int, b: int) -> Poly:
     ]
     # h coefficients: t^b + e1(y) t^(b-1) + ... + e_b(y)
     h = [Poly.const(1)] + [_ey(j) for j in range(1, b + 1)]
-    n = a + b
     rows = []
     for s in range(b):  # b rows of f coefficients
         rows.append([Poly.zero()] * s + f + [Poly.zero()] * (b - 1 - s))
     for s in range(a):  # a rows of h coefficients
         rows.append([Poly.zero()] * s + h + [Poly.zero()] * (a - 1 - s))
-
-    memo: dict = {}
-
-    def minor(i: int, colmask: int) -> Poly:
-        if i == n:
-            return Poly.const(1)
-        key = (i, colmask)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        acc = Poly.zero()
-        pos = 0
-        for j in range(n):
-            bit = 1 << j
-            if colmask & bit:
-                continue
-            e = rows[i][j]
-            if not e.is_zero():
-                term = e * minor(i + 1, colmask | bit)
-                acc = acc + (term if pos % 2 == 0 else -term)
-            pos += 1
-        memo[key] = acc
-        return acc
-
-    return minor(0, 0)
+    return det(rows)
 
 
 def euler_tensor_reduce(a: int, b: int) -> Poly:

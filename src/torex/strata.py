@@ -234,14 +234,10 @@ def _to_json_obj(s: StrataExpression) -> dict:
 
 
 def _to_json_bytes(s: StrataExpression) -> bytes:
-    if not s.terms:
-        return b"[]"
     return json.dumps(_to_json_obj(s), indent=1).encode("utf-8")
 
 
 def parse_json(data: bytes) -> StrataExpression:
-    if data == b"[]":
-        return StrataExpression(genus=0, terms=())
     obj = json.loads(data.decode("utf-8"))
     terms = []
     for entry in obj["terms"]:

@@ -336,10 +336,6 @@ def tree_codes(g: int, max_edges: int) -> set:
     return {_code_str(c) for c in _root_codes(g, max_edges)}
 
 
-def aut_order(t: ExtremalTree) -> int:
-    return t.aut_order
-
-
 def aut_order_brute(t: ExtremalTree) -> int:
     """Automorphism order by explicit permutation search (small trees)."""
     from itertools import permutations

@@ -9,9 +9,8 @@ import pytest
 from conftest import display_normal_form, tree_normal_form
 from golden_displays import GENUS4, GENUS5, GENUS6
 
-from torex import agring, constants, products, strata
+from torex import agring, constants, products, strata, verify
 from torex.excess import all_contributions
-from torex.polyring import Poly, cvar, zvar
 from torex.trees import enumerate_trees
 
 
@@ -20,21 +19,13 @@ def report(number, title, ok):
     assert ok
 
 
-def _z(i):
-    return Poly.var(zvar(i))
-
-
-def _c(i):
-    return Poly.var(cvar(i))
-
-
 def test_criterion_1_tree_inventories():
-    ok = True
-    for g, max_edges, want in ((4, 3, 4), (5, 4, 10), (6, 5, 24)):
-        trees = enumerate_trees(g, max_edges)
-        ok = ok and len(trees) == want
+    ok = all(
+        len(enumerate_trees(g, max_edges)) == want
+        for (g, max_edges), want in verify.TREE_INVENTORY.items()
+    )
     irr6 = [t for t in enumerate_trees(6, 5) if t.is_irreducible()]
-    ok = ok and sorted(t.aut_order for t in irr6) == [1, 1, 1, 2, 2, 6, 120]
+    ok = ok and sorted(t.aut_order for t in irr6) == verify.G6_IRREDUCIBLE_AUT_WEIGHTS
     mixed6 = sorted(
         t.aut_order for t in enumerate_trees(6, 5) if not t.is_irreducible()
     )
@@ -43,23 +34,9 @@ def test_criterion_1_tree_inventories():
 
 
 def test_criterion_2_worked_contributions():
-    cases = [
-        (4, "(1(0(1)(2)))", Poly.const(-3)),
-        (5, "(1(0(1)(3)))", -3 * _c(1) + 6 * _z(1) + 4 * _z(2) + 4 * _z(3)),
-        (6, "(1(0(1)(4)))",
-         -3 * _c(2) + _c(1) * (6 * _z(1) + 4 * _z(2) + 4 * _z(3))
-         - 10 * _z(1) ** 2 - 10 * _z(1) * (_z(2) + _z(3))
-         - 5 * (_z(2) + _z(3)) ** 2 + 5 * _z(2) * _z(3)),
-        (5, "(1(0(1)(1)(2)))", Poly.const(-4)),
-        (6, "(1(0(1)(1)(3)))",
-         -4 * _c(1) + 10 * _z(1) + 5 * (_z(2) + _z(3) + _z(4))),
-        (6, "(1(0(1)(1)(1)(2)))", Poly.const(-5)),
-        (6, "(1(0(1)(3))(1))",
-         -3 * _c(1) + 6 * _z(1) + 3 * _z(2) + 4 * (_z(3) + _z(4))),
-        (6, "(1(0(0(1)(1))(3)))", Poly.const(15)),
-    ]
     ok = all(
-        all_contributions(g)[code].poly == want for g, code, want in cases
+        all_contributions(g)[code].poly == want
+        for g, code, want in verify.WORKED_CONTRIBUTIONS
     )
     report(2, "worked contributions, exact", ok)
 
@@ -92,12 +69,12 @@ def test_criterion_4_strata_golden():
 
 def test_criterion_5_constants():
     ok = (
-        constants.product_coefficient(4) == 20
-        and constants.product_coefficient(5) == 11
-        and constants.product_coefficient(7) == 1
-        and constants.product_coefficient(6) == Fraction(2730, 691)
-        and constants.coefficient_discrepancy(6) == Fraction(2370, 691)
-        and constants.hodge_constants(1).tail_integral == Fraction(1, 24)
+        all(
+            constants.product_coefficient(g) == want
+            for g, want in verify.PROJECTION_COEFFICIENTS.items()
+        )
+        and constants.coefficient_discrepancy(6) == constants.PRINTED_G6_VARIANT
+        and constants.hodge_constants(1).tail_integral == verify.G1_TAIL_INTEGRAL
         and constants.series_identity_check(20)
     )
     report(5, "projection coefficients and series identity", ok)
@@ -135,20 +112,9 @@ def test_criterion_7_virtual_classes():
 
 
 def test_criterion_8_product_vanishing():
-    def partitions_of(n):
-        def rec(n, mx):
-            if n == 0:
-                yield ()
-                return
-            for p in range(min(n, mx), 0, -1):
-                for rest in rec(n - p, p):
-                    yield (p,) + rest
-
-        return list(rec(n, n))
-
     ok = True
     for g in range(2, 7):
-        parts = [p for p in partitions_of(g) if len(p) >= 2]
+        parts = products.split_partitions(g)
         for p in parts:
             for q in parts:
                 ok = ok and products.zeroint_check(

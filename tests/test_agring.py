@@ -22,6 +22,7 @@ from torex.agring import (
     virtual_class_product,
 )
 from torex.polyring import Poly
+from torex.verify import PROJECTION_COEFFICIENTS
 
 
 def cls(g, coords):
@@ -164,9 +165,9 @@ class TestVirtualClasses:
 
 class TestProjection:
     def test_known_coefficients(self):
-        assert taut_projection_delta(4) == single(4, (3,), 20)
-        assert taut_projection_delta(5) == single(5, (4,), 11)
-        assert taut_projection_delta(7) == single(7, (6,), 1)
+        for g in (4, 5, 7):
+            want = single(g, (g - 1,), PROJECTION_COEFFICIENTS[g])
+            assert taut_projection_delta(g) == want
 
     def test_g6_formula_value(self):
-        assert taut_projection_delta(6) == single(6, (5,), Fraction(2730, 691))
+        assert taut_projection_delta(6) == single(6, (5,), PROJECTION_COEFFICIENTS[6])

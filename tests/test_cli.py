@@ -1,9 +1,14 @@
+import importlib.util
 import json
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
 from torex.cli import main
+
+TRACE_CHILD = Path(__file__).resolve().parent.parent / "bench" / "trace_child.py"
 
 
 def run(capsys, *argv):
@@ -299,3 +304,21 @@ class TestUsage:
         _, a, _ = run(capsys, "trees", "--genus", "5")
         _, b, _ = run(capsys, "trees", "--genus", "5")
         assert a == b
+
+
+class TestTraceTargets:
+    def test_every_traced_name_resolves(self):
+        # the benchmark's tracer rebinds these names after importing the CLI;
+        # one that is renamed away would stop every traced benchmark run
+        spec = importlib.util.spec_from_file_location("trace_child", TRACE_CHILD)
+        trace_child = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(trace_child)
+        missing = []
+        for owner_path, attr, *_ in trace_child.TARGETS:
+            owner = sys.modules.get(owner_path)
+            if owner is None:
+                module, _, name = owner_path.rpartition(".")
+                owner = getattr(sys.modules[module], name)
+            if not callable(getattr(owner, attr, None)):
+                missing.append("%s.%s" % (owner_path, attr))
+        assert missing == []

@@ -4,6 +4,7 @@ from math import comb, factorial
 import pytest
 
 from torex.constants import (
+    PRINTED_G6_VARIANT,
     bernoulli,
     coefficient_consistency,
     coefficient_discrepancy,
@@ -12,6 +13,7 @@ from torex.constants import (
     product_coefficient,
     series_identity_check,
 )
+from torex.verify import G1_TAIL_INTEGRAL, PROJECTION_COEFFICIENTS
 
 
 class TestBernoulli:
@@ -37,13 +39,13 @@ class TestBernoulli:
 
 class TestProductCoefficient:
     def test_headline_values(self):
-        assert product_coefficient(4) == 20
-        assert product_coefficient(5) == 11
-        assert product_coefficient(7) == 1
+        for g in (4, 5, 7):
+            assert product_coefficient(g) == PROJECTION_COEFFICIENTS[g]
 
     def test_g6_formula_value_and_flag(self):
-        assert product_coefficient(6) == Fraction(2730, 691)
-        assert coefficient_discrepancy(6) == Fraction(2370, 691)
+        assert product_coefficient(6) == PROJECTION_COEFFICIENTS[6]
+        assert coefficient_discrepancy(6) == PRINTED_G6_VARIANT
+        assert PRINTED_G6_VARIANT != PROJECTION_COEFFICIENTS[6]
         assert coefficient_discrepancy(5) is None
 
     def test_closed_form(self):
@@ -55,7 +57,7 @@ class TestProductCoefficient:
 
 class TestHodgeConstants:
     def test_elliptic_tail(self):
-        assert hodge_constants(1).tail_integral == Fraction(1, 24)
+        assert hodge_constants(1).tail_integral == G1_TAIL_INTEGRAL
         assert hodge_constants(1).triple_lambda is None
 
     def test_genus2_values(self):

@@ -11,6 +11,7 @@ from torex.excess import (
 )
 from torex.polyring import Poly, cvar, evar, zvar
 from torex.trees import ExtremalTree, depth, enumerate_trees
+from torex.verify import WORKED_CONTRIBUTIONS
 
 
 def z(i):
@@ -70,42 +71,38 @@ class TestBaseContribution:
             base_contribution(T("(1(0(1)(2)))"), 4)
 
 
+WORKED = {code: (g, want) for g, code, want in WORKED_CONTRIBUTIONS}
+
+
+def assert_worked(code):
+    g, want = WORKED[code]
+    assert all_contributions(g)[code].poly == want
+
+
 class TestWorkedExamples:
     def test_depth_one_pair_g4(self):
-        assert all_contributions(4)["(1(0(1)(2)))"].poly == Poly.const(-3)
+        assert_worked("(1(0(1)(2)))")
 
     def test_depth_one_pair_g5(self):
-        got = all_contributions(5)["(1(0(1)(3)))"].poly
-        assert got == -3 * c(1) + 6 * z(1) + 4 * z(2) + 4 * z(3)
+        assert_worked("(1(0(1)(3)))")
 
     def test_depth_one_pair_g6(self):
-        got = all_contributions(6)["(1(0(1)(4)))"].poly
-        want = (
-            -3 * c(2)
-            + c(1) * (6 * z(1) + 4 * z(2) + 4 * z(3))
-            - 10 * z(1) ** 2
-            - 10 * z(1) * (z(2) + z(3))
-            - 5 * (z(2) + z(3)) ** 2
-            + 5 * z(2) * z(3)
-        )
-        assert got == want
+        assert_worked("(1(0(1)(4)))")
 
     def test_depth_one_triple_g5(self):
-        assert all_contributions(5)["(1(0(1)(1)(2)))"].poly == Poly.const(-4)
+        assert_worked("(1(0(1)(1)(2)))")
 
     def test_depth_one_triple_g6(self):
-        got = all_contributions(6)["(1(0(1)(1)(3)))"].poly
-        assert got == -4 * c(1) + 10 * z(1) + 5 * (z(2) + z(3) + z(4))
+        assert_worked("(1(0(1)(1)(3)))")
 
     def test_depth_one_quadruple_g6(self):
-        assert all_contributions(6)["(1(0(1)(1)(1)(2)))"].poly == Poly.const(-5)
+        assert_worked("(1(0(1)(1)(1)(2)))")
 
     def test_mixed_tree_g6(self):
-        got = all_contributions(6)["(1(0(1)(3))(1))"].poly
-        assert got == -3 * c(1) + 6 * z(1) + 3 * z(2) + 4 * (z(3) + z(4))
+        assert_worked("(1(0(1)(3))(1))")
 
     def test_depth_two_tree_g6(self):
-        assert all_contributions(6)["(1(0(0(1)(1))(3)))"].poly == Poly.const(15)
+        assert_worked("(1(0(0(1)(1))(3)))")
 
     def test_g5_four_edge_values(self):
         tab = all_contributions(5)
@@ -204,11 +201,12 @@ class TestClosedFormula:
             assert pixton_contribution(t, g).poly == Poly.const(1)
 
     def test_mixed_tree_g6(self):
-        got = pixton_contribution(T("(1(0(1)(3))(1))"), 6).poly
-        assert got == -3 * c(1) + 6 * z(1) + 3 * z(2) + 4 * (z(3) + z(4))
+        g, want = WORKED["(1(0(1)(3))(1))"]
+        assert pixton_contribution(T("(1(0(1)(3))(1))"), g).poly == want
 
     def test_four_leaf_g6(self):
-        assert pixton_contribution(T("(1(0(1)(1)(1)(2)))"), 6).poly == Poly.const(-5)
+        g, want = WORKED["(1(0(1)(1)(1)(2)))"]
+        assert pixton_contribution(T("(1(0(1)(1)(1)(2)))"), g).poly == want
 
     def test_heavy_tree_vanishes(self):
         t = T("(1(0(0(1)(1))(1)))")  # genus 4, five edges

@@ -13,22 +13,11 @@ from torex.products import (
     euler_tensor_reduce,
     extremal_refinements,
     hodge_split_pullback,
+    split_partitions,
     zeroint_check,
 )
 
 P = Partition.make
-
-
-def partitions_of(n):
-    def rec(n, mx):
-        if n == 0:
-            yield ()
-            return
-        for p in range(min(n, mx), 0, -1):
-            for rest in rec(n - p, p):
-                yield (p,) + rest
-
-    return list(rec(n, n))
 
 
 class TestRefinements:
@@ -133,7 +122,7 @@ class TestZeroint:
 
     @pytest.mark.parametrize("g", range(2, 7))
     def test_exhaustive(self, g):
-        parts = [p for p in partitions_of(g) if len(p) >= 2]
+        parts = split_partitions(g)
         for p in parts:
             for q in parts:
                 assert zeroint_check(P(p), P(q)), (p, q)
@@ -141,6 +130,12 @@ class TestZeroint:
     def test_rejects_single_part(self):
         with pytest.raises(ProductsError):
             zeroint_check(P([5]), P([1, 4]))
+
+    def test_split_partitions(self):
+        assert split_partitions(1) == []
+        assert split_partitions(5) == [
+            (4, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1)
+        ]
 
 
 class TestHodgeSplit:

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -16,27 +17,20 @@ from torex.strata import (
     serialize,
     substitute_stratum,
 )
+from torex.verify import WORKED_BRACKETS
+
+
+def bracket_set(g, code):
+    cont = all_contributions(g)[code]
+    return {tuple(s.render()): s.coeff for s in substitute_stratum(cont)}
 
 
 class TestSubstitution:
     def test_g6_first_intersection(self):
-        cont = all_contributions(6)["(1(0(1)(4)))"]
-        got = {
-            tuple(s.render()): s.coeff for s in substitute_stratum(cont)
-        }
-        assert got == {
-            ("1", "1", "1", "lam2"): Fraction(-3),
-            ("1", "1", "1", "lam1*psi1"): Fraction(4),
-            ("1", "1", "1", "psi1^2"): Fraction(-5),
-        }
+        assert bracket_set(6, "(1(0(1)(4)))") == WORKED_BRACKETS[(6, "(1(0(1)(4)))")]
 
     def test_g5_first_intersection(self):
-        cont = all_contributions(5)["(1(0(1)(3)))"]
-        got = {tuple(s.render()): s.coeff for s in substitute_stratum(cont)}
-        assert got == {
-            ("1", "1", "1", "lam1"): Fraction(3),
-            ("1", "1", "1", "psi1"): Fraction(-4),
-        }
+        assert bracket_set(5, "(1(0(1)(3)))") == WORKED_BRACKETS[(5, "(1(0(1)(3)))")]
 
     def test_constant_contribution(self):
         cont = all_contributions(4)["(1(0(1)(2)))"]
@@ -88,17 +82,22 @@ class TestInvariants:
 
 
 class TestSerialization:
-    def test_json_roundtrip(self):
-        expr = assemble_pullback(4)
+    @pytest.mark.parametrize("g", range(2, 8))
+    def test_json_roundtrip(self, g):
+        expr = assemble_pullback(g)
         again = parse_json(serialize(expr, "json"))
+        assert again.genus == g
         assert expression_equal(expr, again)
 
     def test_empty_expression(self):
-        assert serialize(StrataExpression(genus=0, terms=()), "json") == b"[]"
+        data = serialize(StrataExpression(genus=5, terms=()), "json")
+        assert json.loads(data) == {"genus": 5, "terms": []}
+        again = parse_json(data)
+        assert again.genus == 5 and again.terms == ()
 
     def test_g5_block_count(self):
         data = serialize(assemble_pullback(5), "json")
-        obj = __import__("json").loads(data)
+        obj = json.loads(data)
         assert len(obj["terms"]) == 10
 
     def test_audit_text_mentions_every_stratum(self):

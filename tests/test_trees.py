@@ -17,6 +17,7 @@ from torex.trees import (
     smoothings,
     tree_codes,
 )
+from torex.verify import G6_IRREDUCIBLE_AUT_WEIGHTS, TREE_INVENTORY
 
 
 def partitions_count(n):
@@ -29,7 +30,7 @@ def partitions_count(n):
 
 class TestEnumeration:
     @pytest.mark.parametrize(
-        "g,max_edges,count", [(4, 3, 4), (5, 4, 10), (6, 5, 24)]
+        "g,max_edges,count", [(g, m, n) for (g, m), n in TREE_INVENTORY.items()]
     )
     def test_inventory_counts(self, g, max_edges, count):
         trees = enumerate_trees(g, max_edges)
@@ -70,7 +71,7 @@ class TestAutomorphisms:
 
     def test_genus6_weight_list(self):
         irr = [t for t in enumerate_trees(6, 5) if t.is_irreducible()]
-        assert sorted(t.aut_order for t in irr) == [1, 1, 1, 2, 2, 6, 120]
+        assert sorted(t.aut_order for t in irr) == G6_IRREDUCIBLE_AUT_WEIGHTS
 
     def test_brute_force_agreement(self):
         for g in range(2, 7):
