@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 from .constants import product_coefficient
 from .polyring import Poly, det, lamvar
@@ -199,29 +199,33 @@ def socle_pairing(g: int, d: int):
 
 
 def matrix_rank(matrix) -> int:
-    """Rank over Q by fraction-free Gaussian elimination."""
-    m = [row[:] for row in matrix]
-    rank = 0
+    """Rank over Q by fraction-free (Bareiss) elimination.
+
+    Each row of rationals is scaled to integers by the lcm of its
+    denominators, which keeps the rank; every entry then stays an integer
+    minor of that matrix, so each division by the previous pivot is exact.
+    """
+    m = []
+    for row in matrix:
+        scale = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (scale // x.denominator) for x in row])
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    r = 0
+    rank = 0
+    prev = 1
     for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if m[i][c]:
-                pivot = i
-                break
+        pivot = next((i for i in range(rank, rows) if m[i][c]), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        for i in range(r + 1, rows):
-            if m[i][c]:
-                f = m[i][c] / pv
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top = m[rank]
+        pv = top[c]
+        for i in range(rank + 1, rows):
+            f = m[i][c]
+            m[i] = [(pv * a - f * b) // prev for a, b in zip(m[i], top)]
+        prev = pv
         rank += 1
-        if r == rows:
+        if rank == rows:
             break
     return rank
 

@@ -117,7 +117,8 @@ def cmd_ring(args) -> int:
     dims = [agring.graded_dimension(g, d) for d in range(D + 1)]
     ranks = [agring.matrix_rank(agring.socle_pairing(g, d)) if dims[d] else 0
              for d in range(D + 1)]
-    perfect = all(agring.pairing_is_perfect(g, d) for d in range(D + 1))
+    # the pairing in degree d is perfect when it is square and of full rank
+    perfect = all(r == dims[d] == dims[D - d] for d, r in enumerate(ranks))
     socle = "*".join("lam%d" % i for i in range(1, g)) or "1"
     if args.format == "json":
         _emit_json(

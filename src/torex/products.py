@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .polyring import Poly, det
 
@@ -103,9 +103,10 @@ class RefinementComponent:
 
 
 def _matrices(rows: tuple, cols: tuple):
-    """Nonnegative integer matrices with the given row and column sums
-    and at most one part per cell is NOT required here; extremality is
-    exactly the matrix form, so each matrix is one candidate."""
+    """Every nonnegative integer matrix, as a tuple of row tuples, whose
+    row sums are rows and column sums are cols, once each and in
+    increasing row-major order.  Each one is an extremal common
+    refinement: its nonzero cells are the refinement parts."""
 
     nr, nc = len(rows), len(cols)
 
@@ -136,59 +137,24 @@ def _matrices(rows: tuple, cols: tuple):
     yield from rec(0, cols, [])
 
 
-def _canonical_matrix(matrix: tuple, rows: tuple, cols: tuple) -> tuple:
-    """Minimum of the column-major key over row permutations fixing the
-    row sums and column permutations fixing the column sums.
-
-    For a fixed row order the best column order is obtained by sorting
-    the columns within each equal-sum group, so only row permutations
-    are enumerated.
-    """
-    row_groups = _equal_groups(rows)
-    col_groups = _equal_groups(cols)
-    best = None
-    for rp in _group_permutations(len(rows), row_groups):
-        rm = [tuple(matrix[i][j] for i in rp) for j in range(len(cols))]  # columns
-        key = []
-        for grp in col_groups:
-            key.extend(sorted(rm[j] for j in grp))
-        cand = tuple(key)
-        if best is None or cand < best:
-            best = cand
-    # rebuild the matrix row-major from the canonical column tuple
-    ncols = len(cols)
-    nrows = len(rows)
-    return tuple(tuple(best[j][i] for j in range(ncols)) for i in range(nrows))
-
-
-def _equal_groups(values: tuple) -> list:
-    groups = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] != values[start]:
-            groups.append(list(range(start, i)))
-            start = i
-    return groups
-
-
-def _group_permutations(n: int, groups: list):
-    """Permutations of range(n) permuting only within the given groups."""
-    pools = [list(permutations(grp)) for grp in groups]
-
-    def rec(i: int, acc: list):
-        if i == len(pools):
-            perm = [0] * n
-            for grp, choice in zip(groups, acc):
-                for src, dst in zip(grp, choice):
-                    perm[src] = dst
-            yield tuple(perm)
-            return
-        for choice in pools[i]:
-            acc.append(choice)
-            yield from rec(i + 1, acc)
-            acc.pop()
-
-    yield from rec(0, [])
+def _orbit(matrix: tuple, row_swaps: list, col_swaps: list) -> set:
+    """The matrices reached from matrix by permuting rows of equal sum and
+    columns of equal sum, closed under the adjacent swaps i <-> i + 1
+    listed in row_swaps and col_swaps."""
+    orbit = {matrix}
+    todo = [matrix]
+    while todo:
+        m = todo.pop()
+        moved = [m[:i] + (m[i + 1], m[i]) + m[i + 2:] for i in row_swaps]
+        moved += [
+            tuple(r[:j] + (r[j + 1], r[j]) + r[j + 2:] for r in m)
+            for j in col_swaps
+        ]
+        for new in moved:
+            if new not in orbit:
+                orbit.add(new)
+                todo.append(new)
+    return orbit
 
 
 def extremal_refinements(p: Partition, q: Partition) -> list:
@@ -196,13 +162,17 @@ def extremal_refinements(p: Partition, q: Partition) -> list:
     if p.total != q.total:
         raise GenusMismatch((p.total, q.total))
     rows, cols = p.parts, q.parts
+    row_swaps = [i for i in range(len(rows) - 1) if rows[i] == rows[i + 1]]
+    col_swaps = [j for j in range(len(cols) - 1) if cols[j] == cols[j + 1]]
     seen = set()
     out = []
     for matrix in _matrices(rows, cols):
-        canon = _canonical_matrix(matrix, rows, cols)
-        if canon in seen:
+        if matrix in seen:
             continue
-        seen.add(canon)
+        orbit = _orbit(matrix, row_swaps, col_swaps)
+        seen |= orbit
+        # the representative has the least column-major key in its orbit
+        canon = min(orbit, key=lambda m: tuple(zip(*m)))
         cells = []
         for i, row in enumerate(canon):
             for j, v in enumerate(row):

@@ -47,6 +47,8 @@ WORKED_CONTRIBUTIONS = [  # (genus, tree code, contribution)
      -3 * _c(1) + 6 * _z(1) + 3 * _z(2) + 4 * (_z(3) + _z(4))),
     (6, "(1(0(0(1)(1))(3)))", Poly.const(15)),
 ]
+G5_FOUR_EDGE_VALUES = ["-3", "-3", "-4"]  # reducible 4-edge trees, sorted text
+G6_TRIPLE_INTERSECTIONS = [Poly.const(15)] * 4  # 5-edge trees, two genus-0 vertices
 WORKED_BRACKETS = {  # (genus, tree code) -> {rendered vertex monomials: coefficient}
     (6, "(1(0(1)(4)))"): {
         ("1", "1", "1", "lam2"): -3,
@@ -156,16 +158,16 @@ def _check_contribution_tables():
         for c in tab5.values()
         if c.tree.n_edges == 4 and not c.tree.is_irreducible()
     )
-    if four_edge != ["-3", "-3", "-4"]:
+    if four_edge != G5_FOUR_EDGE_VALUES:
         return False
     tab6 = all_contributions(6)
     triples = [
-        c for c in tab6.values()
+        c.poly for c in tab6.values()
         if c.tree.n_edges == 5
         and sum(1 for v in range(c.tree.n_vertices)
                 if c.tree.genera[v] == 0) == 2
     ]
-    return len(triples) == 4 and all(c.poly == Poly.const(15) for c in triples)
+    return triples == G6_TRIPLE_INTERSECTIONS
 
 
 def _check_strata_brackets():

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from torex.agring import (
     BadSplit,
@@ -10,6 +13,7 @@ from torex.agring import (
     TautClassAg,
     basis_subsets,
     graded_dimension,
+    jacobi_trudi_wedge2,
     lam,
     matrix_rank,
     multiply,
@@ -21,7 +25,7 @@ from torex.agring import (
     taut_projection_delta,
     virtual_class_product,
 )
-from torex.polyring import Poly
+from torex.polyring import Poly, lamvar, zvar
 from torex.verify import PROJECTION_COEFFICIENTS
 
 
@@ -33,6 +37,42 @@ def cls(g, coords):
 
 def single(g, J, c=1):
     return TautClassAg.make(g, {frozenset(J): Fraction(c)})
+
+
+def fraction_rank(matrix):
+    """Rank over Q by plain Gaussian elimination on Fractions."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][c] / m[rank][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+
+
+@st.composite
+def rational_matrices(draw):
+    """Random rational matrices; rows past the drawn basis are rational
+    combinations of it, and some columns are zeroed, so the rank is often
+    below both dimensions."""
+    n_rows, n_cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    row = st.lists(rationals, min_size=n_cols, max_size=n_cols)
+    basis = draw(st.lists(row, min_size=1, max_size=n_rows))
+    rows = list(basis)
+    for _ in range(n_rows - len(basis)):
+        coeffs = draw(st.lists(rationals, min_size=len(basis), max_size=len(basis)))
+        rows.append([sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(n_cols)])
+    zero_cols = draw(st.sets(st.integers(0, n_cols - 1)))
+    rows = [[Fraction(0) if j in zero_cols else x for j, x in enumerate(r)] for r in rows]
+    return draw(st.permutations(rows))
 
 
 class TestReduce:
@@ -131,11 +171,39 @@ class TestSoclePairing:
             if m:
                 assert matrix_rank(m) == len(m)
 
+    @settings(max_examples=200, deadline=None)
+    @given(rational_matrices())
+    @example([[Fraction(0)] * 3] * 2)
+    def test_rank_matches_fraction_elimination(self, matrix):
+        assert matrix_rank(matrix) == fraction_rank(matrix)
+
 
 class TestSchurWedge2:
     @pytest.mark.parametrize("g", range(1, 9))
     def test_reduces_to_socle_generator(self, g):
         assert schur_wedge2(g) == single(g, tuple(range(1, g)))
+
+    @pytest.mark.parametrize("dual", [False, True])
+    @pytest.mark.parametrize("g", range(1, 6))
+    def test_matches_root_expansion(self, g, dual):
+        # independent oracle, before any reduction: with lambda_k the k-th
+        # elementary symmetric polynomial of roots x_1..x_g the determinant
+        # is prod_{i<j} (x_i + x_j); dual=True negates the roots
+        sign = -1 if dual else 1
+        x = [Poly.var(zvar(i)) for i in range(1, g + 1)]
+        direct = Poly.const(1)
+        for a, b in combinations(x, 2):
+            direct = direct * (sign * (a + b))
+        subs = {}
+        for k in range(1, g + 1):
+            e_k = Poly.zero()
+            for combo in combinations(x, k):
+                term = Poly.const(1)
+                for root in combo:
+                    term = term * root
+                e_k = e_k + term
+            subs[lamvar(k)] = e_k
+        assert jacobi_trudi_wedge2(g, dual).substitute(subs) == direct
 
 
 class TestVirtualClasses:

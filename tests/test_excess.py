@@ -11,7 +11,11 @@ from torex.excess import (
 )
 from torex.polyring import Poly, cvar, evar, zvar
 from torex.trees import ExtremalTree, depth, enumerate_trees
-from torex.verify import WORKED_CONTRIBUTIONS
+from torex.verify import (
+    G5_FOUR_EDGE_VALUES,
+    G6_TRIPLE_INTERSECTIONS,
+    WORKED_CONTRIBUTIONS,
+)
 
 
 def z(i):
@@ -111,18 +115,17 @@ class TestWorkedExamples:
             for cont in tab.values()
             if cont.tree.n_edges == 4 and not cont.tree.is_irreducible()
         )
-        assert vals == ["-3", "-3", "-4"]
+        assert vals == G5_FOUR_EDGE_VALUES
 
     def test_g6_triple_intersections(self):
         tab = all_contributions(6)
         trips = [
-            cont
+            cont.poly
             for cont in tab.values()
             if cont.tree.n_edges == 5
             and sum(1 for gv in cont.tree.genera if gv == 0) == 2
         ]
-        assert len(trips) == 4
-        assert all(cont.poly == Poly.const(15) for cont in trips)
+        assert trips == G6_TRIPLE_INTERSECTIONS
 
     def test_shape_invariance(self):
         # the same shape with different leaf genera gives the same polynomial

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -20,7 +20,68 @@ from torex.products import (
 P = Partition.make
 
 
+def _compositions(n, k):
+    """The k-tuples of nonnegative integers with sum n."""
+    if k == 1:
+        yield (n,)
+        return
+    for v in range(n + 1):
+        for rest in _compositions(n - v, k - 1):
+            yield (v,) + rest
+
+
+def _sum_preserving(values):
+    """The permutations s of range(len(values)) with values[s[i]] == values[i]."""
+    return [
+        s for s in permutations(range(len(values)))
+        if all(values[k] == values[i] for i, k in enumerate(s))
+    ]
+
+
+def extremal_refinements_reference(p, q):
+    """Brute force: each matrix with row sums p and column sums q stands
+    for the least column-major key over all sum-preserving row and column
+    permutations of it; one (sigma, cells, excess_bundle) per key, sorted."""
+    rows, cols = p.parts, q.parts
+    row_perms, col_perms = _sum_preserving(rows), _sum_preserving(cols)
+    keys, covered = set(), set()
+    for matrix in product(*(_compositions(r, len(cols)) for r in rows)):
+        if tuple(map(sum, zip(*matrix))) != cols or matrix in covered:
+            continue
+        orbit = {
+            tuple(tuple(matrix[i][j] for j in cp) for i in rp)
+            for rp in row_perms
+            for cp in col_perms
+        }
+        covered |= orbit
+        keys.add(min(tuple(zip(*m)) for m in orbit))
+    out = []
+    for key in keys:
+        cells = tuple(sorted(
+            (i, j, v) for j, col in enumerate(key) for i, v in enumerate(col) if v
+        ))
+        sigma = tuple(sorted((v for _, _, v in cells), reverse=True))
+        bundle = tuple(sorted(
+            tuple(sorted((a[2], b[2])))
+            for a, b in combinations(cells, 2)
+            if a[0] != b[0] and a[1] != b[1]
+        ))
+        out.append((sigma, cells, bundle))
+    return sorted(out)
+
+
 class TestRefinements:
+    @pytest.mark.parametrize("g", range(2, 6))
+    def test_matches_brute_force_reference(self, g):
+        parts = split_partitions(g)
+        for p in parts:
+            for q in parts:
+                got = [
+                    (c.sigma.parts, c.cells, c.excess_bundle)
+                    for c in extremal_refinements(P(p), P(q))
+                ]
+                assert got == extremal_refinements_reference(P(p), P(q)), (p, q)
+
     def test_elliptic_against_middle(self):
         for g in (5, 6, 8):
             for k in range(2, (g - 1) // 2 + 1):
