@@ -23,6 +23,15 @@ Taylor part of
 
 multiplied by the formal total class c(N).  The two routes are kept
 independent and cross-checked against each other.
+
+The recursion and the local model compute on packed monomials
+(`polyring.PackedLayout`), one layout per genus g: fields for z_1 ..
+z_{2g-3}, e_1 .. e_{g-1} and c_1 .. c_{g-1}, each (g-1).bit_length() + 1
+bits wide, under the Chow degree.  `recursion_contribution` packs each
+cached contribution as it reads it and unpacks its result, so the table
+of contributions, the cache files and every other caller hold tuple
+`Poly`s.  The closed formula and the base case stay on tuple monomials,
+which keeps them independent oracles for the recursion.
 """
 
 from __future__ import annotations
@@ -30,11 +39,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .polyring import (
+    PackedLayout,
     Poly,
     cvar,
-    elem_sym_rewrite,
     evar,
     prod,
     zvar,
@@ -56,13 +66,22 @@ class MissingSmoothing(ExcessError):
 
 @dataclass(frozen=True)
 class LocalModel:
+    """The local model of a tree, its classes packed in the layout of
+    genus g."""
+
     tree: ExtremalTree
     g: int
     k: int
     n: int
     ell_count: int
-    leaf_factor: Poly  # prod over leaves of (1 + sum of path z's)
-    chern_parts: tuple  # c_0 .. c_{g-1} of leaf_factor * (1 + e_1 + ... + e_ell)
+    layout: PackedLayout
+    leaf_factor: dict  # prod over leaves of (1 + sum of path z's)
+    packed_parts: tuple  # c_0 .. c_{g-1} of leaf_factor * (1 + e_1 + ... + e_ell)
+
+    @property
+    def chern_parts(self) -> tuple:
+        """c_0 .. c_{g-1} of c(N) as Polys."""
+        return tuple(self.layout.unpack(part) for part in self.packed_parts)
 
 
 def local_model(t: ExtremalTree, g: int) -> LocalModel:
@@ -73,18 +92,23 @@ def local_model(t: ExtremalTree, g: int) -> LocalModel:
     ell_count = g - 1 - k
     if ell_count < 0:
         raise ExcessError("more leaves than g-1")
-    A = Poly.const(1)
+    layout = _layout(g)
+    unit = layout.unit
+    A = {0: 1}
     for v in t.leaves():
-        s = Poly.const(1)
+        s = {0: 1}
         for i in t.path_labels(v):
-            s = s + Poly.var(zvar(i))
-        A = A * s
-    e = Poly.const(1)
+            s[unit[zvar(i)]] = 1
+        A = layout.mul(A, s)
+    e = {0: 1}
     for i in range(1, ell_count + 1):
-        e = e + Poly.var(evar(i))
-    total = A * e
-    return LocalModel(tree=t, g=g, k=k, n=n, ell_count=ell_count, leaf_factor=A,
-                      chern_parts=tuple(total.graded_part(i) for i in range(g)))
+        e[unit[evar(i)]] = 1
+    # one pass over the terms buckets c(N) by degree
+    parts = [{} for _ in range(g)]
+    for key, c in layout.mul(A, e).items():
+        parts[layout.degree(key)][key] = c
+    return LocalModel(tree=t, g=g, k=k, n=n, ell_count=ell_count, layout=layout,
+                      leaf_factor=A, packed_parts=tuple(parts))
 
 
 @dataclass(frozen=True)
@@ -128,44 +152,49 @@ def recursion_contribution(t: ExtremalTree, g: int, cache: dict) -> Contribution
 
     cache maps canonical codes of all smoothings of t to their
     Contributions (transported automatically through each edge map).
+    The arithmetic runs on monomials packed in the layout of genus g;
+    the cached contributions are packed on entry and the result is
+    unpacked on exit.
     """
     lm = local_model(t, g)
-    rhs = lm.chern_parts[g - 1]
+    layout = lm.layout
+    # sum over smoothings of (prod of the mapped z's) * Cont_T', with the
+    # edge variables moved through the edge map and the formal Chern
+    # classes still formal
+    smoothed: dict = {}
     for rec in smoothings(t):
         got = cache.get(rec.target.code)
         if got is None:
             raise MissingSmoothing(rec.target.code)
-        transported = _transport(got.poly, rec.edge_map, lm)
-        factor = Poly.const(1)
-        for src in rec.mapped_labels():
-            factor = factor * Poly.var(zvar(src))
-        rhs = rhs - factor * transported
-    all_edges = tuple(sorted((zvar(i), 1) for i in range(1, lm.n + 1)))
-    quotient = rhs.exact_divide(all_edges)
-    poly = elem_sym_rewrite(quotient, lm.ell_count, lm.leaf_factor)
+        rename = {zvar(tgt): zvar(src) for tgt, src in rec.edge_map}
+        factor = sum(layout.unit[zvar(src)] for _, src in rec.edge_map)
+        for key, c in layout.pack(got.poly, rename).items():
+            key += factor
+            smoothed[key] = smoothed.get(key, 0) + c
+    # the formal Chern classes become the model's factorized ones
+    transported = layout.substitute(
+        smoothed, {cvar(i): lm.packed_parts[i] for i in range(1, g)})
+    rhs = dict(lm.packed_parts[g - 1])
+    for key, c in transported.items():
+        rhs[key] = rhs.get(key, 0) - c
+    all_edges = sum(layout.unit[zvar(i)] for i in range(1, lm.n + 1))
+    quotient = layout.divide({key: c for key, c in rhs.items() if c}, all_edges)
+    poly = layout.elem_sym_rewrite(quotient, lm.ell_count, lm.leaf_factor)
     d = g - 1 - lm.n
     if d < 0:
-        if not poly.is_zero():
+        if poly:
             raise ExcessError("tree with %d >= %d edges has nonzero class" % (lm.n, g))
-        poly = Poly.zero()
-    elif not poly.is_homogeneous(d):
+    elif any(layout.degree(key) != d for key in poly):
         raise ExcessError("contribution of %s not homogeneous of degree %d" % (t.code, d))
-    return Contribution(tree=t, g=g, poly=poly)
+    return Contribution(tree=t, g=g, poly=layout.unpack(poly))
 
 
-def _transport(poly: Poly, edge_map, lm: LocalModel) -> Poly:
-    """Rewrite a cached contribution inside the local model of a
-    degeneration: edge variables move through the edge map and the
-    formal Chern classes become the model's factorized ones."""
-    rename = {zvar(tgt): zvar(src) for tgt, src in edge_map}
-    out = poly.rename(rename)
-    cvals = {}
-    for v in out.variables():
-        if v[0] == "c":
-            cvals[v] = lm.chern_parts[v[1]]
-    if cvals:
-        out = out.substitute(cvals)
-    return out
+@lru_cache(maxsize=None)
+def _layout(g: int) -> PackedLayout:
+    """The packed layout of genus g.  Every term of the recursion has Chow
+    degree at most g - 1, and a tree has at most 2g - 3 edges: at most
+    g - 1 leaves, and fewer genus-0 vertices than leaves."""
+    return PackedLayout(n_z=2 * g - 3, n_ec=g - 1, max_deg=g - 1)
 
 
 def pixton_contribution(t: ExtremalTree, g: int) -> Contribution:
@@ -198,7 +227,7 @@ def all_contributions(g: int, method: str = "recursion", max_edges: int | None =
                       cache_dir: str | None = None, jobs: int = 1) -> dict:
     """Contributions of every extremal tree of genus g, keyed by code.
 
-    Recursion fills the table in order of increasing depth (each depth
+    Recursion fills the table in order of increasing edge count (each
     level only needs the previous ones); the closed formula treats the
     trees independently.  Results are keyed in canonical-code order.
     """
@@ -221,13 +250,13 @@ def all_contributions(g: int, method: str = "recursion", max_edges: int | None =
     if method == "pixton":
         _for_each(trees, lambda t: table.__setitem__(t.code, pixton_contribution(t, g)), jobs)
     else:
-        from .trees import depth
-
-        by_depth: dict = {}
+        # every smoothing contracts at least one edge, so a level of equal
+        # edge count needs only the levels below it
+        by_edges: dict = {}
         for t in trees:
-            by_depth.setdefault(depth(t), []).append(t)
-        for levelno in sorted(by_depth):
-            level = by_depth[levelno]
+            by_edges.setdefault(t.n_edges, []).append(t)
+        for n in sorted(by_edges):
+            level = by_edges[n]
             results = {}
             _for_each(
                 level,

@@ -234,6 +234,7 @@ def euler_tensor_e_basis(a: int, b: int) -> Poly:
     return det(rows)
 
 
+@lru_cache(maxsize=None)
 def euler_tensor_reduce(a: int, b: int) -> Poly:
     """The e-basis Euler class of the tensor product with the top classes
     e_a(x) and e_b(y) set to zero; the reduction is always zero."""

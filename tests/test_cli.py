@@ -73,10 +73,26 @@ class TestPullback:
         _, b, _ = run(capsys, "pullback", "--genus", str(g), "--method", "pixton")
         assert a == b
 
-    def test_jobs_flag_output_unchanged(self, capsys):
-        _, a, _ = run(capsys, "pullback", "--genus", "5")
-        _, b, _ = run(capsys, "pullback", "--genus", "5", "--jobs", "4")
-        assert a == b
+    @pytest.fixture
+    def memo(self):
+        """The in-process table of contributions, empty before and after."""
+        from torex import excess
+
+        excess._MEMO.clear()
+        yield excess._MEMO
+        excess._MEMO.clear()
+
+    def test_jobs_flag_output_unchanged(self, capsys, memo):
+        # the memo is keyed without jobs: cleared, the second run computes
+        # its table again, on a pool of two threads
+        for method in ("recursion", "pixton"):
+            _, a, _ = run(capsys, "pullback", "--genus", "7", "--method", method,
+                          "--jobs", "1")
+            memo.clear()
+            _, b, _ = run(capsys, "pullback", "--genus", "7", "--method", method,
+                          "--jobs", "2")
+            memo.clear()
+            assert a and a == b, method
 
     def test_admcycles_format(self, capsys):
         code, out, _ = run(

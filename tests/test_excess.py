@@ -225,6 +225,14 @@ class TestOracleEquivalence:
         for code in rec:
             assert rec[code].poly == pix[code].poly, code
 
+    @pytest.mark.parametrize("g, count", [(3, 2), (4, 3), (5, 5), (6, 7), (7, 11), (8, 15)])
+    def test_irreducible_base_equals_recursion(self, g, count):
+        # the base case on tuple monomials against the packed recursion
+        irreducible = [t for t in enumerate_trees(g, g - 1) if t.is_irreducible()]
+        assert len(irreducible) == count
+        for t in irreducible:
+            assert base_contribution(t, g).poly == recursion_contribution(t, g, {}).poly, t.code
+
     def test_recursion_equals_closed_formula_g8_bytes(self):
         rec = all_contributions(8, "recursion")
         pix = all_contributions(8, "pixton")
