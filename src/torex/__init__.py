@@ -10,6 +10,9 @@ intersections of product loci, and the Bernoulli/Hodge-integral
 constants tying everything together.
 """
 
+# set before the submodules load: the contribution cache stamps it
+__version__ = "0.1.0"
+
 from .polyring import Poly, elem_sym_rewrite
 from .trees import ExtremalTree, Smoothing, depth, enumerate_trees, mon, smoothings
 from .excess import (
@@ -45,5 +48,3 @@ from .products import (
     hodge_split_pullback,
     zeroint_check,
 )
-
-__version__ = "0.1.0"

@@ -72,12 +72,20 @@ def cmd_contribution(args) -> int:
     }
     if args.tree is None:
         # the full table: tree code -> contribution in canonical text form
-        table = tables[methods[0]]
+        texts = [{code: str(cont.poly) for code, cont in tables[method].items()}
+                 for method in methods]
+        table = texts[0]
         if args.format == "json":
-            _emit_json({code: str(table[code].poly) for code in sorted(table)})
+            _emit_json({code: table[code] for code in sorted(table)})
         else:
             for code in sorted(table):
-                print("%-28s %s" % (code, table[code].poly))
+                print("%-28s %s" % (code, table[code]))
+        differ = [code for code in sorted(set().union(*texts))
+                  if len({text.get(code) for text in texts}) > 1]
+        if differ:
+            print("recursion and pixton differ at tree %s (%d of %d trees differ)"
+                  % (differ[0], len(differ), len(table)), file=sys.stderr)
+            return 1
         return 0
     tree = args.tree
     values = {}
@@ -184,9 +192,10 @@ def cmd_zeroint(args) -> int:
             if p > q:
                 continue
             P, Q = products.Partition.make(p), products.Partition.make(q)
-            ok = products.zeroint_check(P, Q)
-            all_ok = all_ok and ok
+            # one enumeration of the pair's matrices serves both
             comps = products.extremal_refinements(P, Q)
+            ok = products.zeroint_check(P, Q, comps)
+            all_ok = all_ok and ok
             report.append(
                 {
                     "first": list(p),

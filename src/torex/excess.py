@@ -24,6 +24,16 @@ Taylor part of
 multiplied by the formal total class c(N).  The two routes are kept
 independent and cross-checked against each other.
 
+The closed formula forms only the numerator terms its Taylor part keeps:
+a term survives the division by prod_e z_e and the truncation at degree
+g-1-n only if every z_e divides it and its degree is at most g-1.  Each
+factor is a series in the z's of its own path, of nonnegative degrees,
+so (a) vertex v's factor is truncated at degree g-1-n+|path(v)| (each
+edge off the path takes a degree from another factor), and (b) after
+each product a term is dropped once an edge it lacks lies on no
+remaining factor's path, or once its degree plus the number of edges it
+lacks exceeds g-1.  Neither bound drops a term that survives.
+
 The recursion and the local model compute on packed monomials
 (`polyring.PackedLayout`), one layout per genus g: fields for z_1 ..
 z_{2g-3}, e_1 .. e_{g-1} and c_1 .. c_{g-1}, each (g-1).bit_length() + 1
@@ -41,6 +51,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import __version__
 from .polyring import (
     PackedLayout,
     Poly,
@@ -84,14 +95,21 @@ class LocalModel:
         return tuple(self.layout.unpack(part) for part in self.packed_parts)
 
 
-def local_model(t: ExtremalTree, g: int) -> LocalModel:
+def _leaf_count(t: ExtremalTree, g: int) -> int:
+    """The number k of leaves of a tree of genus g; a tree has at most
+    g - 1 of them."""
     if t.genus != g:
         raise ExcessError("tree has genus %d, expected %d" % (t.genus, g))
     k = len(t.leaves())
+    if k > g - 1:
+        raise ExcessError("more leaves than g-1")
+    return k
+
+
+def local_model(t: ExtremalTree, g: int) -> LocalModel:
+    k = _leaf_count(t, g)
     n = t.n_edges
     ell_count = g - 1 - k
-    if ell_count < 0:
-        raise ExcessError("more leaves than g-1")
     layout = _layout(g)
     unit = layout.unit
     A = {0: 1}
@@ -198,26 +216,50 @@ def _layout(g: int) -> PackedLayout:
 
 
 def pixton_contribution(t: ExtremalTree, g: int) -> Contribution:
-    """Closed formula for Cont_T via the Taylor-part expansion."""
-    lm = local_model(t, g)
-    d = g - 1 - lm.n
+    """Closed formula for Cont_T via the Taylor-part expansion.
+
+    The numerator prod_v (1 + s_v)^(val(v)-2), s_v the sum of the z's on
+    the path of v, is formed only as far as its Taylor part by prod_e z_e,
+    truncated at degree d = g - 1 - n, can see it: a term survives there
+    only if every edge divides it and its degree is at most g - 1.  Every
+    factor is a series in its own path's z's with no negative degrees, so
+    two bounds drop nothing that survives:
+
+    (a) vertex v's factor is truncated at degree d + |path(v)|, since the
+        n - |path(v)| edges off its path each take at least one degree
+        from the other factors;
+    (b) after each product, a term is dropped if an edge it lacks lies on
+        no remaining factor's path, or if its degree plus the number of
+        edges it lacks exceeds g - 1.
+    """
+    k = _leaf_count(t, g)
+    n = t.n_edges
+    d = g - 1 - n
     if d < 0:
         return Contribution(tree=t, g=g, poly=Poly.zero())
-    max_num_deg = g - 1  # numerator degree needed before dividing by prod z_e
+    top = g - 1  # numerator degree needed before dividing by prod z_e
+    factors = [(t.path_labels(v), t.valence(v) - 2) for v in range(t.n_vertices)]
+    factors = [(path, e) for path, e in factors if path and e]
     num = Poly.const(1)
-    for v in range(t.n_vertices):
+    for i, (path, e) in enumerate(factors):
+        cap = d + len(path)  # bound (a)
         s = Poly.const(1)
-        for i in t.path_labels(v):
-            s = s + Poly.var(zvar(i))
-        e = t.valence(v) - 2
-        if e >= 0:
-            num = num.mul(s ** e, max_num_deg)
-        else:
-            inv = s.series_inverse(max_num_deg)
-            num = num.mul(inv ** (-e), max_num_deg)
-    if lm.k % 2:
+        for j in path:
+            s = s + Poly.var(zvar(j))
+        base = s if e > 0 else s.series_inverse(cap)
+        factor = Poly.const(1)
+        for _ in range(abs(e)):
+            factor = factor.mul(base, cap)
+        num = num.mul(factor, top)
+        # bound (b): the edges no remaining factor reaches must be present
+        reach = {j for path_, _ in factors[i + 1:] for j in path_}
+        needed = {zvar(j) for j in range(1, n + 1) if j not in reach}
+        num = Poly({m: c for m, c in num.terms.items()
+                    if sum(x for _, x in m) + n - len(m) <= top
+                    and needed.issubset([v for v, _ in m])})
+    if k % 2:
         num = -num
-    all_edges = tuple(sorted((zvar(i), 1) for i in range(1, lm.n + 1)))
+    all_edges = tuple(sorted((zvar(i), 1) for i in range(1, n + 1)))
     taylor = num.taylor_part(all_edges).truncate(d)
     poly = (taylor * _formal_total_class(d)).graded_part(d)
     return Contribution(tree=t, g=g, poly=poly)
@@ -290,18 +332,26 @@ def _cache_path(cache_dir, g, method, max_edges):
     return os.path.join(cache_dir, "contrib-g%d-%s-e%d.json" % (g, method, max_edges))
 
 
+# the layout of a cache file; a file of another format or package version
+# is a miss
+CACHE_FORMAT = 1
+
+
 def _cache_load(cache_dir, g, method, max_edges):
     """The cached table, or None for a miss.  A file that does not parse,
-    was written for another genus, method or edge bound, or does not hold
-    each enumerated tree exactly once is a miss: the table is recomputed
-    and the file rewritten."""
+    was written in another format, by another package version, or for
+    another genus, method or edge bound, or does not hold each enumerated
+    tree exactly once is a miss: the table is recomputed and the file
+    rewritten."""
     if not cache_dir:
         return None
     path = _cache_path(cache_dir, g, method, max_edges)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        if (data["genus"], data["method"], data["max_edges"]) != (g, method, max_edges):
+        header = (data["format"], data["version"], data["genus"], data["method"],
+                  data["max_edges"])
+        if header != (CACHE_FORMAT, __version__, g, method, max_edges):
             return None
         out = {}
         for entry in data["contributions"]:
@@ -319,6 +369,8 @@ def _cache_store(cache_dir, g, method, max_edges, table) -> None:
         return
     os.makedirs(cache_dir, exist_ok=True)
     data = {
+        "format": CACHE_FORMAT,
+        "version": __version__,
         "genus": g,
         "method": method,
         "max_edges": max_edges,

@@ -243,35 +243,25 @@ def euler_tensor_reduce(a: int, b: int) -> Poly:
     return expr.substitute({("e", "x", a): zero, ("e", "y", b): zero})
 
 
-def zeroint_check(p: Partition, q: Partition) -> bool:
+def zeroint_check(p: Partition, q: Partition, components: list | None = None) -> bool:
     """True when every extremal refinement component of the two loci has
     an excess bundle whose Euler class reduces to zero once the top
     Chern class of every Hodge factor is set to zero.
 
-    Duplicate components under reordering carry identical excess
-    bundles, so the raw matrix enumeration is checked directly.
+    components are the extremal_refinements of p and q, when the caller
+    already has them.  The components of one reordering orbit carry
+    identical excess bundles, so checking one of each orbit is enough.
     """
     if len(p) < 2 or len(q) < 2:
         raise ProductsError("both partitions need at least 2 parts")
-    any_component = False
-    for matrix in _matrices(p.parts, q.parts):
-        any_component = True
-        cells = [
-            (i, j, v)
-            for i, row in enumerate(matrix)
-            for j, v in enumerate(row)
-            if v
-        ]
-        bundle = {
-            tuple(sorted((v1, v2)))
-            for (i1, j1, v1), (i2, j2, v2) in combinations(cells, 2)
-            if i1 != i2 and j1 != j2
-        }
-        # a direct sum's Euler class vanishes as soon as one tensor
-        # factor reduces to zero (euler_tensor_reduce is cached)
-        if not any(euler_tensor_reduce(a, b).is_zero() for a, b in bundle):
-            return False
-    return any_component
+    if components is None:
+        components = extremal_refinements(p, q)
+    # a direct sum's Euler class vanishes as soon as one tensor factor
+    # reduces to zero (euler_tensor_reduce is cached)
+    return bool(components) and all(
+        any(euler_tensor_reduce(a, b).is_zero() for a, b in comp.excess_bundle)
+        for comp in components
+    )
 
 
 # ---------------------------------------------------------------------------

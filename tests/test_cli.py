@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import torex
 from torex.cli import main
 
 TRACE_CHILD = Path(__file__).resolve().parent.parent / "bench" / "trace_child.py"
@@ -15,6 +16,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.fixture
+def memo():
+    """The in-process table of contributions, empty before and after."""
+    from torex import excess
+
+    excess._MEMO.clear()
+    yield excess._MEMO
+    excess._MEMO.clear()
 
 
 class TestTrees:
@@ -65,6 +76,33 @@ class TestContribution:
         assert table["(1(0(1)(2)))"] == "-3"
         assert len(table) == 4
 
+    @pytest.mark.parametrize("fmt", ("json", "text"))
+    def test_full_table_both_match(self, capsys, memo, fmt):
+        _, one, _ = run(capsys, "contribution", "--genus", "5", "--format", fmt)
+        code, both, err = run(capsys, "contribution", "--genus", "5", "--format", fmt,
+                              "--method", "both")
+        assert code == 0 and err == ""
+        assert both == one
+
+    def test_full_table_both_mismatch(self, capsys, monkeypatch, memo):
+        from torex import excess
+        from torex.polyring import Poly
+
+        wrong = "(1(0(1)(3)))"
+        closed = excess.pixton_contribution
+
+        def broken(t, g):
+            got = closed(t, g)
+            if t.code != wrong:
+                return got
+            return excess.Contribution(tree=t, g=g, poly=got.poly + Poly.const(1))
+
+        monkeypatch.setattr(excess, "pixton_contribution", broken)
+        code, out, err = run(capsys, "contribution", "--genus", "5", "--method", "both")
+        assert code == 1
+        assert json.loads(out)[wrong] == "-3*c1 + 6*z1 + 4*z2 + 4*z3"
+        assert "differ at tree %s (1 of 10 trees differ)" % wrong in err
+
 
 class TestPullback:
     @pytest.mark.parametrize("g", (4, 5, 6))
@@ -72,15 +110,6 @@ class TestPullback:
         _, a, _ = run(capsys, "pullback", "--genus", str(g), "--method", "recursion")
         _, b, _ = run(capsys, "pullback", "--genus", str(g), "--method", "pixton")
         assert a == b
-
-    @pytest.fixture
-    def memo(self):
-        """The in-process table of contributions, empty before and after."""
-        from torex import excess
-
-        excess._MEMO.clear()
-        yield excess._MEMO
-        excess._MEMO.clear()
 
     def test_jobs_flag_output_unchanged(self, capsys, memo):
         # the memo is keyed without jobs: cleared, the second run computes
@@ -143,6 +172,7 @@ class TestCacheMisses:
         # rewritten: a valid table under the right header
         data = json.loads(path.read_text())
         assert (data["genus"], data["method"], data["max_edges"]) == (5, "recursion", 4)
+        assert (data["format"], data["version"]) == (excess.CACHE_FORMAT, torex.__version__)
         assert excess._cache_load(str(tmp_path), 5, "recursion", 4) is not None
         return out
 
@@ -174,6 +204,19 @@ class TestCacheMisses:
     @pytest.mark.parametrize("key,value", [("genus", 4), ("method", "pixton"),
                                            ("max_edges", 3)])
     def test_header_mismatch(self, capsys, monkeypatch, tmp_path, uncached, key, value):
+        data = self.valid_file(tmp_path, monkeypatch, capsys)
+        data[key] = value
+        assert self.cached_run(capsys, monkeypatch, tmp_path, data) == uncached
+
+    def test_missing_format_and_version(self, capsys, monkeypatch, tmp_path, uncached):
+        # an otherwise valid table from before the header carried them
+        data = self.valid_file(tmp_path, monkeypatch, capsys)
+        del data["format"], data["version"]
+        assert self.cached_run(capsys, monkeypatch, tmp_path, data) == uncached
+
+    @pytest.mark.parametrize("key,value", [("format", 0), ("version", "0.0.0")])
+    def test_other_format_or_version(self, capsys, monkeypatch, tmp_path, uncached,
+                                     key, value):
         data = self.valid_file(tmp_path, monkeypatch, capsys)
         data[key] = value
         assert self.cached_run(capsys, monkeypatch, tmp_path, data) == uncached

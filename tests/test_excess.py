@@ -216,7 +216,38 @@ class TestClosedFormula:
         assert pixton_contribution(t, 4).poly.is_zero()
 
 
+def closed_formula_unpruned(t, g):
+    """The closed formula without the bounds of pixton_contribution: the
+    whole numerator up to degree g - 1, then its Taylor part."""
+    n = t.n_edges
+    d = g - 1 - n
+    if d < 0:
+        return Poly.zero()
+    num = Poly.const(1)
+    for v in range(t.n_vertices):
+        s = Poly.const(1)
+        for i in t.path_labels(v):
+            s = s + z(i)
+        e = t.valence(v) - 2
+        base = s if e >= 0 else s.series_inverse(g - 1)
+        for _ in range(abs(e)):
+            num = num.mul(base, g - 1)
+    if len(t.leaves()) % 2:
+        num = -num
+    all_edges = tuple((zvar(i), 1) for i in range(1, n + 1))
+    taylor = num.taylor_part(all_edges).truncate(d)
+    total = sum((c(i) for i in range(1, d + 1)), Poly.const(1))
+    return (taylor * total).graded_part(d)
+
+
 class TestOracleEquivalence:
+    @pytest.mark.parametrize("g", range(2, 8))
+    def test_pruned_numerator_equals_unpruned(self, g):
+        # the prune keeps every term the Taylor part and truncation keep
+        for t in enumerate_trees(g, g - 1):
+            want = closed_formula_unpruned(t, g).to_json()
+            assert pixton_contribution(t, g).poly.to_json() == want, t.code
+
     @pytest.mark.parametrize("g", range(2, 8))
     def test_recursion_equals_closed_formula(self, g):
         rec = all_contributions(g, "recursion")
