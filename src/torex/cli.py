@@ -66,8 +66,7 @@ def cmd_contribution(args) -> int:
     g = args.genus
     methods = ["recursion", "pixton"] if args.method == "both" else [args.method]
     tables = {
-        method: all_contributions(g, method=method, cache_dir=_cache_dir(),
-                                  jobs=args.jobs)
+        method: all_contributions(g, method=method, cache_dir=_cache_dir())
         for method in methods
     }
     if args.tree is None:
@@ -110,9 +109,7 @@ def cmd_contribution(args) -> int:
 
 
 def cmd_pullback(args) -> int:
-    expr = strata.assemble_pullback(
-        args.genus, method=args.method, cache_dir=_cache_dir(), jobs=args.jobs
-    )
+    expr = strata.assemble_pullback(args.genus, method=args.method, cache_dir=_cache_dir())
     fmt = {"json": "json", "admcycles": "admcycles-text"}[args.format]
     data = strata.serialize(expr, fmt)
     sys.stdout.write(data.decode("utf-8"))
@@ -253,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=fmt, default=fmt[0])
         if jobs:
             p.add_argument("--jobs", type=_int_at_least(1), default=1,
-                           help="bound on parallel workers (output unchanged)")
+                           help="accepted for compatibility and ignored: "
+                           "contributions are computed in one thread")
 
     p = sub.add_parser("trees", help="enumerate contributing trees")
     add_common(p)

@@ -156,10 +156,9 @@ def base_contribution(t: ExtremalTree, g: int) -> Contribution:
     """Excess class of an irreducible component, in (Z, c(N)) form."""
     if not t.is_irreducible():
         raise NotIrreducible(t.code)
-    lm = local_model(t, g)
-    d = g - 1 - lm.k
+    d = g - 1 - _leaf_count(t, g)
     denom = prod(
-        (Poly.const(1) + Poly.var(zvar(i)) for i in range(1, lm.n + 1))
+        (Poly.const(1) + Poly.var(zvar(i)) for i in range(1, t.n_edges + 1))
     )
     series = _formal_total_class(d).mul(denom.series_inverse(d), d)
     return Contribution(tree=t, g=g, poly=series.graded_part(d))
@@ -265,93 +264,69 @@ def pixton_contribution(t: ExtremalTree, g: int) -> Contribution:
     return Contribution(tree=t, g=g, poly=poly)
 
 
-def all_contributions(g: int, method: str = "recursion", max_edges: int | None = None,
-                      cache_dir: str | None = None, jobs: int = 1) -> dict:
+def all_contributions(g: int, method: str = "recursion",
+                      cache_dir: str | None = None) -> dict:
     """Contributions of every extremal tree of genus g, keyed by code.
 
-    Recursion fills the table in order of increasing edge count (each
-    level only needs the previous ones); the closed formula treats the
-    trees independently.  Results are keyed in canonical-code order.
+    One thread fills the table.  The recursion takes the trees in order
+    of increasing edge count: every smoothing contracts at least one
+    edge, so each tree's smoothings are in the table before it.  The
+    closed formula treats the trees independently.  Results are keyed in
+    canonical-code order.
     """
     if method not in ("recursion", "pixton"):
         raise ExcessError("unknown method %r" % method)
-    if max_edges is None:
-        max_edges = g - 1
-    memo_key = (g, method, max_edges)
+    memo_key = (g, method)
     got = _MEMO.get(memo_key)
     if got is not None:
-        if cache_dir and not os.path.exists(_cache_path(cache_dir, g, method, max_edges)):
-            _cache_store(cache_dir, g, method, max_edges, got)
+        if cache_dir and not os.path.exists(_cache_path(cache_dir, g, method)):
+            _cache_store(cache_dir, g, method, got)
         return dict(got)
-    cached = _cache_load(cache_dir, g, method, max_edges)
+    cached = _cache_load(cache_dir, g, method)
     if cached is not None:
         _MEMO[memo_key] = cached
         return dict(cached)
-    trees = enumerate_trees(g, max_edges)
+    trees = enumerate_trees(g, g - 1)
     table: dict = {}
     if method == "pixton":
-        _for_each(trees, lambda t: table.__setitem__(t.code, pixton_contribution(t, g)), jobs)
-    else:
-        # every smoothing contracts at least one edge, so a level of equal
-        # edge count needs only the levels below it
-        by_edges: dict = {}
         for t in trees:
-            by_edges.setdefault(t.n_edges, []).append(t)
-        for n in sorted(by_edges):
-            level = by_edges[n]
-            results = {}
-            _for_each(
-                level,
-                lambda t: results.__setitem__(
-                    t.code, recursion_contribution(t, g, table)
-                ),
-                jobs,
-            )
-            table.update(results)
+            table[t.code] = pixton_contribution(t, g)
+    else:
+        # the sort is stable: canonical-code order within an edge count
+        for t in sorted(trees, key=lambda tree: tree.n_edges):
+            table[t.code] = recursion_contribution(t, g, table)
     out = {t.code: table[t.code] for t in trees}
     _MEMO[memo_key] = out
-    _cache_store(cache_dir, g, method, max_edges, out)
+    _cache_store(cache_dir, g, method, out)
     return dict(out)
 
 
 _MEMO: dict = {}
 
 
-def _for_each(items, fn, jobs: int) -> None:
-    if jobs <= 1:
-        for it in items:
-            fn(it)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        list(pool.map(fn, items))
-
-
-def _cache_path(cache_dir, g, method, max_edges):
-    return os.path.join(cache_dir, "contrib-g%d-%s-e%d.json" % (g, method, max_edges))
+def _cache_path(cache_dir, g, method):
+    return os.path.join(cache_dir, "contrib-g%d-%s.json" % (g, method))
 
 
 # the layout of a cache file; a file of another format or package version
 # is a miss
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 
 
-def _cache_load(cache_dir, g, method, max_edges):
+def _cache_load(cache_dir, g, method):
     """The cached table, or None for a miss.  A file that does not parse,
     was written in another format, by another package version, or for
-    another genus, method or edge bound, or does not hold each enumerated
-    tree exactly once is a miss: the table is recomputed and the file
+    another genus or method, or does not hold each enumerated tree
+    exactly once is a miss: the table is recomputed and the file
     rewritten."""
     if not cache_dir:
         return None
-    path = _cache_path(cache_dir, g, method, max_edges)
+    path = _cache_path(cache_dir, g, method)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        header = (data["format"], data["version"], data["genus"], data["method"],
-                  data["max_edges"])
-        if header != (CACHE_FORMAT, __version__, g, method, max_edges):
+        header = (data["format"], data["version"], data["genus"], data["method"])
+        if header != (CACHE_FORMAT, __version__, g, method):
             return None
         out = {}
         for entry in data["contributions"]:
@@ -359,12 +334,12 @@ def _cache_load(cache_dir, g, method, max_edges):
             out[t.code] = Contribution(tree=t, g=g, poly=Poly.from_json(entry["poly"]))
     except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError, TreeError):
         return None
-    if len(out) != len(data["contributions"]) or set(out) != tree_codes(g, max_edges):
+    if len(out) != len(data["contributions"]) or set(out) != tree_codes(g, g - 1):
         return None
     return out
 
 
-def _cache_store(cache_dir, g, method, max_edges, table) -> None:
+def _cache_store(cache_dir, g, method, table) -> None:
     if not cache_dir:
         return
     os.makedirs(cache_dir, exist_ok=True)
@@ -373,14 +348,13 @@ def _cache_store(cache_dir, g, method, max_edges, table) -> None:
         "version": __version__,
         "genus": g,
         "method": method,
-        "max_edges": max_edges,
         "contributions": [
             {"code": code, "poly": cont.poly.to_json()}
             for code, cont in table.items()
         ],
     }
     # a reader sees the old file or the new one, never a partial write
-    path = _cache_path(cache_dir, g, method, max_edges)
+    path = _cache_path(cache_dir, g, method)
     tmp = "%s.%d.tmp" % (path, os.getpid())
     try:
         with open(tmp, "w", encoding="utf-8") as fh:

@@ -364,14 +364,6 @@ class Poly:
 
     # -- substitution ----------------------------------------------------
 
-    def rename(self, mapping: Mapping[Variable, Variable]) -> "Poly":
-        """Rename variables (an injective relabeling)."""
-        t = {}
-        for m, c in self._t.items():
-            nm = tuple(sorted((mapping.get(v, v), e) for v, e in m))
-            t[nm] = t.get(nm, 0) + c
-        return Poly(t)
-
     def substitute(self, values: Mapping[Variable, "Poly"]) -> "Poly":
         """Substitute polynomials for variables (others left alone)."""
         cache: dict = {}

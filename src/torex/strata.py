@@ -159,9 +159,9 @@ def stratum_class(c: Contribution, weight: Fraction = Fraction(1)) -> tuple:
 
 
 def assemble_pullback(g: int, method: str = "recursion",
-                      cache_dir: str | None = None, jobs: int = 1) -> StrataExpression:
+                      cache_dir: str | None = None) -> StrataExpression:
     """The full decorated-strata expression of the pullback class."""
-    table = all_contributions(g, method=method, cache_dir=cache_dir, jobs=jobs)
+    table = all_contributions(g, method=method, cache_dir=cache_dir)
     terms = []
     for code in sorted(table):
         cont = table[code]

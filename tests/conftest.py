@@ -1,13 +1,26 @@
-"""Shared helpers: a tiny parser for bracket decorations and the
-normal-form comparison used by the golden display tests."""
+"""Shared helpers: a tiny parser for bracket decorations, the
+normal-form comparison used by the golden display tests, and a fixture
+that empties the in-process table of contributions."""
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
 
+import pytest
+
+from torex import excess
 from torex.polyring import Poly, lamvar, psivar
 from torex.strata import StrataExpression
+
+
+@pytest.fixture
+def memo():
+    """The in-process table of contributions, empty before and after."""
+    excess._MEMO.clear()
+    yield excess._MEMO
+    excess._MEMO.clear()
+
 
 _TERM = re.compile(r"^\s*([+-])?\s*(\d+)?\s*\*?\s*((?:(?:lam|psi)\d+(?:\^\d+)?)(?:\*(?:lam|psi)\d+(?:\^\d+)?)*)?\s*$")
 

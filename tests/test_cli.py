@@ -2,11 +2,13 @@ import importlib.util
 import json
 import os
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import torex
+from torex import excess
 from torex.cli import main
 
 TRACE_CHILD = Path(__file__).resolve().parent.parent / "bench" / "trace_child.py"
@@ -16,16 +18,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-@pytest.fixture
-def memo():
-    """The in-process table of contributions, empty before and after."""
-    from torex import excess
-
-    excess._MEMO.clear()
-    yield excess._MEMO
-    excess._MEMO.clear()
 
 
 class TestTrees:
@@ -85,7 +77,6 @@ class TestContribution:
         assert both == one
 
     def test_full_table_both_mismatch(self, capsys, monkeypatch, memo):
-        from torex import excess
         from torex.polyring import Poly
 
         wrong = "(1(0(1)(3)))"
@@ -111,17 +102,21 @@ class TestPullback:
         _, b, _ = run(capsys, "pullback", "--genus", str(g), "--method", "pixton")
         assert a == b
 
-    def test_jobs_flag_output_unchanged(self, capsys, memo):
-        # the memo is keyed without jobs: cleared, the second run computes
-        # its table again, on a pool of two threads
+    def test_jobs_flag_output_unchanged(self, capsys, monkeypatch, memo):
+        # --jobs 2 is accepted and computes its table in this thread
+        def no_thread(thread):
+            raise AssertionError("thread started: %r" % thread)
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
         for method in ("recursion", "pixton"):
-            _, a, _ = run(capsys, "pullback", "--genus", "7", "--method", method,
-                          "--jobs", "1")
-            memo.clear()
-            _, b, _ = run(capsys, "pullback", "--genus", "7", "--method", method,
-                          "--jobs", "2")
-            memo.clear()
-            assert a and a == b, method
+            outputs = []
+            for jobs in ("1", "2"):
+                code, out, _ = run(capsys, "pullback", "--genus", "5", "--method", method,
+                                   "--jobs", jobs)
+                memo.clear()
+                assert code == 0, (method, jobs)
+                outputs.append(out)
+            assert outputs[0] and outputs[0] == outputs[1], method
 
     def test_admcycles_format(self, capsys):
         code, out, _ = run(
@@ -130,13 +125,11 @@ class TestPullback:
         assert code == 0
         assert out.startswith("genus 4, 4 strata")
 
-    def test_cache_dir_round_trip(self, capsys, tmp_path, monkeypatch):
+    def test_cache_dir_round_trip(self, capsys, tmp_path, monkeypatch, memo):
         monkeypatch.setenv("EXCESS_CACHE_DIR", str(tmp_path))
-        from torex import excess
-
         _, a, _ = run(capsys, "pullback", "--genus", "4")
         assert list(tmp_path.iterdir())
-        excess._MEMO.clear()
+        memo.clear()
         _, b, _ = run(capsys, "pullback", "--genus", "4")
         assert a == b
 
@@ -146,42 +139,39 @@ class TestCacheMisses:
     recomputed, the output is the uncached output, and the file is
     rewritten."""
 
-    PATH = "contrib-g5-recursion-e4.json"
+    PATH = "contrib-g5-recursion.json"
+
+    @pytest.fixture(autouse=True)
+    def _memo(self, memo):
+        self.memo = memo
 
     @pytest.fixture
     def uncached(self, capsys, monkeypatch):
-        from torex import excess
-
         monkeypatch.delenv("EXCESS_CACHE_DIR", raising=False)
-        excess._MEMO.clear()
         code, out, _ = run(capsys, "pullback", "--genus", "5")
         assert code == 0
-        excess._MEMO.clear()
+        self.memo.clear()
         return out
 
     def cached_run(self, capsys, monkeypatch, tmp_path, content):
-        from torex import excess
-
         path = tmp_path / self.PATH
         path.write_text(content if isinstance(content, str) else json.dumps(content))
         monkeypatch.setenv("EXCESS_CACHE_DIR", str(tmp_path))
         code, out, err = run(capsys, "pullback", "--genus", "5")
-        excess._MEMO.clear()
+        self.memo.clear()
         assert code == 0 and err == ""
         assert [p.name for p in tmp_path.iterdir()] == [self.PATH]
         # rewritten: a valid table under the right header
         data = json.loads(path.read_text())
-        assert (data["genus"], data["method"], data["max_edges"]) == (5, "recursion", 4)
+        assert (data["genus"], data["method"]) == (5, "recursion")
         assert (data["format"], data["version"]) == (excess.CACHE_FORMAT, torex.__version__)
-        assert excess._cache_load(str(tmp_path), 5, "recursion", 4) is not None
+        assert excess._cache_load(str(tmp_path), 5, "recursion") is not None
         return out
 
     def valid_file(self, tmp_path, monkeypatch, capsys):
-        from torex import excess
-
         monkeypatch.setenv("EXCESS_CACHE_DIR", str(tmp_path))
         run(capsys, "pullback", "--genus", "5")
-        excess._MEMO.clear()
+        self.memo.clear()
         return json.loads((tmp_path / self.PATH).read_text())
 
     def test_empty_table_without_header(self, capsys, monkeypatch, tmp_path, uncached):
@@ -201,8 +191,7 @@ class TestCacheMisses:
         data["contributions"][0][field] = value
         assert self.cached_run(capsys, monkeypatch, tmp_path, data) == uncached
 
-    @pytest.mark.parametrize("key,value", [("genus", 4), ("method", "pixton"),
-                                           ("max_edges", 3)])
+    @pytest.mark.parametrize("key,value", [("genus", 4), ("method", "pixton")])
     def test_header_mismatch(self, capsys, monkeypatch, tmp_path, uncached, key, value):
         data = self.valid_file(tmp_path, monkeypatch, capsys)
         data[key] = value
@@ -214,7 +203,8 @@ class TestCacheMisses:
         del data["format"], data["version"]
         assert self.cached_run(capsys, monkeypatch, tmp_path, data) == uncached
 
-    @pytest.mark.parametrize("key,value", [("format", 0), ("version", "0.0.0")])
+    @pytest.mark.parametrize("key,value", [("format", 0), ("format", 1),
+                                           ("version", "0.0.0")])
     def test_other_format_or_version(self, capsys, monkeypatch, tmp_path, uncached,
                                      key, value):
         data = self.valid_file(tmp_path, monkeypatch, capsys)
@@ -245,8 +235,6 @@ class TestCacheMisses:
         assert path.stat().st_mtime_ns == 10**9
 
     def test_failed_write_keeps_old_file(self, monkeypatch, tmp_path):
-        from torex import excess
-
         path = tmp_path / self.PATH
         path.write_text("old")
 
@@ -256,7 +244,7 @@ class TestCacheMisses:
 
         monkeypatch.setattr(excess.json, "dump", broken_dump)
         with pytest.raises(OSError):
-            excess._cache_store(str(tmp_path), 5, "recursion", 4, {})
+            excess._cache_store(str(tmp_path), 5, "recursion", {})
         assert path.read_text() == "old"
         assert [p.name for p in tmp_path.iterdir()] == [self.PATH]
 

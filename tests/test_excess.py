@@ -1,5 +1,6 @@
 import pytest
 
+from torex import excess
 from torex.excess import (
     MissingSmoothing,
     NotIrreducible,
@@ -73,6 +74,20 @@ class TestBaseContribution:
     def test_rejects_reducible(self):
         with pytest.raises(NotIrreducible):
             base_contribution(T("(1(0(1)(2)))"), 4)
+
+    def test_builds_no_local_model(self, monkeypatch):
+        # the third oracle stays independent of the recursion's packed model
+        g = 6
+        table = all_contributions(g)
+        irreducible = [t for t in enumerate_trees(g, g - 1) if t.is_irreducible()]
+
+        def no_model(t, g):
+            raise AssertionError("local_model(%s, %d) called" % (t.code, g))
+
+        monkeypatch.setattr(excess, "local_model", no_model)
+        assert len(irreducible) == 7
+        for t in irreducible:
+            assert base_contribution(t, g).poly == table[t.code].poly, t.code
 
 
 WORKED = {code: (g, want) for g, code, want in WORKED_CONTRIBUTIONS}
@@ -169,8 +184,8 @@ class TestRecursionMechanics:
             rhs = lm.chern_parts[g - 1]
             for rec in smoothings(t):
                 cont = table[rec.target.code].poly
-                cont = cont.rename(
-                    {zvar(tgt): zvar(src) for tgt, src in rec.edge_map}
+                cont = cont.substitute(
+                    {zvar(tgt): z(src) for tgt, src in rec.edge_map}
                 )
                 cont = cont.substitute(
                     {
@@ -273,13 +288,11 @@ class TestOracleEquivalence:
 
 
 class TestCacheDir:
-    def test_json_cache_roundtrip(self, tmp_path):
+    def test_json_cache_roundtrip(self, tmp_path, memo):
         first = all_contributions(4, cache_dir=str(tmp_path))
-        path = tmp_path / "contrib-g4-recursion-e3.json"
+        path = tmp_path / "contrib-g4-recursion.json"
         assert path.exists()
-        from torex import excess
-
-        excess._MEMO.clear()
+        memo.clear()
         second = all_contributions(4, cache_dir=str(tmp_path))
         assert set(first) == set(second)
         for code in first:
