@@ -32,6 +32,7 @@ from .polyring import (
     mono_mul,
     mono_str,
     psivar,
+    var_degree,
     zvar,
 )
 from .trees import ExtremalTree
@@ -119,8 +120,9 @@ def _chern_substitution(t: ExtremalTree, max_deg: int) -> dict:
     }
 
 
-def substitute_stratum(c: Contribution) -> list:
-    """Expand a contribution into bracket summands (coeff, vertex monos)."""
+def substitute_stratum(c: Contribution, weight=1) -> list:
+    """Expand a contribution into bracket summands (coeff, vertex monos),
+    every coefficient multiplied by weight."""
     t = c.tree
     subs = _edge_substitution(t)
     subs.update(_chern_substitution(t, max(c.degree, 0)))
@@ -129,33 +131,36 @@ def substitute_stratum(c: Contribution) -> list:
         raise StrataError("unexpected variables %r" % (missing,))
     expanded = c.poly.substitute(subs)
     bounds = [_truncation_bound(t, v) for v in range(t.n_vertices)]
+    # each lam/psi variable's vertex, untagged form and degree
+    place = {var: (var[1], (var[0], -1) + var[2:], var_degree(var))
+             for p in subs.values() for var in p.variables()}
+    vertex_terms: dict = {}
     out = []
     for mono, coeff in expanded.sorted_terms():
-        per_vertex: dict = {}
+        # a monomial's variables sorted by (name, vertex, index) are
+        # sorted by (name, index) within each vertex once untagged
+        runs: list = [[] for _ in bounds]
+        degrees = [0] * len(bounds)
         for var, e in mono:
-            per_vertex.setdefault(var[1], [])
-            per_vertex[var[1]].append((var, e))
-        keep = True
+            v, name, d = place[var]
+            runs[v].append((name, e))
+            degrees[v] += d * e
+        if any(d > bound for d, bound in zip(degrees, bounds)):
+            continue
         vterms = []
-        for v in range(t.n_vertices):
-            vm = tuple(
-                sorted(((var[0], -1) + var[2:], e) for var, e in per_vertex.get(v, []))
-            )
-            if mono_degree(vm) > bounds[v]:
-                keep = False
-                break
-            vterms.append(VertexTerm(vertex=v, mono=vm))
-        if keep:
-            out.append(Summand(coeff=coeff, vertex_terms=tuple(vterms)))
+        for v, run in enumerate(runs):
+            key = (v, tuple(run))
+            vt = vertex_terms.get(key)
+            if vt is None:
+                vt = vertex_terms[key] = VertexTerm(vertex=v, mono=key[1])
+            vterms.append(vt)
+        out.append(Summand(coeff=weight * coeff, vertex_terms=tuple(vterms)))
     return out
 
 
 def stratum_class(c: Contribution, weight: Fraction = Fraction(1)) -> tuple:
     """Summands of a contribution with an overall rational weight."""
-    return tuple(
-        Summand(coeff=weight * s.coeff, vertex_terms=s.vertex_terms)
-        for s in substitute_stratum(c)
-    )
+    return tuple(substitute_stratum(c, weight))
 
 
 def assemble_pullback(g: int, method: str = "recursion",

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import factorial
+from operator import itemgetter
 
 from .polyring import Monomial, zvar
 
@@ -244,26 +244,25 @@ def canonicalize(genera, edges, root):
         adj[u].append(w)
         adj[w].append(u)
 
+    # each vertex's children sorted by code only, stable in adjacency
+    # order: children with equal codes are interchangeable, and any stable
+    # assignment yields the same canonical tree
+    ordered: dict = {}
+
     def code_of(v, par) -> Code:
-        kids = sorted(code_of(w, v) for w in adj[v] if w != par)
-        return (genera[v], tuple(kids))
+        kids = [(code_of(w, v), w) for w in adj[v] if w != par]
+        kids.sort(key=itemgetter(0))
+        ordered[v] = kids
+        return (genera[v], tuple(kc for kc, _ in kids))
 
     code = code_of(root, None)
-    # rebuild the map by descending both structures in parallel
+    # number the vertices depth-first along the sorted children
     vertex_map = {}
-    counter = [0]
-
-    def assign(v, par, node: Code):
-        vertex_map[v] = counter[0]
-        counter[0] += 1
-        kid_codes = [(code_of(w, v), w) for w in adj[v] if w != par]
-        kid_codes.sort(key=lambda t: t[0])
-        # children with equal codes are interchangeable; any stable
-        # assignment yields the same canonical tree
-        for kc, w in kid_codes:
-            assign(w, v, kc)
-
-    assign(root, None, code)
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        vertex_map[v] = len(vertex_map)
+        stack.extend(w for _, w in reversed(ordered[v]))
     return code, vertex_map
 
 
@@ -375,72 +374,84 @@ class Smoothing:
 
 
 def smoothings(t: ExtremalTree) -> list:
-    """All smoothing records, one per valid edge-contraction subset."""
-    n = t.n_vertices
-    edge_list = t.edges()  # in label order, label = index + 1
-    out = []
-    for r in range(1, len(edge_list) + 1):
-        for subset in combinations(range(len(edge_list)), r):
-            rec = _try_contract(t, edge_list, set(subset))
-            if rec is not None:
-                out.append(rec)
+    """All smoothings of t: one record per valid edge contraction.
+
+    Contracting a set of edges splits t into parts, and the set is valid
+    when the quotient is again an extremal tree.  A part that holds a leaf
+    has positive genus, so it must be a leaf of the quotient: it is the
+    whole subtree below some non-root vertex, whose edge up stays.  A
+    leaf-free part is always valid: the root's part keeps genus 1, and k
+    genus-0 vertices of valence >= 3 merged along k - 1 edges form one of
+    genus 0 and valence >= k + 2.  So a valid set is one choice per child
+    w of each vertex in a leaf-free part, walking down from the root: a
+    leaf's edge stays; an internal w's edge stays or is contracted, which
+    leaves w in a leaf-free part and the choices going on below it, or
+    w's whole subtree collapses.  Every such choice is valid and each
+    valid set arises from exactly one, so this lists them all; the empty
+    set, which leaves t itself, is dropped.
+
+    Records are sorted by target code, then by contracted labels.
+    """
+    out = [_smoothing(t, cut) for cut in _contractions(t, 0) if cut]
     out.sort(key=lambda s: (s.target.code, sorted(s.contracted)))
     return out
 
 
-def _try_contract(t: ExtremalTree, edge_list, contracted_idx):
-    # union-find over the contracted edges
-    parent = list(range(t.n_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in contracted_idx:
-        u, w = edge_list[i]
-        ru, rw = find(u), find(w)
-        if ru != rw:
-            parent[ru] = rw
-
-    part_of = [find(v) for v in range(t.n_vertices)]
-    part_ids = sorted(set(part_of))
-    genus = {p: 0 for p in part_ids}
-    for v in range(t.n_vertices):
-        genus[part_of[v]] += t.genera[v]
-    quotient_edges = []
-    for i, (u, w) in enumerate(edge_list):
-        if i not in contracted_idx:
-            quotient_edges.append((part_of[u], part_of[w]))
-    root_part = part_of[0]
-    if genus[root_part] != 1:
-        return None
-    # validate quotient as an extremal tree
-    valence = {p: 0 for p in part_ids}
-    for u, w in quotient_edges:
-        valence[u] += 1
-        valence[w] += 1
-    for p in part_ids:
-        if p == root_part:
+def _contractions(t: ExtremalTree, v: int) -> list:
+    """The valid contraction sets below v when v's part holds no leaf,
+    each a tuple of the vertices whose edge up is contracted."""
+    sets = [()]
+    for w in t.children[v]:
+        if not t.children[w]:
             continue
-        if valence[p] == 1:
-            if genus[p] < 1:
-                return None
+        below = _contractions(t, w)
+        choices = below + [(w,) + cut for cut in below]
+        choices.append(tuple(_subtree(t, w)[1:]))
+        sets = [a + b for a in sets for b in choices]
+    return sets
+
+
+def _subtree(t: ExtremalTree, v: int) -> list:
+    """v and every vertex below it."""
+    out = [v]
+    for w in t.children[v]:
+        out.extend(_subtree(t, w))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _tree(code: Code) -> ExtremalTree:
+    """The one ExtremalTree built for a canonical code."""
+    return ExtremalTree(code)
+
+
+def _smoothing(t: ExtremalTree, cut) -> Smoothing:
+    """The record of contracting the edges above the vertices in cut."""
+    cut = set(cut)
+    # each part is named by its top vertex; labels are breadth-first, so
+    # the edge above u comes before every edge below u
+    part = list(range(t.n_vertices))
+    genus = {0: t.genera[0]}
+    kept = []
+    contracted = []
+    for (u, w), label in t.edge_label.items():
+        if w in cut:
+            part[w] = part[u]
+            genus[part[u]] += t.genera[w]
+            contracted.append(label)
         else:
-            if genus[p] != 0 or valence[p] < 3:
-                return None
-    code, vmap = canonicalize(genus, quotient_edges, root_part)
-    target = ExtremalTree(code)
-    edge_map = []
-    for i, (u, w) in enumerate(edge_list):
-        if i in contracted_idx:
-            continue
-        cu, cw = vmap[part_of[u]], vmap[part_of[w]]
-        pair = (cu, cw) if (cu, cw) in target.edge_label else (cw, cu)
-        edge_map.append((target.edge_label[pair], i + 1))
-    contracted = frozenset(i + 1 for i in contracted_idx)
-    return Smoothing(target=target, edge_map=tuple(sorted(edge_map)), contracted=contracted)
+            genus[w] = t.genera[w]
+            kept.append((label, part[u], w))
+    code, vmap = canonicalize(genus, [(p, w) for _, p, w in kept], 0)
+    try:
+        target = _tree(code)
+    except TreeError as err:
+        raise TreeError("contracting edges %s of %s leaves no extremal tree: %s"
+                        % (contracted, t.code, err)) from None
+    edge_label = target.edge_label
+    edge_map = sorted((edge_label[(vmap[p], vmap[w])], label) for label, p, w in kept)
+    return Smoothing(target=target, edge_map=tuple(edge_map),
+                     contracted=frozenset(contracted))
 
 
 def mon(t: ExtremalTree, v: int) -> Monomial:

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -94,6 +95,18 @@ class TestCanonicalCode:
                 code, _ = canonicalize(genera, edges, perm[0])
                 assert ExtremalTree(code).code == t.code
 
+    def test_vertex_map_matches_two_pass_reference(self):
+        rng = random.Random(7)
+        for t in enumerate_trees(7, 6):
+            ids = list(range(t.n_vertices))
+            perm = ids[:]
+            rng.shuffle(perm)
+            genera = {perm[v]: t.genera[v] for v in ids}
+            edges = [(perm[u], perm[w]) for u, w in t.edges()]
+            rng.shuffle(edges)
+            assert canonicalize(genera, edges, perm[0]) == reference_canonicalize(
+                genera, edges, perm[0]), t.code
+
     def test_parse_roundtrip(self):
         for t in enumerate_trees(5, 4):
             assert ExtremalTree.from_code(t.code).code == t.code
@@ -104,7 +117,118 @@ class TestCanonicalCode:
                 parse_code(bad)
 
 
+def reference_canonicalize(genera, edges, root):
+    """Two-pass canonical form: codes first, then the vertex map by a
+    second descent that recomputes each child's code."""
+    adj = {v: [] for v in genera}
+    for u, w in edges:
+        adj[u].append(w)
+        adj[w].append(u)
+
+    def code_of(v, par):
+        return (genera[v], tuple(sorted(code_of(w, v) for w in adj[v] if w != par)))
+
+    vertex_map = {}
+
+    def assign(v, par):
+        vertex_map[v] = len(vertex_map)
+        kids = [(code_of(w, v), w) for w in adj[v] if w != par]
+        kids.sort(key=lambda kw: kw[0])
+        for _, w in kids:
+            assign(w, v)
+
+    assign(root, None)
+    return code_of(root, None), vertex_map
+
+
+def reference_smoothings(t):
+    """Brute-force smoothings: try every nonempty subset of edges, keep
+    the contractions whose quotient is an extremal tree, and record them
+    as (target code, edge_map, contracted) in the order of smoothings()."""
+    edge_list = t.edges()  # label order, label = index + 1
+    out = []
+    for r in range(1, len(edge_list) + 1):
+        for subset in combinations(range(len(edge_list)), r):
+            rec = _reference_contract(t, edge_list, set(subset))
+            if rec is not None:
+                out.append(rec)
+    out.sort(key=lambda rec: (rec[0], sorted(rec[2])))
+    return out
+
+
+def _reference_contract(t, edge_list, contracted_idx):
+    parent = list(range(t.n_vertices))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in contracted_idx:
+        u, w = edge_list[i]
+        ru, rw = find(u), find(w)
+        if ru != rw:
+            parent[ru] = rw
+    part_of = [find(v) for v in range(t.n_vertices)]
+    genus = {p: 0 for p in part_of}
+    for v in range(t.n_vertices):
+        genus[part_of[v]] += t.genera[v]
+    quotient_edges = [(part_of[u], part_of[w]) for i, (u, w) in enumerate(edge_list)
+                      if i not in contracted_idx]
+    root_part = part_of[0]
+    if genus[root_part] != 1:
+        return None
+    valence = {p: 0 for p in genus}
+    for u, w in quotient_edges:
+        valence[u] += 1
+        valence[w] += 1
+    for p in genus:
+        if p == root_part:
+            continue
+        if valence[p] == 1:
+            if genus[p] < 1:
+                return None
+        elif genus[p] != 0 or valence[p] < 3:
+            return None
+    code, vmap = reference_canonicalize(genus, quotient_edges, root_part)
+    target = ExtremalTree(code)
+    edge_map = []
+    for i, (u, w) in enumerate(edge_list):
+        if i in contracted_idx:
+            continue
+        cu, cw = vmap[part_of[u]], vmap[part_of[w]]
+        pair = (cu, cw) if (cu, cw) in target.edge_label else (cw, cu)
+        edge_map.append((target.edge_label[pair], i + 1))
+    return (target.code, tuple(sorted(edge_map)), frozenset(i + 1 for i in contracted_idx))
+
+
 class TestSmoothings:
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_matches_all_subsets_reference(self, g):
+        for t in enumerate_trees(g, g - 1):
+            got = [(r.target.code, r.edge_map, r.contracted) for r in smoothings(t)]
+            assert got == reference_smoothings(t), t.code
+
+    def test_totals(self):
+        totals = [sum(len(smoothings(t)) for t in enumerate_trees(g, g - 1))
+                  for g in range(5, 9)]
+        assert totals == [10, 50, 216, 928]
+
+    def test_invalid_contraction_raises(self):
+        # contracting the edge above the genus-1 leaf leaves a genus-1
+        # vertex of valence 2
+        t = ExtremalTree.from_code("(1(0(1)(2)))")
+        leaf = next(v for v in t.leaves() if t.genera[v] == 1)
+        with pytest.raises(TreeError, match="leaves no extremal tree"):
+            trees_module._smoothing(t, [leaf])
+
+    def test_targets_built_once_per_code(self):
+        t = ExtremalTree.from_code("(1(0(0(1)(1))(3)))")
+        first = {r.target.code: r.target for r in smoothings(t)}
+        again = {r.target.code: r.target for r in smoothings(t)}
+        assert all(first[code] is again[code] for code in first)
+
     def test_depth_one_pair(self):
         t = ExtremalTree.from_code("(1(0(1)(2)))")
         records = smoothings(t)
