@@ -23,6 +23,7 @@ from .excess import (
     local_model,
     pixton_contribution,
     recursion_contribution,
+    tree_contribution,
 )
 from .strata import StrataExpression, assemble_pullback, serialize, substitute_stratum
 from .agring import (

@@ -13,8 +13,8 @@ import os
 import sys
 
 from . import agring, constants, products, strata, verify
-from .excess import all_contributions, ExcessError
-from .trees import ExtremalTree, TreeError, enumerate_trees
+from .excess import all_contributions, ExcessError, tree_contribution
+from .trees import ExtremalTree, TreeError, enumerate_trees, tree_codes
 
 
 def _cache_dir() -> str | None:
@@ -65,14 +65,11 @@ def cmd_trees(args) -> int:
 def cmd_contribution(args) -> int:
     g = args.genus
     methods = ["recursion", "pixton"] if args.method == "both" else [args.method]
-    tables = {
-        method: all_contributions(g, method=method, cache_dir=_cache_dir())
-        for method in methods
-    }
     if args.tree is None:
         # the full table: tree code -> contribution in canonical text form
-        texts = [{code: str(cont.poly) for code, cont in tables[method].items()}
-                 for method in methods]
+        tables = [all_contributions(g, method=method, cache_dir=_cache_dir())
+                  for method in methods]
+        texts = [{code: str(cont.poly) for code, cont in table.items()} for table in tables]
         table = texts[0]
         if args.format == "json":
             _emit_json({code: table[code] for code in sorted(table)})
@@ -87,13 +84,10 @@ def cmd_contribution(args) -> int:
             return 1
         return 0
     tree = args.tree
-    values = {}
-    for method in methods:
-        if tree.code not in tables[method]:
-            print("tree %s does not contribute for genus %d" % (tree.code, g),
-                  file=sys.stderr)
-            return 1
-        values[method] = str(tables[method][tree.code].poly)
+    if tree.code not in tree_codes(g, g - 1):
+        print("tree %s does not contribute for genus %d" % (tree.code, g), file=sys.stderr)
+        return 1
+    values = {method: str(tree_contribution(tree, g, method).poly) for method in methods}
     match = len(set(values.values())) == 1
     if args.format == "json":
         out = {"tree": tree.code, "genus": g, "contribution": values}

@@ -21,17 +21,16 @@ monomial is formed, so the result equals `(a * b).truncate(max_deg)`
 without ever holding the discarded terms.
 
 `PackedLayout` is a second monomial layout for the hot loops of the
-excess recursion, whose variables are only z_i, e_i and c_i and whose
-terms have Chow degree at most g - 1.  A monomial is one int: the
-exponents of c_1.., e_1.. and z_1.. sit in fixed bit fields from the
-lowest bits up, each (max_deg).bit_length() + 1 bits wide, and the
-Chow degree sits in the field above them all.  A monomial product is an
-int addition, a degree is a shift, and the top bit of each field guards
-the exact division against a borrow.  Polynomials are packed with
-`PackedLayout.pack` on entry to that arithmetic and turned back into
-`Poly` with `PackedLayout.unpack` on exit; every other module, the
-cache and the JSON form see tuple monomials only.  `elem_sym_rewrite`
-runs on this layout too.
+excess recursion, whose variables are only z_i and c_i and whose terms
+have Chow degree at most g - 1.  A monomial is one int: the exponents of
+c_1.. and z_1.. sit in fixed bit fields from the lowest bits up, each
+(max_deg).bit_length() + 1 bits wide, and the Chow degree sits in the
+field above them all.  A monomial product is an int addition, a degree
+is a shift, and the top bit of each field guards the exact division
+against a borrow.  Polynomials are packed with `PackedLayout.pack` on
+entry to that arithmetic and turned back into `Poly` with
+`PackedLayout.unpack` on exit; every other module, the cache and the
+JSON form see tuple monomials only.
 """
 
 from __future__ import annotations
@@ -468,27 +467,24 @@ def det(matrix) -> Poly:
 
 
 class PackedLayout:
-    """Packed monomials in z_1..z_n_z, e_1..e_n_ec and c_1..c_n_ec of
-    Chow degree at most max_deg.
+    """Packed monomials in z_1..z_n_z and c_1..c_n_c of Chow degree at
+    most max_deg.
 
     A monomial is one int: each exponent has its own bit field, with the
-    c fields lowest, then the e fields, then the z fields, and the Chow
-    degree sits in the field above them all.  A packed polynomial is a
-    dict from such ints to nonzero coefficients.  A product of monomials
-    is an int addition, a degree is a shift, and sorting by key sorts by
-    degree first.  A field is max_deg.bit_length() + 1 bits wide: no
-    exponent of a term of degree <= max_deg reaches its top bit, so that
-    bit is a guard that shows a borrow in a division.  Products are
-    truncated at max_deg, so no field can overflow into the next.
+    c fields lowest, then the z fields, and the Chow degree sits in the
+    field above them all.  A packed polynomial is a dict from such ints
+    to coefficients.  A product of monomials is an int addition and a
+    degree is a shift.  A field is max_deg.bit_length() + 1 bits wide:
+    no exponent of a term of degree <= max_deg reaches its top bit, so
+    that bit is a guard that shows a borrow in a division.  Callers keep
+    every term at degree <= max_deg, so no field overflows into the next.
     """
 
-    def __init__(self, n_z: int, n_ec: int, max_deg: int):
+    def __init__(self, n_z: int, n_c: int, max_deg: int):
         width = max_deg.bit_length() + 1
         # lowest field first in the tuple order of the variables, so that
         # unpacking the fields in order gives a sorted monomial
-        fields = ([cvar(i) for i in range(1, n_ec + 1)]
-                  + [evar(i) for i in range(1, n_ec + 1)]
-                  + [zvar(i) for i in range(1, n_z + 1)])
+        fields = [cvar(i) for i in range(1, n_c + 1)] + [zvar(i) for i in range(1, n_z + 1)]
         self.max_deg = max_deg
         self.fmask = (1 << width) - 1
         self.dshift = width * len(fields)
@@ -528,26 +524,6 @@ class PackedLayout:
                 t[tuple((v, x) for v, s in shifts if (x := (key >> s) & fmask))] = c
         return Poly._of_sums(t)
 
-    def mul(self, a: dict, b: dict, out: dict | None = None) -> dict:
-        """a * b truncated above max_deg, added into out when given."""
-        if out is None:
-            out = {}
-        if len(a) > len(b):
-            a, b = b, a
-        # the inner operand by ascending key, hence by degree, so that a
-        # row stops at the first term above the bound
-        right = sorted(b.items())
-        bound = (self.max_deg + 1) << self.dshift
-        get = out.get
-        for k1, c1 in a.items():
-            room = bound - k1
-            for k2, c2 in right:
-                if k2 >= room:
-                    break
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
-        return out
-
     def divide(self, p: dict, m: int) -> dict:
         """Exact quotient by the monomial m; raises NotDivisible otherwise."""
         guard = self.guard
@@ -562,62 +538,6 @@ class PackedLayout:
             out[q ^ guard] = c
         return out
 
-    def substitute(self, p: dict, values: Mapping[Variable, dict]) -> dict:
-        """Substitute packed polynomials for variables; each value must be
-        homogeneous of its variable's degree, so degrees are kept."""
-        fmask = self.fmask
-        subs = [(v, self.shift[v], self.unit[v], vals) for v, vals in values.items()]
-        mask = sum(fmask << s for _, s, _, _ in subs)
-        groups: dict = {}
-        for key, c in p.items():
-            part = key & mask
-            group = groups.get(part)
-            if group is None:
-                group = groups[part] = {}
-            group[key] = c
-        out: dict = {}
-        powers: dict = {}
-        for part, group in groups.items():
-            if not part:
-                for key, c in group.items():
-                    out[key] = out.get(key, 0) + c
-                continue
-            # the product of the values' powers, and the key of the
-            # monomial they replace
-            image, replaced = {0: 1}, 0
-            for v, s, unit, vals in subs:
-                e = (part >> s) & fmask
-                if e:
-                    power = powers.get((v, e))
-                    if power is None:
-                        power = powers[(v, e)] = self._power(vals, e)
-                    image = self.mul(image, power)
-                    replaced += e * unit
-            self.mul({key - replaced: c for key, c in group.items()}, image, out)
-        return {key: c for key, c in out.items() if c}
-
-    def _power(self, p: dict, e: int) -> dict:
-        out = p
-        for _ in range(e - 1):
-            out = self.mul(out, p)
-        return out
-
-    def elem_sym_rewrite(self, p: dict, ell_count: int, A: dict) -> dict:
-        """Packed form of `elem_sym_rewrite`."""
-        a = [{} for _ in range(ell_count + 1)]
-        for key, c in A.items():
-            d = key >> self.dshift
-            if d <= ell_count:
-                a[d][key] = c
-        s = [{0: 1}]
-        for i in range(1, ell_count + 1):
-            si = {self.unit[cvar(i)]: 1}
-            for j in range(1, i + 1):
-                for key, c in self.mul(a[j], s[i - j]).items():
-                    si[key] = si.get(key, 0) - c
-            s.append({key: c for key, c in si.items() if c})
-        return self.substitute(p, {evar(i): s[i] for i in range(1, ell_count + 1)})
-
 
 def elem_sym_rewrite(p: Poly, ell_count: int, A: Poly) -> Poly:
     """Replace each elementary class e_i (i <= ell_count) by [c(N)/A]_i.
@@ -625,13 +545,19 @@ def elem_sym_rewrite(p: Poly, ell_count: int, A: Poly) -> Poly:
     The total class c(N) = A * (1 + e_1 + ... + e_ell) is kept formal
     (variables c1, c2, ...); A is the leaf factor of the local model, with
     constant term 1.  The parts s_i = [c/A]_i are solved degree by degree
-    from s_i = c_i - sum_{j=1..i} [A]_j * s_{i-j}.  p and A may hold only
-    the variables z_i, e_i and c_i; the work is done on packed monomials.
+    from s_i = c_i - sum_{j=1..i} [A]_j * s_{i-j}.  The excess recursion
+    divides by A one leaf factor at a time instead; this is the reference
+    it is tested against.
     """
-    variables = p.variables() | A.variables()
-    layout = PackedLayout(
-        n_z=max([v[1] for v in variables if v[0] == "z"], default=0),
-        n_ec=max([v[-1] for v in variables if v[0] in ("e", "c")] + [ell_count]),
-        max_deg=max(p.degree(), A.degree(), ell_count, 1),
-    )
-    return layout.unpack(layout.elem_sym_rewrite(layout.pack(p), ell_count, layout.pack(A)))
+    a = [{} for _ in range(ell_count + 1)]
+    for m, c in A.terms.items():
+        d = mono_degree(m)
+        if d <= ell_count:
+            a[d][m] = c
+    s = [Poly.const(1)]
+    for i in range(1, ell_count + 1):
+        si = Poly.var(cvar(i))
+        for j in range(1, i + 1):
+            si = si - Poly._of(a[j]) * s[i - j]
+        s.append(si)
+    return p.substitute({evar(i): s[i] for i in range(1, ell_count + 1)})

@@ -10,6 +10,7 @@ import pytest
 import torex
 from torex import excess
 from torex.cli import main
+from torex.trees import ExtremalTree, enumerate_trees
 
 TRACE_CHILD = Path(__file__).resolve().parent.parent / "bench" / "trace_child.py"
 
@@ -60,6 +61,38 @@ class TestContribution:
             capsys, "contribution", "--genus", "4", "--tree", "(1(0(1)(1))(1))",
         )
         assert code == 1
+
+    def test_tree_runs_one_closed_formula(self, capsys, monkeypatch, memo):
+        # --tree computes the tree it names, not the table of genus 9
+        tree = "(1(0(0(0(1)(1)(1))(1))(4)))"
+        closed = excess.pixton_contribution
+        calls = []
+
+        def counted(t, g):
+            calls.append((t.code, g))
+            return closed(t, g)
+
+        monkeypatch.setattr(excess, "pixton_contribution", counted)
+        code, out, _ = run(capsys, "contribution", "--genus", "9", "--tree", tree,
+                           "--method", "pixton")
+        assert code == 0
+        assert calls == [(tree, 9)]
+        assert json.loads(out)["contribution"]["pixton"] == str(closed(ExtremalTree.from_code(tree), 9).poly)
+
+    @pytest.mark.parametrize("g", (6, 7))
+    def test_tree_matches_full_table(self, capsys, g):
+        _, full, _ = run(capsys, "contribution", "--genus", str(g), "--method", "both")
+        table = json.loads(full)
+        trees = enumerate_trees(g, g - 1)
+        for t in (trees[0], trees[len(trees) // 2], trees[-1],
+                  max(trees, key=lambda t: t.n_edges)):
+            code, out, _ = run(capsys, "contribution", "--genus", str(g), "--tree", t.code,
+                               "--method", "both")
+            want = {"tree": t.code, "genus": g,
+                    "contribution": {"recursion": table[t.code], "pixton": table[t.code]},
+                    "match": True}
+            assert code == 0
+            assert out == json.dumps(want, indent=1) + "\n"
 
     def test_full_table(self, capsys):
         code, out, _ = run(capsys, "contribution", "--genus", "4")

@@ -1,7 +1,12 @@
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torex import excess
 from torex.excess import (
+    ExcessError,
     MissingSmoothing,
     NotIrreducible,
     all_contributions,
@@ -10,8 +15,8 @@ from torex.excess import (
     pixton_contribution,
     recursion_contribution,
 )
-from torex.polyring import Poly, cvar, evar, zvar
-from torex.trees import ExtremalTree, depth, enumerate_trees
+from torex.polyring import PackedLayout, Poly, cvar, elem_sym_rewrite, evar, zvar
+from torex.trees import ExtremalTree, depth, enumerate_trees, smoothings
 from torex.verify import (
     G5_FOUR_EDGE_VALUES,
     G6_TRIPLE_INTERSECTIONS,
@@ -173,43 +178,99 @@ class TestRecursionMechanics:
 
     def test_rewrite_roundtrip(self):
         # substituting the factorized Chern classes back recovers the
-        # pre-rewrite quotient of the inductive identity
-        from torex.trees import smoothings
+        # pre-rewrite quotient of the inductive identity, for every tree
+        for g in (5, 6, 7):
+            table = all_contributions(g)
+            for t in enumerate_trees(g, g - 1):
+                lm = local_model(t, g)
+                chern = {cvar(i): part for i, part in enumerate(lm.chern_parts) if i}
+                rhs = lm.chern_parts[g - 1]
+                for rec in smoothings(t):
+                    cont = table[rec.target.code].poly.substitute(
+                        {zvar(tgt): z(src) for tgt, src in rec.edge_map}
+                    )
+                    factor = Poly.const(1)
+                    for src in rec.mapped_labels():
+                        factor = factor * z(src)
+                    rhs = rhs - factor * cont.substitute(chern)
+                quotient = rhs.exact_divide(
+                    tuple(sorted((zvar(i), 1) for i in range(1, lm.n + 1)))
+                )
+                assert table[t.code].poly.substitute(chern) == quotient, (g, t.code)
 
+    @pytest.mark.parametrize("bad", [c(1) ** 2, c(1) * c(2)], ids=["c1^2", "c1*c2"])
+    def test_nonlinear_chern_monomial_raises(self, bad):
         g = 6
-        table = all_contributions(g)
-        for code in ["(1(0(1)(3))(1))", "(1(0(0(1)(1))(3)))", "(1(0(2)(3)))"]:
-            t = T(code)
-            lm = local_model(t, g)
-            rhs = lm.chern_parts[g - 1]
-            for rec in smoothings(t):
-                cont = table[rec.target.code].poly
-                cont = cont.substitute(
-                    {zvar(tgt): z(src) for tgt, src in rec.edge_map}
-                )
-                cont = cont.substitute(
-                    {
-                        v: lm.chern_parts[v[1]]
-                        for v in cont.variables()
-                        if v[0] == "c"
-                    }
-                )
-                factor = Poly.const(1)
-                for src in rec.mapped_labels():
-                    factor = factor * z(src)
-                rhs = rhs - factor * cont
-            quotient = rhs.exact_divide(
-                tuple(sorted((zvar(i), 1) for i in range(1, lm.n + 1)))
-            )
-            rewritten = table[code].poly
-            back = rewritten.substitute(
-                {
-                    v: lm.chern_parts[v[1]]
-                    for v in rewritten.variables()
-                    if v[0] == "c"
-                }
-            )
-            assert back == quotient
+        t = T("(1(0(0(1)(1))(3)))")
+        table = dict(all_contributions(g))
+        target = smoothings(t)[0].target
+        table[target.code] = excess.Contribution(
+            tree=target, g=g, poly=table[target.code].poly + bad)
+        with pytest.raises(ExcessError, match=re.escape(target.code)):
+            recursion_contribution(t, g, table)
+
+
+# a layout wide enough for the random polynomials below and for the degree
+# the leaf passes add to them
+WIDE = PackedLayout(n_z=11, n_c=0, max_deg=31)
+
+
+def from_slots(slots, var):
+    """sum_i slot_i * var(i), var(0) read as 1."""
+    out = Poly.zero()
+    for i, slot in enumerate(slots):
+        part = WIDE.unpack(slot)
+        out = out + (part * Poly.var(var(i)) if i else part)
+    return out
+
+
+def slot_polys(data, n_slots, n_z):
+    """n_slots random packed polynomials in z_1 .. z_n_z, square-free."""
+    zs = [zvar(i) for i in range(1, n_z + 1)]
+    term = st.tuples(st.integers(-9, 9), st.lists(st.integers(0, 1), min_size=n_z,
+                                                  max_size=n_z))
+    slots = []
+    for _ in range(n_slots):
+        slot = {}
+        for coeff, exps in data.draw(st.lists(term, max_size=3)):
+            key = sum(WIDE.unit[v] for v, x in zip(zs, exps) if x)
+            slot[key] = slot.get(key, 0) + coeff
+        slots.append(slot)
+    return slots
+
+
+class TestLeafPasses:
+    """The recursion's one-leaf-at-a-time passes against the expanded leaf
+    factor on tuple monomials."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 4), st.data())
+    def test_division_passes_match_elem_sym_rewrite(self, ell, data):
+        n_z = 4
+        paths = data.draw(st.lists(
+            st.lists(st.integers(1, n_z), min_size=1, max_size=3, unique=True),
+            max_size=4))
+        slots = slot_polys(data, ell + 1, n_z)
+        p = from_slots(slots, evar)
+        A = Poly.const(1)
+        for path in paths:
+            A = A * (1 + sum((z(i) for i in path), Poly.zero()))
+        excess._over_leaf_factors(slots, [[WIDE.unit[zvar(i)] for i in path]
+                                          for path in paths])
+        assert from_slots(slots, cvar) == elem_sym_rewrite(p, ell, A)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 7), st.data())
+    def test_multiplication_passes_match_chern_parts(self, g, data):
+        t = data.draw(st.sampled_from(enumerate_trees(g, g - 1)))
+        lm = local_model(t, g)
+        slots = slot_polys(data, g, lm.n)
+        p = from_slots(slots, cvar)
+        excess._times_leaf_factors(slots, [[WIDE.unit[zvar(i)] for i in t.path_labels(v)]
+                                           for v in t.leaves()])
+        # e_j = 0 above ell
+        want = p.substitute({cvar(i): lm.chern_parts[i] for i in range(1, g)})
+        assert from_slots(slots[:lm.ell_count + 1], evar) == want
 
 
 class TestClosedFormula:
