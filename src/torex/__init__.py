@@ -13,14 +13,12 @@ constants tying everything together.
 # set before the submodules load: the contribution cache stamps it
 __version__ = "0.1.0"
 
-from .polyring import Poly, elem_sym_rewrite
+from .polyring import Poly
 from .trees import ExtremalTree, Smoothing, depth, enumerate_trees, mon, smoothings
 from .excess import (
     Contribution,
-    LocalModel,
     all_contributions,
     base_contribution,
-    local_model,
     pixton_contribution,
     recursion_contribution,
     tree_contribution,

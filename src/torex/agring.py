@@ -64,13 +64,6 @@ class TautClassAg:
     def is_zero(self) -> bool:
         return not self.coords
 
-    def coefficient(self, J) -> Fraction:
-        key = tuple(sorted(J))
-        for k, c in self.coords:
-            if k == key:
-                return c
-        return Fraction(0)
-
     def __add__(self, other: "TautClassAg") -> "TautClassAg":
         if self.g != other.g:
             raise GenusMismatch((self.g, other.g))
@@ -84,10 +77,6 @@ class TautClassAg:
 
     def __sub__(self, other: "TautClassAg") -> "TautClassAg":
         return self + (-other)
-
-    def scale(self, c) -> "TautClassAg":
-        c = Fraction(c)
-        return TautClassAg.make(self.g, {J: c * v for J, v in self.as_dict().items()})
 
     def __str__(self) -> str:
         if not self.coords:

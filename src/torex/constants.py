@@ -100,15 +100,6 @@ def _log_sine_series(order: int) -> Poly:
     return out
 
 
-def log_sine_coefficient(two_g: int, order: int | None = None) -> Fraction:
-    """Coefficient of t^two_g in -log(sin(t/2)/(t/2))."""
-    if order is None:
-        order = (two_g + 1) // 2 + 1
-    series = _log_sine_series(order)
-    mono = ((zvar(0), two_g),) if two_g else ()
-    return series.coeff(mono)
-
-
 def series_identity_check(order: int) -> bool:
     """True when the first `order` even coefficients of the exact series
     -log(sin(t/2)/(t/2)) equal |B_2g| / (2g (2g)!)."""
@@ -127,12 +118,3 @@ def series_identity_check(order: int) -> bool:
             return False
     return True
 
-
-def coefficient_consistency(g: int) -> bool:
-    """The chain linking the projection coefficient to the two Hodge
-    integrals: coeff(g) * triple_lambda(g) = tail_integral(g-1) / 24."""
-    if g < 2:
-        raise ValueError("g must be >= 2")
-    lhs = product_coefficient(g) * hodge_constants(g).triple_lambda
-    rhs = hodge_constants(g - 1).tail_integral / 24
-    return lhs == rhs

@@ -55,9 +55,8 @@ genus g: fields for c_1 .. c_{g-1} and z_1 .. z_{2g-3}, each
 `recursion_contribution` splits each cached contribution into slots as
 it reads it and joins its result back into a `Poly`, so the table of
 contributions, the cache files and every other caller hold tuple
-`Poly`s.  The closed formula, the base case and `local_model` stay on
-tuple monomials, which keeps them independent references for the
-recursion.
+`Poly`s.  The closed formula and the base case stay on tuple monomials,
+which keeps them independent references for the recursion.
 """
 
 from __future__ import annotations
@@ -68,14 +67,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import __version__
-from .polyring import (
-    PackedLayout,
-    Poly,
-    cvar,
-    evar,
-    prod,
-    zvar,
-)
+from .polyring import PackedLayout, Poly, cvar, prod, zvar
 from .trees import ExtremalTree, TreeError, enumerate_trees, smoothings, tree_codes
 
 
@@ -91,22 +83,6 @@ class MissingSmoothing(ExcessError):
     pass
 
 
-@dataclass(frozen=True)
-class LocalModel:
-    """The local model of a tree, its classes expanded on tuple monomials.
-    The recursion does not build it; it is the reference its leaf passes
-    are tested against."""
-
-    tree: ExtremalTree
-    g: int
-    k: int
-    n: int
-    ell_count: int
-    # c_0 .. c_{g-1} of prod over leaves of (1 + sum of path z's)
-    # * (1 + e_1 + ... + e_ell)
-    chern_parts: tuple
-
-
 def _leaf_count(t: ExtremalTree, g: int) -> int:
     """The number k of leaves of a tree of genus g; a tree has at most
     g - 1 of them."""
@@ -116,17 +92,6 @@ def _leaf_count(t: ExtremalTree, g: int) -> int:
     if k > g - 1:
         raise ExcessError("more leaves than g-1")
     return k
-
-
-def local_model(t: ExtremalTree, g: int) -> LocalModel:
-    k = _leaf_count(t, g)
-    ell_count = g - 1 - k
-    A = prod(Poly.const(1) + sum((Poly.var(zvar(i)) for i in t.path_labels(v)), Poly.zero())
-             for v in t.leaves())
-    E = sum((Poly.var(evar(i)) for i in range(1, ell_count + 1)), Poly.const(1))
-    total = A * E
-    return LocalModel(tree=t, g=g, k=k, n=t.n_edges, ell_count=ell_count,
-                      chern_parts=tuple(total.graded_part(i) for i in range(g)))
 
 
 @dataclass(frozen=True)
@@ -387,9 +352,9 @@ CACHE_FORMAT = 2
 def _cache_load(cache_dir, g, method):
     """The cached table, or None for a miss.  A file that does not parse,
     was written in another format, by another package version, or for
-    another genus or method, or does not hold each enumerated tree
-    exactly once is a miss: the table is recomputed and the file
-    rewritten."""
+    another genus or method, does not hold each enumerated tree exactly
+    once, or holds a polynomial without the shape of a contribution is a
+    miss: the table is recomputed and the file rewritten."""
     if not cache_dir:
         return None
     path = _cache_path(cache_dir, g, method)
@@ -402,12 +367,40 @@ def _cache_load(cache_dir, g, method):
         out = {}
         for entry in data["contributions"]:
             t = ExtremalTree.from_code(entry["code"])
-            out[t.code] = Contribution(tree=t, g=g, poly=Poly.from_json(entry["poly"]))
+            cont = Contribution(tree=t, g=g, poly=Poly.from_json(entry["poly"]))
+            if not _has_contribution_shape(cont):
+                return None
+            out[t.code] = cont
     except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError, TreeError):
         return None
     if len(out) != len(data["contributions"]) or set(out) != tree_codes(g, g - 1):
         return None
     return out
+
+
+def _has_contribution_shape(cont: Contribution) -> bool:
+    """Whether every term of cont has degree g-1-n, uses only z_1 .. z_n
+    for the tree's n edges, and holds at most one c_i, to the first
+    power: the shape every contribution has."""
+    d = cont.degree
+    zs = {zvar(i) for i in range(1, cont.tree.n_edges + 1)}
+    cs = {cvar(i): i for i in range(1, d + 1)}
+    for m in cont.poly.terms:
+        degree, c_seen, prev = 0, False, None
+        for v, e in m:
+            if type(e) is not int or e < 1 or v == prev:
+                return False
+            if v in zs:
+                degree += e
+            elif v in cs and e == 1 and not c_seen:
+                degree += cs[v]
+                c_seen = True
+            else:
+                return False
+            prev = v
+        if degree != d:
+            return False
+    return True
 
 
 def _cache_store(cache_dir, g, method, table) -> None:

@@ -326,7 +326,9 @@ class Poly:
     # -- division ------------------------------------------------------
 
     def exact_divide(self, m: Monomial) -> "Poly":
-        """Exact quotient by a monomial; raises NotDivisible otherwise."""
+        """Exact quotient by a monomial; raises NotDivisible otherwise.
+        No command divides on tuple monomials: this is a reference for the
+        tests and the benchmark's tracer."""
         neg = tuple((v, -e) for v, e in m)
         t = {}
         for mono, c in self._t.items():
@@ -546,8 +548,8 @@ def elem_sym_rewrite(p: Poly, ell_count: int, A: Poly) -> Poly:
     (variables c1, c2, ...); A is the leaf factor of the local model, with
     constant term 1.  The parts s_i = [c/A]_i are solved degree by degree
     from s_i = c_i - sum_{j=1..i} [A]_j * s_{i-j}.  The excess recursion
-    divides by A one leaf factor at a time instead; this is the reference
-    it is tested against.
+    divides by A one leaf factor at a time instead, and no command calls
+    this: it is the reference the tests and the benchmark's tracer use.
     """
     a = [{} for _ in range(ell_count + 1)]
     for m, c in A.terms.items():

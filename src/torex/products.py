@@ -82,21 +82,6 @@ class RefinementComponent:
     cells: tuple
     excess_bundle: tuple
 
-    def assignment_rows(self, n_rows: int) -> tuple:
-        """I_1..I_l: for each part of the first partition, the refinement
-        parts (by position in cells) grouped into it."""
-        return tuple(
-            tuple(idx for idx, (i, _, _) in enumerate(self.cells) if i == r)
-            for r in range(n_rows)
-        )
-
-    def assignment_cols(self, n_cols: int) -> tuple:
-        """J_1..J_k: the analogous grouping for the second partition."""
-        return tuple(
-            tuple(idx for idx, (_, j, _) in enumerate(self.cells) if j == c)
-            for c in range(n_cols)
-        )
-
     def __str__(self) -> str:
         bundle = " + ".join("E%d*E%d" % ab for ab in self.excess_bundle)
         return "sigma=%s excess=[%s]" % (self.sigma, bundle or "0")

@@ -369,9 +369,6 @@ class Smoothing:
     edge_map: tuple  # tuple of (target z label, source z label)
     contracted: frozenset
 
-    def mapped_labels(self) -> list:
-        return sorted(src for _, src in self.edge_map)
-
 
 def smoothings(t: ExtremalTree) -> list:
     """All smoothings of t: one record per valid edge contraction.

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import agring, constants, products, strata
+from . import agring, constants, excess, products, strata
 from .excess import all_contributions
-from .polyring import Poly, cvar, elem_sym_rewrite, evar, lamvar, psivar, zvar
+from .polyring import PackedLayout, Poly, cvar, lamvar, psivar, zvar
 from .trees import ExtremalTree, depth, enumerate_trees, mon, smoothings
 
 
@@ -22,10 +22,6 @@ def _z(i):
 
 def _c(i):
     return Poly.var(cvar(i))
-
-
-def _e(i):
-    return Poly.var(evar(i))
 
 
 # The published reference values, each written down once: the checks
@@ -127,10 +123,14 @@ def _check_graded_leaf():
 
 
 def _check_rewrite_example():
-    # z2 + z3 - 3 e1 with A = (1+z1+z2)(1+z1+z3), two line bundles
-    p = _z(2) + _z(3) - 3 * _e(1)
-    A = (1 + _z(1) + _z(2)) * (1 + _z(1) + _z(3))
-    got = elem_sym_rewrite(p, 2, A)
+    # z2 + z3 - 3 e1 with A = (1+z1+z2)(1+z1+z3), two line bundles, through
+    # the recursion's leaf passes: slot i multiplies e_i, then c_i
+    layout = PackedLayout(n_z=3, n_c=2, max_deg=2)
+    slots = [layout.pack(p) for p in (_z(2) + _z(3), Poly.const(-3), Poly.zero())]
+    leaves = [[layout.unit[zvar(i)] for i in path] for path in ((1, 2), (1, 3))]
+    excess._over_leaf_factors(slots, leaves)
+    got = sum((layout.unpack(slot) * (_c(i) if i else 1) for i, slot in enumerate(slots)),
+              Poly.zero())
     want = -3 * _c(1) + 6 * _z(1) + 4 * _z(2) + 4 * _z(3)
     return got == want
 

@@ -252,6 +252,25 @@ class TestCacheMisses:
         data["contributions"].append({"code": "(1(5))", "poly": [["1", []]]})
         assert self.cached_run(capsys, monkeypatch, tmp_path, data) == uncached
 
+    # each breaks the shape of the degree 3 class of the one-edge tree
+    # (1(4)): every term of degree 3, only z1, at most one c_i to the power 1
+    @pytest.mark.parametrize("poly", [
+        [["5", [[["c", 1], 1], [["c", 2], 1]]]],
+        [["5", [[["c", 1], 3]]]],
+        [["5", [[["c", 1], 1], [["z", 2], 2]]]],
+        [["5", [[["c", 2], 1]]]],
+        [["5", [[["e", "l", 1], 1], [["z", 1], 2]]]],
+        [["5", [[["z", 1], 3.0]]]],
+        [["5", [[["c", 3], 1], [["z", 1], 0]]]],
+        [["5", [[["z", 1], 1], [["z", 1], 2]]]],
+    ], ids=["c1*c2", "c1^3", "c1*z2^2", "degree-2", "e1*z1^2", "float-exponent",
+            "zero-exponent", "repeated-z1"])
+    def test_not_a_contribution(self, capsys, monkeypatch, tmp_path, uncached, poly):
+        data = self.valid_file(tmp_path, monkeypatch, capsys)
+        entry = next(e for e in data["contributions"] if e["code"] == "(1(4))")
+        entry["poly"] = poly
+        assert self.cached_run(capsys, monkeypatch, tmp_path, data) == uncached
+
     def test_duplicate_tree(self, capsys, monkeypatch, tmp_path, uncached):
         data = self.valid_file(tmp_path, monkeypatch, capsys)
         data["contributions"].append({"code": "(1(4))", "poly": [["1", []]]})
@@ -343,6 +362,48 @@ class TestVerify:
         assert lines[1] == "%-36s FAIL (ValueError: leaf factor lost)" % checks[1][0]
         assert all(line.endswith("PASS") for i, line in enumerate(lines[:-1]) if i != 1)
         assert lines[-1] == "%d/%d checks passed" % (len(checks) - 1, len(checks))
+
+    def test_rewrite_check_runs_the_division_passes(self, monkeypatch):
+        from torex.verify import run_checks
+
+        slug = "symmetric-rewrite-two-lines"
+        assert run_checks([slug]) == [(slug, True, None)]
+        monkeypatch.setattr(excess, "_over_leaf_factors", lambda slots, leaves: None)
+        assert run_checks([slug]) == [(slug, False, None)]
+
+
+class TestReferencesOffCommandPath:
+    """The tuple-monomial references stay in the library for the tests and
+    the benchmark's tracer; no command runs them."""
+
+    COMMANDS = [
+        ("verify-paper",),
+        ("pullback", "--genus", "5"),
+        ("pullback", "--genus", "5", "--method", "pixton"),
+        ("contribution", "--genus", "5", "--method", "both"),
+    ]
+
+    def test_commands_run_without_them(self, capsys, monkeypatch, memo):
+        from torex import polyring
+
+        monkeypatch.delenv("EXCESS_CACHE_DIR", raising=False)
+        want = [run(capsys, *argv) for argv in self.COMMANDS]
+        memo.clear()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a reference ran on a command's path")
+
+        # rebind the name in every torex module that holds it
+        original = polyring.elem_sym_rewrite
+        for name, mod in list(sys.modules.items()):
+            if mod is not None and (name == "torex" or name.startswith("torex.")):
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, forbidden)
+        monkeypatch.setattr(polyring.Poly, "exact_divide", forbidden)
+        got = [run(capsys, *argv) for argv in self.COMMANDS]
+        assert [code for code, _, _ in want] == [0] * len(self.COMMANDS)
+        assert got == want
 
 
 class TestUsage:

@@ -6,10 +6,8 @@ import pytest
 from torex.constants import (
     PRINTED_G6_VARIANT,
     bernoulli,
-    coefficient_consistency,
     coefficient_discrepancy,
     hodge_constants,
-    log_sine_coefficient,
     product_coefficient,
     series_identity_check,
 )
@@ -81,7 +79,6 @@ class TestHodgeConstants:
 
     @pytest.mark.parametrize("g", range(2, 13))
     def test_consistency_chain(self, g):
-        assert coefficient_consistency(g)
         assert product_coefficient(g) * hodge_constants(g).triple_lambda == (
             hodge_constants(g - 1).tail_integral / 24
         )
@@ -90,18 +87,6 @@ class TestHodgeConstants:
 class TestSeriesIdentity:
     def test_holds_to_order_20(self):
         assert series_identity_check(20)
-
-    def test_quadratic_coefficient(self):
-        assert log_sine_coefficient(2) == Fraction(1, 24)
-
-    def test_constant_coefficient(self):
-        assert log_sine_coefficient(0) == 0
-
-    def test_matches_bernoulli_values(self):
-        for g in range(1, 8):
-            assert log_sine_coefficient(2 * g) == abs(bernoulli(2 * g)) / (
-                Fraction(2 * g) * factorial(2 * g)
-            )
 
     def test_rejects_tiny_order(self):
         with pytest.raises(ValueError):

@@ -11,11 +11,10 @@ from torex.excess import (
     NotIrreducible,
     all_contributions,
     base_contribution,
-    local_model,
     pixton_contribution,
     recursion_contribution,
 )
-from torex.polyring import PackedLayout, Poly, cvar, elem_sym_rewrite, evar, zvar
+from torex.polyring import PackedLayout, Poly, cvar, elem_sym_rewrite, evar, prod, zvar
 from torex.trees import ExtremalTree, depth, enumerate_trees, smoothings
 from torex.verify import (
     G5_FOUR_EDGE_VALUES,
@@ -36,25 +35,35 @@ def T(code):
     return ExtremalTree.from_code(code)
 
 
+def chern_parts(t, g):
+    """c_0 .. c_{g-1} of the local model's c(N) = A * (1 + e_1 + ... +
+    e_ell), ell = g - 1 - k for k leaves and A the product over leaves of
+    (1 + sum of the path z's), expanded on tuple monomials: the reference
+    for the leaf passes."""
+    A = prod(1 + sum((z(i) for i in t.path_labels(v)), Poly.zero()) for v in t.leaves())
+    E = sum((Poly.var(evar(i)) for i in range(1, g - len(t.leaves()))), Poly.const(1))
+    total = A * E
+    return [total.graded_part(i) for i in range(g)]
+
+
 class TestLocalModel:
     def test_total_chern_top_degree(self):
         for g, code in [(4, "(1(0(1)(2)))"), (6, "(1(0(0(1)(1))(3)))")]:
-            lm = local_model(T(code), g)
-            assert len(lm.chern_parts) == g
-            assert all(part.is_homogeneous(i) for i, part in enumerate(lm.chern_parts))
-            assert not lm.chern_parts[g - 1].is_zero()
-            assert lm.ell_count == g - 1 - lm.k
+            parts = chern_parts(T(code), g)
+            assert len(parts) == g
+            assert all(part.is_homogeneous(i) for i, part in enumerate(parts))
+            assert not parts[g - 1].is_zero()
 
     def test_factorization_shape(self):
         # c(N) for the depth-2 tree of genus a+b+c+1
-        lm = local_model(T("(1(0(0(1)(1))(3)))"), 6)
+        parts = chern_parts(T("(1(0(0(1)(1))(3)))"), 6)
         want = (
             (1 + z(1) + z(2) + z(4))
             * (1 + z(1) + z(2) + z(5))
             * (1 + z(1) + z(3))
             * (1 + Poly.var(evar(1)) + Poly.var(evar(2)))
         )
-        assert sum(lm.chern_parts, Poly.zero()) == want
+        assert sum(parts, Poly.zero()) == want
 
 
 class TestBaseContribution:
@@ -80,16 +89,18 @@ class TestBaseContribution:
         with pytest.raises(NotIrreducible):
             base_contribution(T("(1(0(1)(2)))"), 4)
 
-    def test_builds_no_local_model(self, monkeypatch):
+    def test_builds_no_packed_layout(self, monkeypatch):
         # the third oracle stays independent of the recursion's packed model
         g = 6
         table = all_contributions(g)
         irreducible = [t for t in enumerate_trees(g, g - 1) if t.is_irreducible()]
 
-        def no_model(t, g):
-            raise AssertionError("local_model(%s, %d) called" % (t.code, g))
+        def no_layout(g):
+            raise AssertionError("_layout(%d) called" % g)
 
-        monkeypatch.setattr(excess, "local_model", no_model)
+        monkeypatch.setattr(excess, "_layout", no_layout)
+        with pytest.raises(AssertionError, match="_layout"):
+            recursion_contribution(irreducible[0], g, {})
         assert len(irreducible) == 7
         for t in irreducible:
             assert base_contribution(t, g).poly == table[t.code].poly, t.code
@@ -182,19 +193,17 @@ class TestRecursionMechanics:
         for g in (5, 6, 7):
             table = all_contributions(g)
             for t in enumerate_trees(g, g - 1):
-                lm = local_model(t, g)
-                chern = {cvar(i): part for i, part in enumerate(lm.chern_parts) if i}
-                rhs = lm.chern_parts[g - 1]
+                parts = chern_parts(t, g)
+                chern = {cvar(i): part for i, part in enumerate(parts) if i}
+                rhs = parts[g - 1]
                 for rec in smoothings(t):
                     cont = table[rec.target.code].poly.substitute(
                         {zvar(tgt): z(src) for tgt, src in rec.edge_map}
                     )
-                    factor = Poly.const(1)
-                    for src in rec.mapped_labels():
-                        factor = factor * z(src)
+                    factor = prod(z(src) for _, src in rec.edge_map)
                     rhs = rhs - factor * cont.substitute(chern)
                 quotient = rhs.exact_divide(
-                    tuple(sorted((zvar(i), 1) for i in range(1, lm.n + 1)))
+                    tuple(sorted((zvar(i), 1) for i in range(1, t.n_edges + 1)))
                 )
                 assert table[t.code].poly.substitute(chern) == quotient, (g, t.code)
 
@@ -263,14 +272,14 @@ class TestLeafPasses:
     @given(st.integers(3, 7), st.data())
     def test_multiplication_passes_match_chern_parts(self, g, data):
         t = data.draw(st.sampled_from(enumerate_trees(g, g - 1)))
-        lm = local_model(t, g)
-        slots = slot_polys(data, g, lm.n)
+        parts = chern_parts(t, g)
+        slots = slot_polys(data, g, t.n_edges)
         p = from_slots(slots, cvar)
         excess._times_leaf_factors(slots, [[WIDE.unit[zvar(i)] for i in t.path_labels(v)]
                                            for v in t.leaves()])
         # e_j = 0 above ell
-        want = p.substitute({cvar(i): lm.chern_parts[i] for i in range(1, g)})
-        assert from_slots(slots[:lm.ell_count + 1], evar) == want
+        want = p.substitute({cvar(i): parts[i] for i in range(1, g)})
+        assert from_slots(slots[:g - len(t.leaves())], evar) == want
 
 
 class TestClosedFormula:

@@ -114,14 +114,13 @@ class TestRefinements:
 
     def test_assignment_maps_partition_the_parts(self):
         p, q = P([2, 3]), P([1, 4])
-        for comp in extremal_refinements(p, q):
-            rows = comp.assignment_rows(len(p))
-            cols = comp.assignment_cols(len(q))
-            parts = [v for _, _, v in comp.cells]
-            for i, grp in enumerate(rows):
-                assert sum(parts[a] for a in grp) == p.parts[i]
-            for j, grp in enumerate(cols):
-                assert sum(parts[a] for a in grp) == q.parts[j]
+        comps = extremal_refinements(p, q)
+        assert comps
+        for comp in comps:
+            for r, want in enumerate(p.parts):
+                assert sum(v for i, _, v in comp.cells if i == r) == want
+            for col, want in enumerate(q.parts):
+                assert sum(v for _, j, v in comp.cells if j == col) == want
 
     def test_genus_mismatch(self):
         with pytest.raises(GenusMismatch):
