@@ -304,14 +304,14 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power; use series_inverse")
-        result = Poly.const(1)
+        result = None  # the constant 1, left out of the products
         base = self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if n > 1 else base
             n >>= 1
-        return result
+        return Poly.const(1) if result is None else result
 
     # -- graded structure ----------------------------------------------
 
@@ -366,26 +366,30 @@ class Poly:
     # -- substitution ----------------------------------------------------
 
     def substitute(self, values: Mapping[Variable, "Poly"]) -> "Poly":
-        """Substitute polynomials for variables (others left alone)."""
-        cache: dict = {}
+        """Substitute polynomials for variables (others left alone).
 
-        def vpow(v: Variable, e: int) -> Poly:
-            key = (v, e)
-            got = cache.get(key)
-            if got is None:
-                got = values[v] ** e
-                cache[key] = got
-            return got
-
+        Each term expands as a plain list of (monomial, coeff) pairs: the
+        variables left alone stay one monomial, and the items of each
+        values[v] ** e, taken once per (v, e), are folded in with mono_mul.
+        All expansions accumulate into one dict, with no Poly per term."""
+        powers: dict = {}
         t: dict = {}
         get = t.get
         for m, c in self._t.items():
-            # the variables left alone stay one monomial
-            factor = Poly._of({tuple(ve for ve in m if ve[0] not in values): c})
-            for v, e in m:
-                if v in values:
-                    factor = factor.mul(vpow(v, e))
-            for fm, fc in factor._t.items():
+            kept = []
+            factors = []
+            for ve in m:
+                if ve[0] in values:
+                    items = powers.get(ve)
+                    if items is None:
+                        items = powers[ve] = list((values[ve[0]] ** ve[1])._t.items())
+                    factors.append(items)
+                else:
+                    kept.append(ve)
+            acc = [(tuple(kept), c)]
+            for items in factors:
+                acc = [(mono_mul(m1, m2), c1 * c2) for m1, c1 in acc for m2, c2 in items]
+            for fm, fc in acc:
                 t[fm] = get(fm, 0) + fc
         return Poly._of_sums(t)
 

@@ -15,6 +15,13 @@ child edges in canonical order.
 The assembled pullback is a weighted sum over all contributing trees
 with weights 1/|Aut|; each bracket summand stores one monomial per
 vertex.
+
+The substitution values are built as term dicts and expanded by
+`Poly.substitute`; terms past a vertex bound are dropped before the rest
+are sorted, and the summands of one tree share one `VertexTerm` per
+distinct vertex decoration.  `serialize` writes both formats directly,
+the JSON one as the bytes `json.dumps(..., indent=1)` gives for its fixed
+schema, and renders each shared `VertexTerm` once per tree.
 """
 
 from __future__ import annotations
@@ -22,11 +29,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from operator import gt, itemgetter
 
 from .excess import Contribution, all_contributions
 from .polyring import (
     Monomial,
     Poly,
+    cvar,
     lamvar,
     mono_degree,
     mono_mul,
@@ -94,38 +104,39 @@ def marking_index(t: ExtremalTree, v: int, edge) -> int:
     return incident.index(edge) + 1
 
 
-def _edge_substitution(t: ExtremalTree) -> dict:
+def _substitutions(t: ExtremalTree, max_deg: int) -> dict:
+    """The values of z_e and of c_1..c_max_deg on the tree, built as term
+    dicts."""
     subs = {}
     for (u, w), label in t.edge_label.items():
-        acc = Poly.zero()
-        for vert in (u, w):
-            if not _factor_is_rigid(t, vert):
-                m = marking_index(t, vert, (u, w))
-                acc = acc - Poly.var(psivar(m, vert))
-        subs[zvar(label)] = acc
-    return subs
-
-
-def _chern_substitution(t: ExtremalTree, max_deg: int) -> dict:
-    total = Poly.const(1)
+        # z_e -> -(psi'_e + psi''_e), no psi at a rigid end
+        subs[zvar(label)] = Poly._of({
+            ((psivar(marking_index(t, v, (u, w)), v), 1),): -1
+            for v in (u, w) if not _factor_is_rigid(t, v)
+        })
+    # (degree, monomial, coeff) of the product over leaves of genus h >= 2
+    # of (1 - lam_1 + ... +- lam_{h-1}), up to max_deg; the leaves come in
+    # ascending order, so appending their lambda keeps each monomial sorted
+    parts = [(0, (), 1)]
     for v in t.leaves():
         h = t.genera[v]
         if h >= 2:
-            factor = Poly.const(1)
-            for j in range(1, h):
-                factor = factor + Poly.const((-1) ** j) * Poly.var(lamvar(j, v))
-            total = total * factor
-    return {
-        ("c", i): total.graded_part(i) for i in range(1, max_deg + 1)
-    }
+            parts = [(d + j, m + ((lamvar(j, v), 1),) if j else m, -c if j % 2 else c)
+                     for d, m, c in parts for j in range(h) if d + j <= max_deg]
+    graded: list = [{} for _ in range(max_deg + 1)]
+    for d, m, c in parts:
+        graded[d][m] = c
+    for i in range(1, max_deg + 1):
+        subs[cvar(i)] = Poly._of(graded[i])
+    return subs
 
 
 def substitute_stratum(c: Contribution, weight=1) -> list:
     """Expand a contribution into bracket summands (coeff, vertex monos),
-    every coefficient multiplied by weight."""
+    every coefficient multiplied by weight, in the graded-lex order of the
+    expanded monomials."""
     t = c.tree
-    subs = _edge_substitution(t)
-    subs.update(_chern_substitution(t, max(c.degree, 0)))
+    subs = _substitutions(t, max(c.degree, 0))
     missing = {v for v in c.poly.variables() if v not in subs}
     if missing:
         raise StrataError("unexpected variables %r" % (missing,))
@@ -134,9 +145,8 @@ def substitute_stratum(c: Contribution, weight=1) -> list:
     # each lam/psi variable's vertex, untagged form and degree
     place = {var: (var[1], (var[0], -1) + var[2:], var_degree(var))
              for p in subs.values() for var in p.variables()}
-    vertex_terms: dict = {}
-    out = []
-    for mono, coeff in expanded.sorted_terms():
+    kept = []
+    for mono, coeff in expanded.terms.items():
         # a monomial's variables sorted by (name, vertex, index) are
         # sorted by (name, index) within each vertex once untagged
         runs: list = [[] for _ in bounds]
@@ -145,16 +155,25 @@ def substitute_stratum(c: Contribution, weight=1) -> list:
             v, name, d = place[var]
             runs[v].append((name, e))
             degrees[v] += d * e
-        if any(d > bound for d, bound in zip(degrees, bounds)):
+        if any(map(gt, degrees, bounds)):
             continue
+        kept.append(((sum(degrees), mono), coeff, runs))
+    kept.sort(key=itemgetter(0))
+    known: list = [{} for _ in bounds]  # per vertex, mono -> VertexTerm
+    scaled: dict = {}  # coeff -> weight * coeff
+    out = []
+    for _, coeff, runs in kept:
         vterms = []
         for v, run in enumerate(runs):
-            key = (v, tuple(run))
-            vt = vertex_terms.get(key)
+            m = tuple(run)
+            vt = known[v].get(m)
             if vt is None:
-                vt = vertex_terms[key] = VertexTerm(vertex=v, mono=key[1])
+                vt = known[v][m] = VertexTerm(vertex=v, mono=m)
             vterms.append(vt)
-        out.append(Summand(coeff=weight * coeff, vertex_terms=tuple(vterms)))
+        w = scaled.get(coeff)
+        if w is None:
+            w = scaled[coeff] = weight * coeff
+        out.append(Summand(coeff=w, vertex_terms=tuple(vterms)))
     return out
 
 
@@ -215,31 +234,55 @@ def check_vanishing_discipline(s: StrataExpression) -> bool:
 
 def serialize(s: StrataExpression, format: str = "json") -> bytes:
     if format == "json":
-        return _to_json_bytes(s)
+        return _json_text(s).encode("utf-8")
     if format == "admcycles-text":
         return _to_audit_text(s).encode("utf-8")
     raise StrataError("unknown format %r" % format)
 
 
-def _to_json_obj(s: StrataExpression) -> dict:
-    return {
-        "genus": s.genus,
-        "terms": [
-            {
-                "tree": term.tree.to_json(),
-                "aut": term.tree.aut_order,
-                "summands": [
-                    {"coeff": str(sm.coeff), "vertex_polys": sm.render()}
-                    for sm in term.summands
-                ],
-            }
-            for term in s.terms
-        ],
-    }
+def _rendered(summands, render):
+    """(summand, [render(vt) for each vertex term]) per summand, each
+    VertexTerm object the summands share rendered once."""
+    done: dict = {}  # by id: the summands keep every VertexTerm alive
+    for sm in summands:
+        texts = []
+        for vt in sm.vertex_terms:
+            text = done.get(id(vt))
+            if text is None:
+                text = done[id(vt)] = render(vt)
+            texts.append(text)
+        yield sm, texts
 
 
-def _to_json_bytes(s: StrataExpression) -> bytes:
-    return json.dumps(_to_json_obj(s), indent=1).encode("utf-8")
+def _json_list(items: list, indent: int) -> str:
+    """A JSON array of items that carry their own newline and indent, its
+    closing bracket at the given indent."""
+    if not items:
+        return "[]"
+    return "[%s\n%s]" % (",".join(items), " " * indent)
+
+
+def _json_text(s: StrataExpression) -> str:
+    """The text json.dumps(obj, indent=1) gives for the object
+
+        {"genus": g, "terms": [{"tree": tree.to_json(), "aut": |Aut|,
+          "summands": [{"coeff": "p/q", "vertex_polys": ["lam1", ...]}]}]}
+
+    written directly: json.dumps runs its pure-Python encoder when indent
+    is set.  A tree is dumped by json and indented by its depth."""
+    terms = []
+    for term in s.terms:
+        summands = [
+            '\n    {\n     "coeff": "%s",\n     "vertex_polys": %s\n    }'
+            % (sm.coeff, _json_list(lines, 5))
+            for sm, lines in _rendered(
+                term.summands,
+                lambda vt: "\n      " + encode_basestring_ascii(str(vt)))
+        ]
+        tree = json.dumps(term.tree.to_json(), indent=1).replace("\n", "\n   ")
+        terms.append('\n  {\n   "tree": %s,\n   "aut": %d,\n   "summands": %s\n  }'
+                     % (tree, term.tree.aut_order, _json_list(summands, 3)))
+    return '{\n "genus": %d,\n "terms": %s\n}' % (s.genus, _json_list(terms, 1))
 
 
 def parse_json(data: bytes) -> StrataExpression:
@@ -298,10 +341,8 @@ def _to_audit_text(s: StrataExpression) -> str:
         if not term.summands:
             lines.append("  class: 0")
             continue
-        for sm in term.summands:
-            lines.append(
-                "  %s * [%s]" % (sm.coeff, ", ".join(sm.render()))
-            )
+        for sm, texts in _rendered(term.summands, str):
+            lines.append("  %s * [%s]" % (sm.coeff, ", ".join(texts)))
     return "\n".join(lines) + "\n"
 
 

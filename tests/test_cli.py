@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -12,13 +13,32 @@ from torex import excess
 from torex.cli import main
 from torex.trees import ExtremalTree, enumerate_trees
 
-TRACE_CHILD = Path(__file__).resolve().parent.parent / "bench" / "trace_child.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACE_CHILD = BENCH / "trace_child.py"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def rebind_everywhere(monkeypatch, original, replacement):
+    """Rebind a function in every torex module that holds it, the way the
+    benchmark's tracer does."""
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "torex" or name.startswith("torex.")):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, replacement)
+
+
+def small_pullback_digests():
+    """{command: stdout sha256} of the small pullback commands the benchmark
+    checks."""
+    with open(BENCH / "golden.json", encoding="utf-8") as fh:
+        digests = json.load(fh)["digests"]["small"]
+    return {cmd: d for cmd, d in digests.items() if cmd.startswith("pullback ")}
 
 
 class TestTrees:
@@ -165,6 +185,50 @@ class TestPullback:
         memo.clear()
         _, b, _ = run(capsys, "pullback", "--genus", "4")
         assert a == b
+
+
+class TestPullbackOutputPath:
+    @pytest.mark.parametrize("command", sorted(small_pullback_digests()))
+    def test_bytes_match_benchmark_digest(self, capsys, monkeypatch, memo, command):
+        monkeypatch.delenv("EXCESS_CACHE_DIR", raising=False)
+        code, out, _ = run(capsys, *command.split())
+        assert code == 0
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == small_pullback_digests()[command]
+
+    def test_digests_cover_formats_and_methods(self):
+        commands = small_pullback_digests()
+        assert "pullback --genus 5 --format json" in commands
+        assert "pullback --genus 5 --format admcycles" in commands
+        assert any("--method pixton" in cmd for cmd in commands)
+
+    def test_traced_names_keep_their_shape(self, capsys, monkeypatch, memo):
+        # the benchmark measures len() of what stratum_class and serialize
+        # return and counts Poly.substitute calls
+        from torex import polyring, strata
+
+        monkeypatch.delenv("EXCESS_CACHE_DIR", raising=False)
+        lens = {"stratum_class": [], "serialize": [], "substitute": []}
+
+        def counted(name, fn, measure):
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                lens[name].append(measure(result))
+                return result
+            return wrapper
+
+        for name in ("stratum_class", "serialize"):
+            original = getattr(strata, name)
+            rebind_everywhere(monkeypatch, original, counted(name, original, len))
+        monkeypatch.setattr(polyring.Poly, "substitute",
+                            counted("substitute", polyring.Poly.substitute, lambda p: None))
+        code, out, _ = run(capsys, "pullback", "--genus", "5")
+        assert code == 0
+        terms = json.loads(out)["terms"]
+        assert len(lens["stratum_class"]) == len(terms) == 10
+        assert sum(lens["stratum_class"]) == sum(len(t["summands"]) for t in terms)
+        assert lens["serialize"] == [len(out.encode("utf-8"))]
+        assert lens["substitute"]
 
 
 class TestCacheMisses:
@@ -393,13 +457,7 @@ class TestReferencesOffCommandPath:
         def forbidden(*args, **kwargs):
             raise AssertionError("a reference ran on a command's path")
 
-        # rebind the name in every torex module that holds it
-        original = polyring.elem_sym_rewrite
-        for name, mod in list(sys.modules.items()):
-            if mod is not None and (name == "torex" or name.startswith("torex.")):
-                for key, value in list(vars(mod).items()):
-                    if value is original:
-                        monkeypatch.setattr(mod, key, forbidden)
+        rebind_everywhere(monkeypatch, polyring.elem_sym_rewrite, forbidden)
         monkeypatch.setattr(polyring.Poly, "exact_divide", forbidden)
         got = [run(capsys, *argv) for argv in self.COMMANDS]
         assert [code for code, _, _ in want] == [0] * len(self.COMMANDS)

@@ -20,6 +20,8 @@ from torex.polyring import (
     psivar,
     zvar,
 )
+from torex.excess import all_contributions
+from torex.strata import _substitutions
 
 
 def z(i):
@@ -94,6 +96,36 @@ def mono_mul_reference(a, b):
     return tuple(sorted((v, x) for v, x in exps.items() if x))
 
 
+def substitute_reference(p, values):
+    """Poly.substitute by Poly arithmetic: each term becomes a Poly and is
+    multiplied by the power of each substituted variable in turn."""
+    cache = {}
+
+    def vpow(v, e):
+        if (v, e) not in cache:
+            cache[v, e] = values[v] ** e
+        return cache[v, e]
+
+    t = {}
+    for m, c in p.terms.items():
+        # the variables left alone stay one monomial
+        factor = Poly._of({tuple(ve for ve in m if ve[0] not in values): c})
+        for v, e in m:
+            if v in values:
+                factor = factor.mul(vpow(v, e))
+        for fm, fc in factor.terms.items():
+            t[fm] = t.get(fm, 0) + fc
+    return Poly._of_sums(t)
+
+
+# values for GRADED_VARS: the zero polynomial, or polynomials in z_1 (itself
+# substituted, but not recursively), c_1 and vertex classes
+SUB_VALUES = st.one_of(
+    st.just(Poly.zero()),
+    mixed_polys(vars_=[zvar(1), cvar(1), psivar(1, 0), lamvar(2, 1)], max_terms=3),
+)
+
+
 class TestKernel:
     @settings(max_examples=60, deadline=None)
     @given(mixed_polys(), mixed_polys(), st.integers(-1, 8))
@@ -132,6 +164,33 @@ class TestKernel:
         a, b = mono(), mono()
         assert mono_mul(a, b) == mono_mul_reference(a, b)
 
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_polys(), st.dictionaries(st.sampled_from(GRADED_VARS), SUB_VALUES, max_size=4))
+    def test_substitute_matches_reference(self, p, values):
+        # partial substitutions, Fraction coefficients and zero values
+        got = p.substitute(values)
+        assert got == substitute_reference(p, values)
+        assert stored_exactly(got)
+
+    def test_substitute_cancels_to_zero(self):
+        a, b = Poly.var(psivar(1, 0)), Poly.var(psivar(2, 1))
+        p = z(1) ** 2 - z(2) ** 2 + Fraction(1, 2) * z(1) * c(2)
+        values = {zvar(1): a - b, zvar(2): b - a, cvar(2): Poly.zero()}
+        assert p.substitute(values).is_zero()
+        assert substitute_reference(p, values).is_zero()
+        # a Fraction sum that cancels to an integer is stored as int
+        q = Fraction(1, 2) * z(1) + Fraction(1, 2) * z(2)
+        got = q.substitute({zvar(1): a, zvar(2): a})
+        assert got == a and stored_exactly(got)
+
+    @pytest.mark.parametrize("g", range(2, 8))
+    def test_substitute_matches_reference_on_strata(self, g):
+        for cont in all_contributions(g).values():
+            subs = _substitutions(cont.tree, max(cont.degree, 0))
+            got = cont.poly.substitute(subs)
+            assert got == substitute_reference(cont.poly, subs), cont.tree.code
+            assert stored_exactly(got)
+
     def test_mono_mul_cancels_to_one(self):
         a = ((zvar(1), 2), (cvar(3), -1))
         assert mono_mul(a, ((zvar(1), -2), (cvar(3), 1))) == ()
@@ -153,6 +212,15 @@ class TestArith:
     def test_mul_identity(self):
         p = 3 * z(1) * z(2) - Fraction(1, 2) * c(2)
         assert p * Poly.const(1) == p
+
+    @settings(max_examples=40, deadline=None)
+    @given(mixed_polys(max_terms=3), st.integers(0, 5))
+    def test_power_is_repeated_product(self, p, n):
+        want = Poly.const(1)
+        for _ in range(n):
+            want = want * p
+        got = p ** n
+        assert got == want and stored_exactly(got)
 
     def test_line_expansion(self):
         # c(N) of a one-leaf model with two line bundles

@@ -6,18 +6,111 @@ import pytest
 from conftest import display_normal_form, tree_normal_form
 from golden_displays import GENUS4, GENUS5, GENUS6
 
-from torex.excess import all_contributions
+from torex.excess import Contribution, all_contributions
+from torex.polyring import Poly, evar, lamvar, psivar, var_degree, zvar
 from torex.strata import (
+    StrataError,
     StrataExpression,
+    Summand,
+    TreeTerm,
+    VertexTerm,
+    _factor_is_rigid,
+    _truncation_bound,
     assemble_pullback,
     check_degree_balance,
     check_vanishing_discipline,
     expression_equal,
+    marking_index,
     parse_json,
     serialize,
+    stratum_class,
     substitute_stratum,
 )
 from torex.verify import WORKED_BRACKETS
+
+
+def substitute_stratum_reference(c, weight=1):
+    """substitute_stratum by Poly arithmetic: the substitutions as sums and
+    products of Poly, graded parts by Poly.graded_part, and every expanded
+    term placed before the vertex bounds drop any."""
+    t = c.tree
+    subs = {}
+    for (u, w), label in t.edge_label.items():
+        acc = Poly.zero()
+        for vert in (u, w):
+            if not _factor_is_rigid(t, vert):
+                acc = acc - Poly.var(psivar(marking_index(t, vert, (u, w)), vert))
+        subs[zvar(label)] = acc
+    total = Poly.const(1)
+    for v in t.leaves():
+        h = t.genera[v]
+        if h >= 2:
+            factor = Poly.const(1)
+            for j in range(1, h):
+                factor = factor + Poly.const((-1) ** j) * Poly.var(lamvar(j, v))
+            total = total * factor
+    subs.update({("c", i): total.graded_part(i) for i in range(1, max(c.degree, 0) + 1)})
+    missing = {v for v in c.poly.variables() if v not in subs}
+    if missing:
+        raise StrataError("unexpected variables %r" % (missing,))
+    bounds = [_truncation_bound(t, v) for v in range(t.n_vertices)]
+    out = []
+    for mono, coeff in c.poly.substitute(subs).sorted_terms():
+        runs = [[] for _ in bounds]
+        degrees = [0] * len(bounds)
+        for var, e in mono:
+            v = var[1]
+            runs[v].append(((var[0], -1) + var[2:], e))
+            degrees[v] += var_degree(var) * e
+        if any(d > bound for d, bound in zip(degrees, bounds)):
+            continue
+        vterms = tuple(VertexTerm(vertex=v, mono=tuple(run)) for v, run in enumerate(runs))
+        out.append(Summand(coeff=weight * coeff, vertex_terms=vterms))
+    return out
+
+
+def json_obj_reference(s):
+    """The object whose json.dumps(..., indent=1) is the JSON format."""
+    return {
+        "genus": s.genus,
+        "terms": [
+            {
+                "tree": term.tree.to_json(),
+                "aut": term.tree.aut_order,
+                "summands": [
+                    {"coeff": str(sm.coeff), "vertex_polys": sm.render()}
+                    for sm in term.summands
+                ],
+            }
+            for term in s.terms
+        ],
+    }
+
+
+def audit_text_reference(s):
+    """The admcycles-text format, every vertex term rendered on its own."""
+    lines = ["genus %d, %d strata" % (s.genus, len(s.terms))]
+    for term in s.terms:
+        t = term.tree
+        vdesc = ", ".join(
+            "v%d(g=%d,n=%d)" % (v, t.genera[v], t.valence(v))
+            for v in range(t.n_vertices)
+        )
+        edesc = ", ".join("z%d=(%d-%d)" % (t.edge_label[e], e[0], e[1]) for e in t.edges())
+        lines.append("stratum %s  aut=%d" % (t.code, t.aut_order))
+        lines.append("  vertices: %s" % vdesc)
+        lines.append("  edges: %s" % edesc)
+        if not term.summands:
+            lines.append("  class: 0")
+            continue
+        for sm in term.summands:
+            lines.append("  %s * [%s]" % (sm.coeff, ", ".join(sm.render())))
+    return "\n".join(lines) + "\n"
+
+
+def assert_serialized_as_reference(expr):
+    assert serialize(expr, "json") == json.dumps(json_obj_reference(expr), indent=1).encode()
+    assert serialize(expr, "admcycles-text") == audit_text_reference(expr).encode()
 
 
 def bracket_set(g, code):
@@ -31,6 +124,23 @@ class TestSubstitution:
 
     def test_g5_first_intersection(self):
         assert bracket_set(5, "(1(0(1)(3)))") == WORKED_BRACKETS[(5, "(1(0(1)(3)))")]
+
+    @pytest.mark.parametrize("g,method", [(g, "recursion") for g in range(2, 9)]
+                             + [(g, "pixton") for g in range(2, 8)])
+    def test_matches_reference(self, g, method):
+        for code, cont in sorted(all_contributions(g, method=method).items()):
+            for weight in (1, Fraction(1, cont.tree.aut_order)):
+                got = substitute_stratum(cont, weight)
+                want = substitute_stratum_reference(cont, weight)
+                assert got == want, (code, weight)
+                assert [type(s.coeff) for s in got] == [type(s.coeff) for s in want]
+            assert stratum_class(cont, weight) == tuple(want)
+
+    def test_unexpected_variable(self):
+        cont = all_contributions(4)["(1(0(1)(2)))"]
+        bad = Contribution(tree=cont.tree, g=4, poly=cont.poly + Poly.var(evar(1)))
+        with pytest.raises(StrataError, match="unexpected variables"):
+            substitute_stratum(bad)
 
     def test_constant_contribution(self):
         cont = all_contributions(4)["(1(0(1)(2)))"]
@@ -88,6 +198,21 @@ class TestSerialization:
         again = parse_json(serialize(expr, "json"))
         assert again.genus == g
         assert expression_equal(expr, again)
+
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_matches_reference_encoders(self, g):
+        expr = assemble_pullback(g)
+        assert_serialized_as_reference(expr)
+        # parsed back, no VertexTerm object is shared between summands
+        assert_serialized_as_reference(parse_json(serialize(expr, "json")))
+
+    def test_edge_cases_match_reference_encoders(self):
+        assert_serialized_as_reference(StrataExpression(genus=5, terms=()))
+        tree = assemble_pullback(4).terms[0].tree
+        empty = StrataExpression(genus=4, terms=(TreeTerm(tree=tree, summands=()),))
+        assert_serialized_as_reference(empty)
+        assert "  class: 0\n" in serialize(empty, "admcycles-text").decode()
+        assert json.loads(serialize(empty, "json"))["terms"][0]["summands"] == []
 
     def test_empty_expression(self):
         data = serialize(StrataExpression(genus=5, terms=()), "json")
