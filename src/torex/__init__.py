@@ -20,7 +20,6 @@ from .excess import (
     all_contributions,
     base_contribution,
     pixton_contribution,
-    recursion_contribution,
     tree_contribution,
 )
 from .strata import StrataExpression, assemble_pullback, serialize, substitute_stratum

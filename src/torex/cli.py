@@ -104,8 +104,7 @@ def cmd_contribution(args) -> int:
 
 def cmd_pullback(args) -> int:
     expr = strata.assemble_pullback(args.genus, method=args.method, cache_dir=_cache_dir())
-    fmt = {"json": "json", "admcycles": "admcycles-text"}[args.format]
-    data = strata.serialize(expr, fmt)
+    data = strata.serialize(expr, args.format)
     sys.stdout.write(data.decode("utf-8"))
     return 0
 

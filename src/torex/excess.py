@@ -50,10 +50,12 @@ c_i (slot 0 the c-free part), and never expands A:
    slot[m] -= s_v * slot[m+1], after which slot i multiplies c_i again.
 
 The z-polynomials are packed (`polyring.PackedLayout`), one layout per
-genus g: fields for c_1 .. c_{g-1} and z_1 .. z_{2g-3}, each
-(g-1).bit_length() + 1 bits wide, under the Chow degree.
-`recursion_contribution` splits each cached contribution into slots as
-it reads it and joins its result back into a `Poly`, so the table of
+genus g: fields for z_1 .. z_{2g-3}, each (g-1).bit_length() + 1 bits
+wide, under the degree.  The recursion keeps each solved tree as terms
+(i, exps, coeff), coeff * c_i * prod_j z_j^exps[j-1] in the tree's own
+edge labels, and moves a smoothing's terms onto its source tree with one
+dot product of exps against the packed keys of the mapped edges.  Each
+tree's `Poly` is built once from its terms, so the table of
 contributions, the cache files and every other caller hold tuple
 `Poly`s.  The closed formula and the base case stay on tuple monomials,
 which keeps them independent references for the recursion.
@@ -65,6 +67,7 @@ import json
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from . import __version__
 from .polyring import PackedLayout, Poly, cvar, prod, zvar
@@ -129,14 +132,14 @@ def base_contribution(t: ExtremalTree, g: int) -> Contribution:
     return Contribution(tree=t, g=g, poly=series.graded_part(d))
 
 
-def recursion_contribution(t: ExtremalTree, g: int, cache: dict) -> Contribution:
-    """Solve the inductive equation for Cont_T.
+def recursion_contribution(t: ExtremalTree, g: int, solved: dict) -> list:
+    """Solve the inductive equation for Cont_T, as the recursion's terms.
 
-    cache maps canonical codes of all smoothings of t to their
-    Contributions (transported automatically through each edge map).
-    The arithmetic runs on c-slots of z-polynomials packed in the layout
-    of genus g: the cached contributions are split into slots on entry
-    and joined back on exit.
+    A term (i, exps, coeff) stands for coeff * c_i * prod_j z_j^exps[j-1]
+    in the tree's own edge labels, c_0 read as 1.  solved maps the
+    canonical code of every smoothing of t to its terms; each is moved
+    onto t's edges through the smoothing's edge map.  The arithmetic runs
+    on c-slots of z-polynomials packed in the layout of genus g.
     """
     k = _leaf_count(t, g)
     n = t.n_edges
@@ -144,24 +147,18 @@ def recursion_contribution(t: ExtremalTree, g: int, cache: dict) -> Contribution
     unit = layout.unit
     # slot i of c_{g-1} - sum over smoothings of (prod of the mapped z's)
     # * Cont_T', with the edge variables moved through the edge map
-    c_units = [0] + [unit[cvar(i)] for i in range(1, g)]
-    c_mask = sum(layout.fmask << layout.shift[cvar(i)] for i in range(1, g))
-    c_slot = {cu & c_mask: i for i, cu in enumerate(c_units)}
     slots = [{} for _ in range(g)]
     slots[g - 1][0] = 1
     for rec in smoothings(t):
-        got = cache.get(rec.target.code)
+        got = solved.get(rec.target.code)
         if got is None:
             raise MissingSmoothing(rec.target.code)
-        rename = {zvar(tgt): zvar(src) for tgt, src in rec.edge_map}
-        factor = sum(unit[zvar(src)] for _, src in rec.edge_map)
-        for key, c in layout.pack(got.poly, rename).items():
-            i = c_slot.get(key & c_mask)
-            if i is None:
-                raise ExcessError("contribution of %s, a smoothing of %s, is not linear"
-                                  " in the c's" % (rec.target.code, t.code))
+        # edge_map is sorted by target label: units[j] is the key of z_{j+1}'s image
+        units = [unit[zvar(src)] for _, src in rec.edge_map]
+        factor = sum(units)
+        for i, exps, c in got:
             slot = slots[i]
-            key += factor - c_units[i]
+            key = factor + sum(map(mul, exps, units))
             slot[key] = slot.get(key, 0) - c
     # the factors commute; shortest path first keeps the slots smaller (at
     # g = 10 the passes took 1.3 s, against 4.3 s in leaf order, in-process
@@ -174,14 +171,17 @@ def recursion_contribution(t: ExtremalTree, g: int, cache: dict) -> Contribution
              for slot in slots[:g - k]]
     # e = [c / A]: slot i is now the coefficient of c_i
     _over_leaf_factors(slots, leaves)
-    poly = {key + c_units[i]: c for i, slot in enumerate(slots) for key, c in slot.items() if c}
     d = g - 1 - n
-    if d < 0:
-        if poly:
-            raise ExcessError("tree with %d >= %d edges has nonzero class" % (n, g))
-    elif any(layout.degree(key) != d for key in poly):
-        raise ExcessError("contribution of %s not homogeneous of degree %d" % (t.code, d))
-    return Contribution(tree=t, g=g, poly=layout.unpack(poly))
+    terms = []
+    for i, slot in enumerate(slots):
+        for key, c in slot.items():
+            if c:
+                # a tree with n >= g edges (d < 0) has the zero class
+                if layout.degree(key) + i != d:
+                    raise ExcessError("contribution of %s not homogeneous of degree %d"
+                                      % (t.code, d))
+                terms.append((i, layout.exponents(key, n), c))
+    return terms
 
 
 def _times_leaf_factors(slots: list, leaves: list) -> None:
@@ -220,10 +220,10 @@ def _add_times(out: dict, p: dict, units: list, sign: int) -> None:
 
 @lru_cache(maxsize=None)
 def _layout(g: int) -> PackedLayout:
-    """The packed layout of genus g.  Every term of the recursion has Chow
-    degree at most g - 1, and a tree has at most 2g - 3 edges: at most
+    """The packed layout of genus g.  Every z-polynomial of the recursion
+    has degree at most g - 1, and a tree has at most 2g - 3 edges: at most
     g - 1 leaves, and fewer genus-0 vertices than leaves."""
-    return PackedLayout(n_z=2 * g - 3, n_c=g - 1, max_deg=g - 1)
+    return PackedLayout(n_z=2 * g - 3, max_deg=g - 1)
 
 
 def pixton_contribution(t: ExtremalTree, g: int) -> Contribution:
@@ -311,11 +311,19 @@ def all_contributions(g: int, method: str = "recursion",
 def _recursion_table(trees, g: int) -> dict:
     """The recursion's contributions of trees closed under smoothing,
     taken in order of increasing edge count: every smoothing contracts at
-    least one edge, so each tree's smoothings are in the table before it.
-    The sort is stable: canonical-code order within an edge count."""
+    least one edge, so each tree's smoothings are solved before it.  The
+    sort is stable: canonical-code order within an edge count.  The
+    solved terms stay in the recursion's form; each tree's `Poly` is
+    built once from them."""
+    zs = list(_layout(g).unit)  # z_1 .. z_{2g-3}
+    cs = [()] + [((cvar(i), 1),) for i in range(1, g)]
+    solved: dict = {}
     table: dict = {}
     for t in sorted(trees, key=lambda tree: tree.n_edges):
-        table[t.code] = recursion_contribution(t, g, table)
+        terms = solved[t.code] = recursion_contribution(t, g, solved)
+        poly = {cs[i] + tuple((v, x) for v, x in zip(zs, exps) if x): c
+                for i, exps, c in terms}
+        table[t.code] = Contribution(tree=t, g=g, poly=Poly._of(poly))
     return table
 
 

@@ -21,16 +21,15 @@ monomial is formed, so the result equals `(a * b).truncate(max_deg)`
 without ever holding the discarded terms.
 
 `PackedLayout` is a second monomial layout for the hot loops of the
-excess recursion, whose variables are only z_i and c_i and whose terms
-have Chow degree at most g - 1.  A monomial is one int: the exponents of
-c_1.. and z_1.. sit in fixed bit fields from the lowest bits up, each
-(max_deg).bit_length() + 1 bits wide, and the Chow degree sits in the
-field above them all.  A monomial product is an int addition, a degree
-is a shift, and the top bit of each field guards the exact division
-against a borrow.  Polynomials are packed with `PackedLayout.pack` on
-entry to that arithmetic and turned back into `Poly` with
-`PackedLayout.unpack` on exit; every other module, the cache and the
-JSON form see tuple monomials only.
+excess recursion, which hold z-polynomials of degree at most g - 1.  A
+monomial is one int: the exponents of z_1, z_2, .. sit in fixed bit
+fields from the lowest bits up, each (max_deg).bit_length() + 1 bits
+wide, and the degree sits in the field above them all.  A monomial
+product is an int addition, a degree is a shift, and the top bit of each
+field guards the exact division against a borrow.  The recursion builds
+its keys from `PackedLayout.unit` and reads exponents back with
+`PackedLayout.exponents`; every other module, the cache and the JSON
+form see tuple monomials only.
 """
 
 from __future__ import annotations
@@ -473,62 +472,34 @@ def det(matrix) -> Poly:
 
 
 class PackedLayout:
-    """Packed monomials in z_1..z_n_z and c_1..c_n_c of Chow degree at
-    most max_deg.
+    """Packed monomials in z_1..z_n_z of degree at most max_deg.
 
-    A monomial is one int: each exponent has its own bit field, with the
-    c fields lowest, then the z fields, and the Chow degree sits in the
-    field above them all.  A packed polynomial is a dict from such ints
-    to coefficients.  A product of monomials is an int addition and a
-    degree is a shift.  A field is max_deg.bit_length() + 1 bits wide:
-    no exponent of a term of degree <= max_deg reaches its top bit, so
-    that bit is a guard that shows a borrow in a division.  Callers keep
-    every term at degree <= max_deg, so no field overflows into the next.
+    A monomial is one int: each exponent has its own bit field, z_1
+    lowest, and the degree sits in the field above them all.  A packed
+    polynomial is a dict from such ints to coefficients.  A product of
+    monomials is an int addition and a degree is a shift.  A field is
+    max_deg.bit_length() + 1 bits wide: no exponent of a term of degree
+    <= max_deg reaches its top bit, so that bit is a guard that shows a
+    borrow in a division.  Callers keep every term at degree <= max_deg,
+    so no field overflows into the next.
     """
 
-    def __init__(self, n_z: int, n_c: int, max_deg: int):
-        width = max_deg.bit_length() + 1
-        # lowest field first in the tuple order of the variables, so that
-        # unpacking the fields in order gives a sorted monomial
-        fields = [cvar(i) for i in range(1, n_c + 1)] + [zvar(i) for i in range(1, n_z + 1)]
-        self.max_deg = max_deg
+    def __init__(self, n_z: int, max_deg: int):
+        width = self.width = max_deg.bit_length() + 1
         self.fmask = (1 << width) - 1
-        self.dshift = width * len(fields)
-        self.shift = {v: width * j for j, v in enumerate(fields)}
-        # the key of the monomial v^1, its degree included
-        self.unit = {v: (1 << s) + (var_degree(v) << self.dshift) for v, s in self.shift.items()}
-        self.guard = sum(1 << (s + width - 1) for s in self.shift.values())
+        self.dshift = width * n_z
+        # the key of the monomial z_i, its degree included
+        self.unit = {zvar(i): (1 << width * (i - 1)) + (1 << self.dshift)
+                     for i in range(1, n_z + 1)}
+        self.guard = sum(1 << width * i - 1 for i in range(1, n_z + 1))
 
     def degree(self, key: int) -> int:
         return key >> self.dshift
 
-    def pack(self, p: Poly, rename: Mapping[Variable, Variable] | None = None) -> dict:
-        """The packed terms of p, its variables first renamed (injectively)."""
-        unit = self.unit
-        try:
-            if rename:
-                unit = dict(unit)
-                unit.update({v: self.unit[w] for v, w in rename.items()})
-            out = {}
-            for m, c in p.terms.items():
-                key = 0
-                for v, e in m:
-                    key += e * unit[v]
-                out[key] = c
-        except KeyError as exc:
-            raise PolyError("variable %r is not in the packed layout" % (exc.args[0],)) from None
-        # the largest key has the largest degree
-        if out and max(out) >> self.dshift > self.max_deg:
-            raise PolyError("%s has a term above degree %d" % (p, self.max_deg))
-        return out
-
-    def unpack(self, p: dict) -> Poly:
-        shifts, fmask = self.shift.items(), self.fmask
-        t = {}
-        for key, c in p.items():
-            if c:
-                t[tuple((v, x) for v, s in shifts if (x := (key >> s) & fmask))] = c
-        return Poly._of_sums(t)
+    def exponents(self, key: int, n: int) -> tuple:
+        """The exponents of z_1 .. z_n in key."""
+        width, fmask = self.width, self.fmask
+        return tuple(key >> width * j & fmask for j in range(n))
 
     def divide(self, p: dict, m: int) -> dict:
         """Exact quotient by the monomial m; raises NotDivisible otherwise."""
@@ -539,8 +510,9 @@ class PackedLayout:
             # a guard bit cleared by the subtraction is a field that did
             q = (key | guard) - m
             if q & guard != guard:
-                raise NotDivisible("term %s not divisible by %s" % (
-                    self.unpack({key: 1}), self.unpack({m: 1})))
+                n = len(self.unit)
+                raise NotDivisible("term with z exponents %s not divisible by %s" % (
+                    self.exponents(key, n), self.exponents(m, n)))
             out[q ^ guard] = c
         return out
 

@@ -235,7 +235,7 @@ def check_vanishing_discipline(s: StrataExpression) -> bool:
 def serialize(s: StrataExpression, format: str = "json") -> bytes:
     if format == "json":
         return _json_text(s).encode("utf-8")
-    if format == "admcycles-text":
+    if format == "admcycles":
         return _to_audit_text(s).encode("utf-8")
     raise StrataError("unknown format %r" % format)
 

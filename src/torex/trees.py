@@ -146,7 +146,7 @@ class ExtremalTree:
 
     @staticmethod
     def from_code(s: str) -> "ExtremalTree":
-        return ExtremalTree(parse_code(s))
+        return _tree(parse_code(s))
 
     @staticmethod
     def star(leaf_genera) -> "ExtremalTree":
@@ -325,7 +325,7 @@ def _root_codes(g: int, max_edges: int) -> set:
 def enumerate_trees(g: int, max_edges: int) -> list:
     """All isomorphism classes of extremal trees of genus g with at most
     max_edges edges, in canonical-code order."""
-    return sorted((ExtremalTree(c) for c in _root_codes(g, max_edges)),
+    return sorted((_tree(c) for c in _root_codes(g, max_edges)),
                   key=lambda t: t.code)
 
 

@@ -125,14 +125,11 @@ def _check_graded_leaf():
 def _check_rewrite_example():
     # z2 + z3 - 3 e1 with A = (1+z1+z2)(1+z1+z3), two line bundles, through
     # the recursion's leaf passes: slot i multiplies e_i, then c_i
-    layout = PackedLayout(n_z=3, n_c=2, max_deg=2)
-    slots = [layout.pack(p) for p in (_z(2) + _z(3), Poly.const(-3), Poly.zero())]
-    leaves = [[layout.unit[zvar(i)] for i in path] for path in ((1, 2), (1, 3))]
-    excess._over_leaf_factors(slots, leaves)
-    got = sum((layout.unpack(slot) * (_c(i) if i else 1) for i, slot in enumerate(slots)),
-              Poly.zero())
-    want = -3 * _c(1) + 6 * _z(1) + 4 * _z(2) + 4 * _z(3)
-    return got == want
+    z1, z2, z3 = PackedLayout(n_z=3, max_deg=2).unit.values()
+    slots = [{z2: 1, z3: 1}, {0: -3}]
+    excess._over_leaf_factors(slots, [[z1, z2], [z1, z3]])
+    # -3 c1 + 6 z1 + 4 z2 + 4 z3
+    return slots == [{z1: 6, z2: 4, z3: 4}, {0: -3}]
 
 
 def _check_contributions():

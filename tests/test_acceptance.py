@@ -152,6 +152,6 @@ def test_criterion_10_declared_export():
         ok = ok and strata.expression_equal(expr, again)
         ok = ok and strata.check_degree_balance(expr)
         ok = ok and strata.check_vanishing_discipline(expr)
-        text = strata.serialize(expr, "admcycles-text")
+        text = strata.serialize(expr, "admcycles")
         ok = ok and text.startswith(b"genus %d" % g)
     report(10, "declared: strata export emitted for external engines", ok)

@@ -1,21 +1,19 @@
-import re
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torex import excess
 from torex.excess import (
-    ExcessError,
     MissingSmoothing,
     NotIrreducible,
     all_contributions,
     base_contribution,
     pixton_contribution,
     recursion_contribution,
+    tree_contribution,
 )
 from torex.polyring import PackedLayout, Poly, cvar, elem_sym_rewrite, evar, prod, zvar
-from torex.trees import ExtremalTree, depth, enumerate_trees, smoothings
+from torex.trees import ExtremalTree, enumerate_trees, smoothings
 from torex.verify import (
     G5_FOUR_EDGE_VALUES,
     G6_TRIPLE_INTERSECTIONS,
@@ -180,9 +178,7 @@ class TestRecursionMechanics:
     def test_excess_edge_count_vanishing(self):
         # trees with at least g edges carry the zero class
         trees = enumerate_trees(4, 5)
-        table = {}
-        for t in sorted(trees, key=depth):
-            table[t.code] = recursion_contribution(t, 4, table)
+        table = excess._recursion_table(trees, 4)
         heavy = [t for t in trees if t.n_edges >= 4]
         assert heavy
         assert all(table[t.code].poly.is_zero() for t in heavy)
@@ -207,28 +203,23 @@ class TestRecursionMechanics:
                 )
                 assert table[t.code].poly.substitute(chern) == quotient, (g, t.code)
 
-    @pytest.mark.parametrize("bad", [c(1) ** 2, c(1) * c(2)], ids=["c1^2", "c1*c2"])
-    def test_nonlinear_chern_monomial_raises(self, bad):
-        g = 6
-        t = T("(1(0(0(1)(1))(3)))")
-        table = dict(all_contributions(g))
-        target = smoothings(t)[0].target
-        table[target.code] = excess.Contribution(
-            tree=target, g=g, poly=table[target.code].poly + bad)
-        with pytest.raises(ExcessError, match=re.escape(target.code)):
-            recursion_contribution(t, g, table)
-
 
 # a layout wide enough for the random polynomials below and for the degree
 # the leaf passes add to them
-WIDE = PackedLayout(n_z=11, n_c=0, max_deg=31)
+WIDE = PackedLayout(n_z=11, max_deg=31)
+
+
+def unpacked(slot):
+    """The tuple Poly of a WIDE-packed z-polynomial."""
+    return Poly({tuple((zvar(j), x) for j, x in enumerate(WIDE.exponents(key, 11), 1) if x): c
+                 for key, c in slot.items()})
 
 
 def from_slots(slots, var):
     """sum_i slot_i * var(i), var(0) read as 1."""
     out = Poly.zero()
     for i, slot in enumerate(slots):
-        part = WIDE.unpack(slot)
+        part = unpacked(slot)
         out = out + (part * Poly.var(var(i)) if i else part)
     return out
 
@@ -347,7 +338,7 @@ class TestOracleEquivalence:
         irreducible = [t for t in enumerate_trees(g, g - 1) if t.is_irreducible()]
         assert len(irreducible) == count
         for t in irreducible:
-            assert base_contribution(t, g).poly == recursion_contribution(t, g, {}).poly, t.code
+            assert base_contribution(t, g).poly == tree_contribution(t, g).poly, t.code
 
     def test_recursion_equals_closed_formula_g8_bytes(self):
         rec = all_contributions(8, "recursion")

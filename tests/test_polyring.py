@@ -10,12 +10,10 @@ from torex.polyring import (
     NotUnitConstantTerm,
     PackedLayout,
     Poly,
-    PolyError,
     cvar,
     elem_sym_rewrite,
     evar,
     lamvar,
-    mono_degree,
     mono_mul,
     psivar,
     zvar,
@@ -340,44 +338,42 @@ class TestSeriesInverse:
         assert (p * q).truncate(max_deg) == Poly.const(1)
 
 
-PACKED_VARS = [zvar(1), zvar(2), zvar(3), cvar(1), cvar(2)]
+def packed(layout, p):
+    """The packed terms of a z-polynomial p."""
+    return {sum(e * layout.unit[v] for v, e in m): c for m, c in p.terms.items()}
 
 
 class TestPacked:
-    """The packed-monomial kernel against the tuple-monomial Poly."""
+    """The packed-monomial layout against exponent tuples and Poly."""
 
     @settings(max_examples=60, deadline=None)
-    @given(mixed_polys(vars_=PACKED_VARS, max_exp=3), st.integers(0, 3))
-    def test_pack_unpack_roundtrip(self, p, slack):
-        layout = PackedLayout(n_z=3, n_c=2, max_deg=p.degree() + slack)
-        packed = layout.pack(p)
-        assert all(layout.degree(key) == mono_degree(m)
-                   for key, m in zip(packed, p.terms))
-        back = layout.unpack(packed)
-        assert back == p and back.to_json() == p.to_json()
+    @given(st.integers(1, 5), st.integers(0, 9), st.data())
+    def test_exponents_degree_roundtrip(self, n_z, max_deg, data):
+        layout = PackedLayout(n_z=n_z, max_deg=max_deg)
+        factors = data.draw(st.lists(st.integers(1, n_z), max_size=max_deg))
+        key = sum(layout.unit[zvar(i)] for i in factors)
+        want = tuple(factors.count(i) for i in range(1, n_z + 1))
+        assert layout.exponents(key, n_z) == want
+        assert layout.degree(key) == len(factors)
+        m = data.draw(st.integers(0, n_z))
+        assert layout.exponents(key, m) == want[:m]
 
     def test_divide(self):
-        layout = PackedLayout(n_z=3, n_c=2, max_deg=6)
+        layout = PackedLayout(n_z=3, max_deg=6)
         m = z(1) * z(3) ** 2
-        [key] = layout.pack(m)
-        p = 1 + z(2) - 3 * c(2) * c(1) + z(1) ** 2
-        assert layout.unpack(layout.divide(layout.pack(p * m), key)) == p
+        [key] = packed(layout, m)
+        p = 1 + z(2) - 3 * z(2) * z(3) + z(1) ** 2
+        assert layout.divide(packed(layout, p * m), key) == packed(layout, p)
 
     @pytest.mark.parametrize("p", [z(1) * z(3) ** 2 + z(3) ** 2,  # a z missing
                                    z(1) * z(3) + z(1) * z(3) ** 2,  # a z too low
-                                   z(1) * z(3) ** 2 * c(1) - c(2)])
+                                   # z_1 missing, with a z_2 to borrow from
+                                   z(1) * z(2) * z(3) ** 2 - z(2) ** 3])
     def test_divide_not_divisible(self, p):
-        layout = PackedLayout(n_z=3, n_c=2, max_deg=6)
-        [key] = layout.pack(z(1) * z(3) ** 2)
+        layout = PackedLayout(n_z=3, max_deg=6)
+        [key] = packed(layout, z(1) * z(3) ** 2)
         with pytest.raises(NotDivisible):
-            layout.divide(layout.pack(p), key)
-
-    def test_pack_rejects_outside_layout(self):
-        # the layout holds z and c only: the recursion keeps e out of it
-        layout = PackedLayout(n_z=2, n_c=2, max_deg=3)
-        for p in (z(3), c(3), e(1), Poly.var(lamvar(1)), z(1) ** 4, c(2) ** 2):
-            with pytest.raises(PolyError):
-                layout.pack(p)
+            layout.divide(packed(layout, p), key)
 
 
 class TestElemSymRewrite:

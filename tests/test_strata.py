@@ -88,7 +88,7 @@ def json_obj_reference(s):
 
 
 def audit_text_reference(s):
-    """The admcycles-text format, every vertex term rendered on its own."""
+    """The admcycles format, every vertex term rendered on its own."""
     lines = ["genus %d, %d strata" % (s.genus, len(s.terms))]
     for term in s.terms:
         t = term.tree
@@ -110,7 +110,7 @@ def audit_text_reference(s):
 
 def assert_serialized_as_reference(expr):
     assert serialize(expr, "json") == json.dumps(json_obj_reference(expr), indent=1).encode()
-    assert serialize(expr, "admcycles-text") == audit_text_reference(expr).encode()
+    assert serialize(expr, "admcycles") == audit_text_reference(expr).encode()
 
 
 def bracket_set(g, code):
@@ -211,7 +211,7 @@ class TestSerialization:
         tree = assemble_pullback(4).terms[0].tree
         empty = StrataExpression(genus=4, terms=(TreeTerm(tree=tree, summands=()),))
         assert_serialized_as_reference(empty)
-        assert "  class: 0\n" in serialize(empty, "admcycles-text").decode()
+        assert "  class: 0\n" in serialize(empty, "admcycles").decode()
         assert json.loads(serialize(empty, "json"))["terms"][0]["summands"] == []
 
     def test_empty_expression(self):
@@ -226,7 +226,7 @@ class TestSerialization:
         assert len(obj["terms"]) == 10
 
     def test_audit_text_mentions_every_stratum(self):
-        text = serialize(assemble_pullback(4), "admcycles-text").decode()
+        text = serialize(assemble_pullback(4), "admcycles").decode()
         for term in assemble_pullback(4).terms:
             assert term.tree.code in text
 

@@ -229,6 +229,15 @@ class TestSmoothings:
         again = {r.target.code: r.target for r in smoothings(t)}
         assert all(first[code] is again[code] for code in first)
 
+    def test_targets_are_the_enumerated_trees(self):
+        # one ExtremalTree per canonical code: enumeration, parsing and
+        # smoothing hand out the same object
+        trees = {t.code: t for t in enumerate_trees(6, 5)}
+        for t in trees.values():
+            assert ExtremalTree.from_code(t.code) is t
+            for r in smoothings(t):
+                assert r.target is trees[r.target.code], (t.code, r.target.code)
+
     def test_depth_one_pair(self):
         t = ExtremalTree.from_code("(1(0(1)(2)))")
         records = smoothings(t)
