@@ -87,7 +87,7 @@ def cmd_contribution(args) -> int:
     if tree.code not in tree_codes(g, g - 1):
         print("tree %s does not contribute for genus %d" % (tree.code, g), file=sys.stderr)
         return 1
-    values = {method: str(tree_contribution(tree, g, method).poly) for method in methods}
+    values = {method: str(tree_contribution(tree, method).poly) for method in methods}
     match = len(set(values.values())) == 1
     if args.format == "json":
         out = {"tree": tree.code, "genus": g, "contribution": values}
@@ -105,7 +105,9 @@ def cmd_contribution(args) -> int:
 def cmd_pullback(args) -> int:
     expr = strata.assemble_pullback(args.genus, method=args.method, cache_dir=_cache_dir())
     data = strata.serialize(expr, args.format)
-    sys.stdout.write(data.decode("utf-8"))
+    # the bytes go out as they are, not decoded into a second copy
+    sys.stdout.flush()
+    sys.stdout.buffer.write(data)
     return 0
 
 

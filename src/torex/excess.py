@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
@@ -86,28 +87,16 @@ class MissingSmoothing(ExcessError):
     pass
 
 
-def _leaf_count(t: ExtremalTree, g: int) -> int:
-    """The number k of leaves of a tree of genus g; a tree has at most
-    g - 1 of them."""
-    if t.genus != g:
-        raise ExcessError("tree has genus %d, expected %d" % (t.genus, g))
-    k = len(t.leaves())
-    if k > g - 1:
-        raise ExcessError("more leaves than g-1")
-    return k
-
-
 @dataclass(frozen=True)
 class Contribution:
     """Cont_T in the edge variables z_e and formal Chern classes c_i."""
 
     tree: ExtremalTree
-    g: int
     poly: Poly
 
     @property
     def degree(self) -> int:
-        return self.g - 1 - self.tree.n_edges
+        return self.tree.genus - 1 - self.tree.n_edges
 
     def __str__(self) -> str:
         return str(self.poly)
@@ -120,28 +109,29 @@ def _formal_total_class(max_deg: int) -> Poly:
     return out
 
 
-def base_contribution(t: ExtremalTree, g: int) -> Contribution:
+def base_contribution(t: ExtremalTree) -> Contribution:
     """Excess class of an irreducible component, in (Z, c(N)) form."""
     if not t.is_irreducible():
         raise NotIrreducible(t.code)
-    d = g - 1 - _leaf_count(t, g)
+    d = t.genus - 1 - len(t.leaves())
     denom = prod(
         (Poly.const(1) + Poly.var(zvar(i)) for i in range(1, t.n_edges + 1))
     )
     series = _formal_total_class(d).mul(denom.series_inverse(d), d)
-    return Contribution(tree=t, g=g, poly=series.graded_part(d))
+    return Contribution(tree=t, poly=series.graded_part(d))
 
 
-def recursion_contribution(t: ExtremalTree, g: int, solved: dict) -> list:
+def recursion_contribution(t: ExtremalTree, solved: dict) -> list:
     """Solve the inductive equation for Cont_T, as the recursion's terms.
 
     A term (i, exps, coeff) stands for coeff * c_i * prod_j z_j^exps[j-1]
     in the tree's own edge labels, c_0 read as 1.  solved maps the
     canonical code of every smoothing of t to its terms; each is moved
     onto t's edges through the smoothing's edge map.  The arithmetic runs
-    on c-slots of z-polynomials packed in the layout of genus g.
+    on c-slots of z-polynomials packed in the layout of t's genus g.
     """
-    k = _leaf_count(t, g)
+    g = t.genus
+    k = len(t.leaves())
     n = t.n_edges
     layout = _layout(g)
     unit = layout.unit
@@ -226,8 +216,9 @@ def _layout(g: int) -> PackedLayout:
     return PackedLayout(n_z=2 * g - 3, max_deg=g - 1)
 
 
-def pixton_contribution(t: ExtremalTree, g: int) -> Contribution:
-    """Closed formula for Cont_T via the Taylor-part expansion.
+def pixton_contribution(t: ExtremalTree) -> Contribution:
+    """Closed formula for Cont_T, t of genus g, via the Taylor-part
+    expansion.
 
     The numerator prod_v (1 + s_v)^(val(v)-2), s_v the sum of the z's on
     the path of v, is formed only as far as its Taylor part by prod_e z_e,
@@ -243,11 +234,11 @@ def pixton_contribution(t: ExtremalTree, g: int) -> Contribution:
         no remaining factor's path, or if its degree plus the number of
         edges it lacks exceeds g - 1.
     """
-    k = _leaf_count(t, g)
+    g = t.genus
     n = t.n_edges
     d = g - 1 - n
     if d < 0:
-        return Contribution(tree=t, g=g, poly=Poly.zero())
+        return Contribution(tree=t, poly=Poly.zero())
     top = g - 1  # numerator degree needed before dividing by prod z_e
     factors = [(t.path_labels(v), t.valence(v) - 2) for v in range(t.n_vertices)]
     factors = [(path, e) for path, e in factors if path and e]
@@ -268,12 +259,12 @@ def pixton_contribution(t: ExtremalTree, g: int) -> Contribution:
         num = Poly({m: c for m, c in num.terms.items()
                     if sum(x for _, x in m) + n - len(m) <= top
                     and needed.issubset([v for v, _ in m])})
-    if k % 2:
+    if len(t.leaves()) % 2:
         num = -num
     all_edges = tuple(sorted((zvar(i), 1) for i in range(1, n + 1)))
     taylor = num.taylor_part(all_edges).truncate(d)
     poly = (taylor * _formal_total_class(d)).graded_part(d)
-    return Contribution(tree=t, g=g, poly=poly)
+    return Contribution(tree=t, poly=poly)
 
 
 def all_contributions(g: int, method: str = "recursion",
@@ -291,7 +282,7 @@ def all_contributions(g: int, method: str = "recursion",
     got = _MEMO.get(memo_key)
     if got is not None:
         if cache_dir and not os.path.exists(_cache_path(cache_dir, g, method)):
-            _cache_store(cache_dir, g, method, got)
+            _store_or_warn(cache_dir, g, method, got)
         return dict(got)
     cached = _cache_load(cache_dir, g, method)
     if cached is not None:
@@ -299,40 +290,40 @@ def all_contributions(g: int, method: str = "recursion",
         return dict(cached)
     trees = enumerate_trees(g, g - 1)
     if method == "pixton":
-        table = {t.code: pixton_contribution(t, g) for t in trees}
+        table = {t.code: pixton_contribution(t) for t in trees}
     else:
         table = _recursion_table(trees, g)
     out = {t.code: table[t.code] for t in trees}
     _MEMO[memo_key] = out
-    _cache_store(cache_dir, g, method, out)
+    _store_or_warn(cache_dir, g, method, out)
     return dict(out)
 
 
 def _recursion_table(trees, g: int) -> dict:
-    """The recursion's contributions of trees closed under smoothing,
-    taken in order of increasing edge count: every smoothing contracts at
-    least one edge, so each tree's smoothings are solved before it.  The
-    sort is stable: canonical-code order within an edge count.  The
-    solved terms stay in the recursion's form; each tree's `Poly` is
-    built once from them."""
+    """The recursion's contributions of trees of genus g closed under
+    smoothing, taken in order of increasing edge count: every smoothing
+    contracts at least one edge, so each tree's smoothings are solved
+    before it.  The sort is stable: canonical-code order within an edge
+    count.  The solved terms stay in the recursion's form; each tree's
+    `Poly` is built once from them."""
     zs = list(_layout(g).unit)  # z_1 .. z_{2g-3}
     cs = [()] + [((cvar(i), 1),) for i in range(1, g)]
     solved: dict = {}
     table: dict = {}
     for t in sorted(trees, key=lambda tree: tree.n_edges):
-        terms = solved[t.code] = recursion_contribution(t, g, solved)
+        terms = solved[t.code] = recursion_contribution(t, solved)
         poly = {cs[i] + tuple((v, x) for v, x in zip(zs, exps) if x): c
                 for i, exps, c in terms}
-        table[t.code] = Contribution(tree=t, g=g, poly=Poly._of(poly))
+        table[t.code] = Contribution(tree=t, poly=Poly._of(poly))
     return table
 
 
-def tree_contribution(t: ExtremalTree, g: int, method: str = "recursion") -> Contribution:
+def tree_contribution(t: ExtremalTree, method: str = "recursion") -> Contribution:
     """Cont_T of one tree, with no table of the other trees: the closed
     formula for t alone, or the recursion over t and the trees it
     smooths to."""
     if method == "pixton":
-        return pixton_contribution(t, g)
+        return pixton_contribution(t)
     if method != "recursion":
         raise ExcessError("unknown method %r" % method)
     closure = {t.code: t}
@@ -342,7 +333,7 @@ def tree_contribution(t: ExtremalTree, g: int, method: str = "recursion") -> Con
             if rec.target.code not in closure:
                 closure[rec.target.code] = rec.target
                 todo.append(rec.target)
-    return _recursion_table(closure.values(), g)[t.code]
+    return _recursion_table(closure.values(), t.genus)[t.code]
 
 
 _MEMO: dict = {}
@@ -375,11 +366,12 @@ def _cache_load(cache_dir, g, method):
         out = {}
         for entry in data["contributions"]:
             t = ExtremalTree.from_code(entry["code"])
-            cont = Contribution(tree=t, g=g, poly=Poly.from_json(entry["poly"]))
+            cont = Contribution(tree=t, poly=Poly.from_json(entry["poly"]))
             if not _has_contribution_shape(cont):
                 return None
             out[t.code] = cont
-    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError, TreeError):
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError, TreeError,
+            RecursionError):
         return None
     if len(out) != len(data["contributions"]) or set(out) != tree_codes(g, g - 1):
         return None
@@ -409,6 +401,15 @@ def _has_contribution_shape(cont: Contribution) -> bool:
         if degree != d:
             return False
     return True
+
+
+def _store_or_warn(cache_dir, g, method, table) -> None:
+    """Store the table; a cache that cannot be written is warned about on
+    stderr, and the run goes on as if no cache were set."""
+    try:
+        _cache_store(cache_dir, g, method, table)
+    except OSError as exc:
+        print("warning: contribution cache not written: %s" % exc, file=sys.stderr)
 
 
 def _cache_store(cache_dir, g, method, table) -> None:

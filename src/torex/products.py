@@ -66,9 +66,6 @@ class Partition:
     def __len__(self) -> int:
         return len(self.parts)
 
-    def __str__(self) -> str:
-        return "(" + ",".join(str(p) for p in self.parts) + ")"
-
 
 @dataclass(frozen=True)
 class RefinementComponent:
@@ -81,10 +78,6 @@ class RefinementComponent:
     sigma: Partition
     cells: tuple
     excess_bundle: tuple
-
-    def __str__(self) -> str:
-        bundle = " + ".join("E%d*E%d" % ab for ab in self.excess_bundle)
-        return "sigma=%s excess=[%s]" % (self.sigma, bundle or "0")
 
 
 def _matrices(rows: tuple, cols: tuple):

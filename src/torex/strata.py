@@ -14,14 +14,12 @@ child edges in canonical order.
 
 The assembled pullback is a weighted sum over all contributing trees
 with weights 1/|Aut|; each bracket summand stores one monomial per
-vertex.
+vertex, in vertex order.
 
 The substitution values are built as term dicts and expanded by
 `Poly.substitute`; terms past a vertex bound are dropped before the rest
-are sorted, and the summands of one tree share one `VertexTerm` per
-distinct vertex decoration.  `serialize` writes both formats directly,
-the JSON one as the bytes `json.dumps(..., indent=1)` gives for its fixed
-schema, and renders each shared `VertexTerm` once per tree.
+are sorted.  `serialize` writes both formats directly, the JSON one as
+the bytes `json.dumps(..., indent=1)` gives for its fixed schema.
 """
 
 from __future__ import annotations
@@ -53,23 +51,12 @@ class StrataError(Exception):
 
 
 @dataclass(frozen=True)
-class VertexTerm:
-    """One vertex's decoration inside a bracket summand."""
-
-    vertex: int
-    mono: Monomial  # in untagged lam/psi variables
-
-    def __str__(self) -> str:
-        return mono_str(self.mono)
-
-
-@dataclass(frozen=True)
 class Summand:
     coeff: Fraction
-    vertex_terms: tuple  # one VertexTerm per vertex, in vertex order
+    monos: tuple  # one monomial in untagged lam/psi variables per vertex
 
     def render(self) -> list:
-        return [str(vt) for vt in self.vertex_terms]
+        return [mono_str(m) for m in self.monos]
 
 
 @dataclass(frozen=True)
@@ -159,21 +146,16 @@ def substitute_stratum(c: Contribution, weight=1) -> list:
             continue
         kept.append(((sum(degrees), mono), coeff, runs))
     kept.sort(key=itemgetter(0))
-    known: list = [{} for _ in bounds]  # per vertex, mono -> VertexTerm
+    # equal monomials share one object, which serialize renders once
+    known: dict = {}
     scaled: dict = {}  # coeff -> weight * coeff
     out = []
     for _, coeff, runs in kept:
-        vterms = []
-        for v, run in enumerate(runs):
-            m = tuple(run)
-            vt = known[v].get(m)
-            if vt is None:
-                vt = known[v][m] = VertexTerm(vertex=v, mono=m)
-            vterms.append(vt)
+        monos = tuple(known.setdefault(m, m) for m in map(tuple, runs))
         w = scaled.get(coeff)
         if w is None:
             w = scaled[coeff] = weight * coeff
-        out.append(Summand(coeff=w, vertex_terms=tuple(vterms)))
+        out.append(Summand(coeff=w, monos=monos))
     return out
 
 
@@ -205,7 +187,7 @@ def check_degree_balance(s: StrataExpression) -> bool:
     for term in s.terms:
         n = term.tree.n_edges
         for sm in term.summands:
-            deco = sum(mono_degree(vt.mono) for vt in sm.vertex_terms)
+            deco = sum(map(mono_degree, sm.monos))
             if n + deco != s.genus - 1:
                 return False
     return True
@@ -217,12 +199,11 @@ def check_vanishing_discipline(s: StrataExpression) -> bool:
     for term in s.terms:
         t = term.tree
         for sm in term.summands:
-            for vt in sm.vertex_terms:
-                v = vt.vertex
-                for var, _ in vt.mono:
+            for v, mono in enumerate(sm.monos):
+                for var, _ in mono:
                     if var[0] == "lam" and t.genera[v] <= 1:
                         return False
-                    if _factor_is_rigid(t, v) and vt.mono:
+                    if _factor_is_rigid(t, v) and mono:
                         return False
     return True
 
@@ -241,15 +222,15 @@ def serialize(s: StrataExpression, format: str = "json") -> bytes:
 
 
 def _rendered(summands, render):
-    """(summand, [render(vt) for each vertex term]) per summand, each
-    VertexTerm object the summands share rendered once."""
-    done: dict = {}  # by id: the summands keep every VertexTerm alive
+    """(summand, [render(mono) for each vertex monomial]) per summand,
+    each monomial object the summands share rendered once."""
+    done: dict = {}  # by id: the summands keep every monomial alive
     for sm in summands:
         texts = []
-        for vt in sm.vertex_terms:
-            text = done.get(id(vt))
+        for m in sm.monos:
+            text = done.get(id(m))
             if text is None:
-                text = done[id(vt)] = render(vt)
+                text = done[id(m)] = render(m)
             texts.append(text)
         yield sm, texts
 
@@ -277,7 +258,7 @@ def _json_text(s: StrataExpression) -> str:
             % (sm.coeff, _json_list(lines, 5))
             for sm, lines in _rendered(
                 term.summands,
-                lambda vt: "\n      " + encode_basestring_ascii(str(vt)))
+                lambda m: "\n      " + encode_basestring_ascii(mono_str(m)))
         ]
         tree = json.dumps(term.tree.to_json(), indent=1).replace("\n", "\n   ")
         terms.append('\n  {\n   "tree": %s,\n   "aut": %d,\n   "summands": %s\n  }'
@@ -290,16 +271,12 @@ def parse_json(data: bytes) -> StrataExpression:
     terms = []
     for entry in obj["terms"]:
         tree = ExtremalTree.from_code(entry["tree"]["code"])
-        summands = []
-        for sm in entry["summands"]:
-            vterms = tuple(
-                VertexTerm(vertex=v, mono=parse_vertex_mono(text))
-                for v, text in enumerate(sm["vertex_polys"])
-            )
-            summands.append(
-                Summand(coeff=Fraction(sm["coeff"]), vertex_terms=vterms)
-            )
-        terms.append(TreeTerm(tree=tree, summands=tuple(summands)))
+        summands = tuple(
+            Summand(coeff=Fraction(sm["coeff"]),
+                    monos=tuple(map(parse_vertex_mono, sm["vertex_polys"])))
+            for sm in entry["summands"]
+        )
+        terms.append(TreeTerm(tree=tree, summands=summands))
     return StrataExpression(genus=obj["genus"], terms=tuple(terms))
 
 
@@ -341,7 +318,7 @@ def _to_audit_text(s: StrataExpression) -> str:
         if not term.summands:
             lines.append("  class: 0")
             continue
-        for sm, texts in _rendered(term.summands, str):
+        for sm, texts in _rendered(term.summands, mono_str):
             lines.append("  %s * [%s]" % (sm.coeff, ", ".join(texts)))
     return "\n".join(lines) + "\n"
 
@@ -354,6 +331,6 @@ def _normal_form(s: StrataExpression) -> dict:
     out: dict = {}
     for term in s.terms:
         for sm in term.summands:
-            key = (term.tree.code, tuple(vt.mono for vt in sm.vertex_terms))
+            key = (term.tree.code, sm.monos)
             out[key] = out.get(key, Fraction(0)) + sm.coeff
     return {k: v for k, v in out.items() if v}

@@ -101,14 +101,12 @@ class ExtremalTree:
         "parent",
         "children",
         "edge_label",
-        "code_struct",
         "code",
         "aut_order",
     )
 
     def __init__(self, code: Code):
         _validate_code(code)
-        self.code_struct = code
         self.code = _code_str(code)
         self.aut_order = _code_aut(code)
         genera = []
@@ -146,7 +144,11 @@ class ExtremalTree:
 
     @staticmethod
     def from_code(s: str) -> "ExtremalTree":
-        return _tree(parse_code(s))
+        # parsing, and building a tree that parsed, recurse once per level
+        try:
+            return _tree(parse_code(s))
+        except RecursionError:
+            raise TreeError("tree code nested too deeply") from None
 
     @staticmethod
     def star(leaf_genera) -> "ExtremalTree":
@@ -278,16 +280,16 @@ def _subtree_codes(h: int, edge_budget: int) -> tuple:
     out = [(h, ())] if h >= 1 else []
     if h >= 2 and edge_budget >= 2:
         # genus-0 vertex with >= 2 child subtrees of total genus h
-        for kids in _child_multisets(h, edge_budget, None, 2):
+        for kids in _child_multisets(h, edge_budget, 2):
             out.append((0, kids))
     return tuple(sorted(set(out)))
 
 
-def _child_multisets(h: int, edge_budget: int, max_code, min_children: int) -> list:
+def _child_multisets(h: int, edge_budget: int, min_children: int) -> list:
     """Non-increasing tuples of subtree codes with genera summing to h.
 
     Each child consumes its own edges plus the edge joining it to the
-    parent.  max_code bounds the first element (for canonical ordering).
+    parent.
     """
     results = []
 
@@ -309,7 +311,7 @@ def _child_multisets(h: int, edge_budget: int, max_code, min_children: int) -> l
                 rec(remaining - h1, budget - cost, sub, count + 1, acc)
                 acc.pop()
 
-    rec(h, edge_budget, max_code, 0, [])
+    rec(h, edge_budget, None, 0, [])
     return results
 
 
@@ -319,7 +321,7 @@ def _root_codes(g: int, max_edges: int) -> set:
     if max_edges < 1:
         raise TreeError("max_edges must be >= 1")
     return {(1, tuple(sorted(kids)))
-            for kids in _child_multisets(g - 1, max_edges, None, 1)}
+            for kids in _child_multisets(g - 1, max_edges, 1)}
 
 
 def enumerate_trees(g: int, max_edges: int) -> list:

@@ -178,7 +178,7 @@ def _check_pullback_weights():
     ok_g = (
         len(g_term.summands) == 1
         and g_term.summands[0].coeff == Fraction(1, 120)
-        and all(str(vt) == "1" for vt in g_term.summands[0].vertex_terms)
+        and all(m == () for m in g_term.summands[0].monos)
     )
     ten = len(strata.assemble_pullback(5).terms) == 10
     return ok_g and ten

@@ -87,6 +87,6 @@ def tree_normal_form(expr: StrataExpression, code: str) -> dict:
         if term.tree.code != code:
             continue
         for sm in term.summands:
-            key = tuple(vt.mono for vt in sm.vertex_terms)
+            key = sm.monos
             out[key] = out.get(key, Fraction(0)) + sm.coeff
     return {k: v for k, v in out.items() if v}

@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import sys
@@ -15,6 +16,11 @@ from torex.trees import ExtremalTree, enumerate_trees
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TRACE_CHILD = BENCH / "trace_child.py"
+
+# a code nested past the interpreter's recursion limit, and a well-formed
+# tree that parses but is too deep to build
+DEEP_CODE = "(1" * 1500 + ")" * 1500
+DEEP_TREE = "(1" + "(0" * 500 + "(1)(1)" + ")(1)" * 500 + ")"
 
 
 def run(capsys, *argv):
@@ -88,16 +94,16 @@ class TestContribution:
         closed = excess.pixton_contribution
         calls = []
 
-        def counted(t, g):
-            calls.append((t.code, g))
-            return closed(t, g)
+        def counted(t):
+            calls.append((t.code, t.genus))
+            return closed(t)
 
         monkeypatch.setattr(excess, "pixton_contribution", counted)
         code, out, _ = run(capsys, "contribution", "--genus", "9", "--tree", tree,
                            "--method", "pixton")
         assert code == 0
         assert calls == [(tree, 9)]
-        assert json.loads(out)["contribution"]["pixton"] == str(closed(ExtremalTree.from_code(tree), 9).poly)
+        assert json.loads(out)["contribution"]["pixton"] == str(closed(ExtremalTree.from_code(tree)).poly)
 
     @pytest.mark.parametrize("g", (6, 7))
     def test_tree_matches_full_table(self, capsys, g):
@@ -135,11 +141,11 @@ class TestContribution:
         wrong = "(1(0(1)(3)))"
         closed = excess.pixton_contribution
 
-        def broken(t, g):
-            got = closed(t, g)
+        def broken(t):
+            got = closed(t)
             if t.code != wrong:
                 return got
-            return excess.Contribution(tree=t, g=g, poly=got.poly + Poly.const(1))
+            return excess.Contribution(tree=t, poly=got.poly + Poly.const(1))
 
         monkeypatch.setattr(excess, "pixton_contribution", broken)
         code, out, err = run(capsys, "contribution", "--genus", "5", "--method", "both")
@@ -195,6 +201,20 @@ class TestPullbackOutputPath:
         assert code == 0
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digest == small_pullback_digests()[command]
+
+    def test_writes_the_bytes_once(self, monkeypatch, memo):
+        # the serialized bytes go to stdout's byte layer, not through its
+        # text layer
+        class NoText(io.TextIOWrapper):
+            def write(self, text):
+                raise AssertionError("text written to stdout")
+
+        stdout = NoText(io.BytesIO(), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.delenv("EXCESS_CACHE_DIR", raising=False)
+        assert main(["pullback", "--genus", "4"]) == 0
+        digest = hashlib.sha256(stdout.buffer.getvalue()).hexdigest()
+        assert digest == "007af957dda7507605b779a6eab31bdabadddea7f65b7ef61f5086b0fa3f9325"
 
     def test_digests_cover_formats_and_methods(self):
         commands = small_pullback_digests()
@@ -282,7 +302,16 @@ class TestCacheMisses:
     def test_wrong_type(self, capsys, monkeypatch, tmp_path, uncached):
         assert self.cached_run(capsys, monkeypatch, tmp_path, [1, 2]) == uncached
 
-    @pytest.mark.parametrize("field,value", [("poly", [["1/0", []]]), ("code", "(((")])
+    def test_nested_too_deeply(self, capsys, monkeypatch, tmp_path, uncached):
+        deep = "[" * 100000 + "]" * 100000
+        assert self.cached_run(capsys, monkeypatch, tmp_path, deep) == uncached
+
+    @pytest.mark.parametrize("field,value", [
+        ("poly", [["1/0", []]]),
+        ("code", "((("),
+        pytest.param("code", DEEP_CODE, id="code-DEEP_CODE"),
+        pytest.param("code", DEEP_TREE, id="code-DEEP_TREE"),
+    ])
     def test_bad_entry(self, capsys, monkeypatch, tmp_path, uncached, field, value):
         data = self.valid_file(tmp_path, monkeypatch, capsys)
         data["contributions"][0][field] = value
@@ -314,6 +343,12 @@ class TestCacheMisses:
         assert self.cached_run(capsys, monkeypatch, tmp_path, data) == uncached
         data = self.valid_file(tmp_path, monkeypatch, capsys)
         data["contributions"].append({"code": "(1(5))", "poly": [["1", []]]})
+        assert self.cached_run(capsys, monkeypatch, tmp_path, data) == uncached
+        # a well-shaped entry of genus 4 in place of the genus-5 tree (1(4)):
+        # only the tree set ties the entries to the header's genus
+        data = self.valid_file(tmp_path, monkeypatch, capsys)
+        entry = next(e for e in data["contributions"] if e["code"] == "(1(4))")
+        entry.update(code="(1(3))", poly=[["1", [[["c", 2], 1]]]])
         assert self.cached_run(capsys, monkeypatch, tmp_path, data) == uncached
 
     # each breaks the shape of the degree 3 class of the one-edge tree
@@ -349,6 +384,16 @@ class TestCacheMisses:
         assert out == uncached
         assert path.read_bytes() == before
         assert path.stat().st_mtime_ns == 10**9
+
+    def test_unwritable_cache_is_a_warning(self, capsys, monkeypatch, tmp_path, uncached):
+        not_a_dir = tmp_path / "cache"
+        not_a_dir.write_text("")
+        monkeypatch.setenv("EXCESS_CACHE_DIR", str(not_a_dir))
+        code, out, err = run(capsys, "pullback", "--genus", "5")
+        assert code == 0 and out == uncached
+        assert err.startswith("warning: contribution cache not written: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not_a_dir.read_text() == ""
 
     def test_failed_write_keeps_old_file(self, monkeypatch, tmp_path):
         path = tmp_path / self.PATH
@@ -487,6 +532,10 @@ class TestUsage:
         ["trees", "--genus", "4", "--max-edges", "0"],
         ["contribution", "--genus", "4", "--tree", "((("],
         ["contribution", "--genus", "4", "--tree", "(-)"],
+        pytest.param(["contribution", "--genus", "4", "--tree", DEEP_CODE],
+                     id="contribution --genus 4 --tree DEEP_CODE"),
+        pytest.param(["contribution", "--genus", "4", "--tree", DEEP_TREE],
+                     id="contribution --genus 4 --tree DEEP_TREE"),
         ["pullback", "--genus", "4", "--jobs", "0"],
         ["contribution", "--genus", "4", "--jobs", "-1"],
         ["constants", "--genus", "0"],

@@ -68,7 +68,7 @@ class TestBaseContribution:
     def test_expected_codimension_star(self):
         for g in range(3, 7):
             t = ExtremalTree.star([1] * (g - 1))
-            assert base_contribution(t, g).poly == Poly.const(1)
+            assert base_contribution(t).poly == Poly.const(1)
 
     def test_single_leaf_matches_series(self):
         for g in range(3, 7):
@@ -77,15 +77,15 @@ class TestBaseContribution:
                 (sum((c(i) for i in range(1, g - 1)), Poly.const(1)))
                 * (1 + z(1)).series_inverse(g - 2)
             ).graded_part(g - 2)
-            assert base_contribution(t, g).poly == want
+            assert base_contribution(t).poly == want
 
     def test_two_leaf_degree_one(self):
         t = T("(1(1)(2))")
-        assert base_contribution(t, 4).poly == c(1) - z(1) - z(2)
+        assert base_contribution(t).poly == c(1) - z(1) - z(2)
 
     def test_rejects_reducible(self):
         with pytest.raises(NotIrreducible):
-            base_contribution(T("(1(0(1)(2)))"), 4)
+            base_contribution(T("(1(0(1)(2)))"))
 
     def test_builds_no_packed_layout(self, monkeypatch):
         # the third oracle stays independent of the recursion's packed model
@@ -98,10 +98,10 @@ class TestBaseContribution:
 
         monkeypatch.setattr(excess, "_layout", no_layout)
         with pytest.raises(AssertionError, match="_layout"):
-            recursion_contribution(irreducible[0], g, {})
+            recursion_contribution(irreducible[0], {})
         assert len(irreducible) == 7
         for t in irreducible:
-            assert base_contribution(t, g).poly == table[t.code].poly, t.code
+            assert base_contribution(t).poly == table[t.code].poly, t.code
 
 
 WORKED = {code: (g, want) for g, code, want in WORKED_CONTRIBUTIONS}
@@ -166,7 +166,7 @@ class TestWorkedExamples:
 class TestRecursionMechanics:
     def test_missing_smoothing_raises(self):
         with pytest.raises(MissingSmoothing):
-            recursion_contribution(T("(1(0(1)(2)))"), 4, {})
+            recursion_contribution(T("(1(0(1)(2)))"), {})
 
     def test_contributions_homogeneous(self):
         for g in (4, 5, 6):
@@ -277,19 +277,19 @@ class TestClosedFormula:
     def test_star_is_one(self):
         for g in range(3, 7):
             t = ExtremalTree.star([1] * (g - 1))
-            assert pixton_contribution(t, g).poly == Poly.const(1)
+            assert pixton_contribution(t).poly == Poly.const(1)
 
     def test_mixed_tree_g6(self):
         g, want = WORKED["(1(0(1)(3))(1))"]
-        assert pixton_contribution(T("(1(0(1)(3))(1))"), g).poly == want
+        assert pixton_contribution(T("(1(0(1)(3))(1))")).poly == want
 
     def test_four_leaf_g6(self):
         g, want = WORKED["(1(0(1)(1)(1)(2)))"]
-        assert pixton_contribution(T("(1(0(1)(1)(1)(2)))"), g).poly == want
+        assert pixton_contribution(T("(1(0(1)(1)(1)(2)))")).poly == want
 
     def test_heavy_tree_vanishes(self):
         t = T("(1(0(0(1)(1))(1)))")  # genus 4, five edges
-        assert pixton_contribution(t, 4).poly.is_zero()
+        assert pixton_contribution(t).poly.is_zero()
 
 
 def closed_formula_unpruned(t, g):
@@ -322,7 +322,7 @@ class TestOracleEquivalence:
         # the prune keeps every term the Taylor part and truncation keep
         for t in enumerate_trees(g, g - 1):
             want = closed_formula_unpruned(t, g).to_json()
-            assert pixton_contribution(t, g).poly.to_json() == want, t.code
+            assert pixton_contribution(t).poly.to_json() == want, t.code
 
     @pytest.mark.parametrize("g", range(2, 8))
     def test_recursion_equals_closed_formula(self, g):
@@ -338,7 +338,7 @@ class TestOracleEquivalence:
         irreducible = [t for t in enumerate_trees(g, g - 1) if t.is_irreducible()]
         assert len(irreducible) == count
         for t in irreducible:
-            assert base_contribution(t, g).poly == tree_contribution(t, g).poly, t.code
+            assert base_contribution(t).poly == tree_contribution(t).poly, t.code
 
     def test_recursion_equals_closed_formula_g8_bytes(self):
         rec = all_contributions(8, "recursion")

@@ -13,7 +13,6 @@ from torex.strata import (
     StrataExpression,
     Summand,
     TreeTerm,
-    VertexTerm,
     _factor_is_rigid,
     _truncation_bound,
     assemble_pullback,
@@ -64,8 +63,7 @@ def substitute_stratum_reference(c, weight=1):
             degrees[v] += var_degree(var) * e
         if any(d > bound for d, bound in zip(degrees, bounds)):
             continue
-        vterms = tuple(VertexTerm(vertex=v, mono=tuple(run)) for v, run in enumerate(runs))
-        out.append(Summand(coeff=weight * coeff, vertex_terms=vterms))
+        out.append(Summand(coeff=weight * coeff, monos=tuple(map(tuple, runs))))
     return out
 
 
@@ -138,9 +136,15 @@ class TestSubstitution:
 
     def test_unexpected_variable(self):
         cont = all_contributions(4)["(1(0(1)(2)))"]
-        bad = Contribution(tree=cont.tree, g=4, poly=cont.poly + Poly.var(evar(1)))
+        bad = Contribution(tree=cont.tree, poly=cont.poly + Poly.var(evar(1)))
         with pytest.raises(StrataError, match="unexpected variables"):
             substitute_stratum(bad)
+
+    def test_equal_monomials_share_one_object(self):
+        # serialize renders each monomial object once per tree
+        for cont in all_contributions(6).values():
+            monos = [m for s in substitute_stratum(cont) for m in s.monos]
+            assert len({id(m) for m in monos}) == len(set(monos)), cont.tree.code
 
     def test_constant_contribution(self):
         cont = all_contributions(4)["(1(0(1)(2)))"]
@@ -203,7 +207,7 @@ class TestSerialization:
     def test_matches_reference_encoders(self, g):
         expr = assemble_pullback(g)
         assert_serialized_as_reference(expr)
-        # parsed back, no VertexTerm object is shared between summands
+        # parsed back, equal monomials are separate objects (but for ())
         assert_serialized_as_reference(parse_json(serialize(expr, "json")))
 
     def test_edge_cases_match_reference_encoders(self):
