@@ -24,10 +24,9 @@ from .excess import (
 )
 from .strata import StrataExpression, assemble_pullback, serialize, substitute_stratum
 from .agring import (
-    TautClassAg,
-    multiply,
     reduce,
     schur_wedge2,
+    socle_generator,
     socle_pairing,
     taut_projection_delta,
     virtual_class_product,

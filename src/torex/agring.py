@@ -8,25 +8,25 @@ c(E) c(E^dual) = 1, whose even-degree components rewrite every square:
 The square-free monomials lambda_J, J a subset of {1..g-1}, form a
 basis; the ring is Gorenstein with one-dimensional socle generated by
 lambda_1 ... lambda_{g-1} in codimension g(g-1)/2.
+
+A class is a `Poly` in the untagged lambda variables.  Its normal form,
+`reduce(g, p)`, is a `Poly` over the basis monomials lambda_J, with int
+coefficients wherever they are integral: two classes are equal exactly
+when their normal forms are, and the class of a product a * b is
+`reduce(g, a * b)`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, lcm
+from math import comb, lcm, prod
 
 from .constants import product_coefficient
 from .polyring import Poly, det, lamvar
 
 
 class AgRingError(Exception):
-    pass
-
-
-class GenusMismatch(AgRingError):
     pass
 
 
@@ -39,58 +39,10 @@ def lam(i: int) -> Poly:
     return Poly.var(lamvar(i))
 
 
-@dataclass(frozen=True)
-class TautClassAg:
-    """A class in the lambda basis: coords maps J (frozenset) to its
-    coefficient on lambda_J."""
-
-    g: int
-    coords: tuple  # sorted tuple of (frozenset key as sorted tuple, Fraction)
-
-    @staticmethod
-    def make(g: int, coords: dict) -> "TautClassAg":
-        items = tuple(
-            sorted(
-                (tuple(sorted(J)), c)
-                for J, c in coords.items()
-                if c
-            )
-        )
-        return TautClassAg(g=g, coords=items)
-
-    def as_dict(self) -> dict:
-        return {frozenset(J): c for J, c in self.coords}
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def __add__(self, other: "TautClassAg") -> "TautClassAg":
-        if self.g != other.g:
-            raise GenusMismatch((self.g, other.g))
-        d = self.as_dict()
-        for J, c in other.as_dict().items():
-            d[J] = d.get(J, Fraction(0)) + c
-        return TautClassAg.make(self.g, d)
-
-    def __neg__(self) -> "TautClassAg":
-        return TautClassAg.make(self.g, {J: -c for J, c in self.as_dict().items()})
-
-    def __sub__(self, other: "TautClassAg") -> "TautClassAg":
-        return self + (-other)
-
-    def __str__(self) -> str:
-        if not self.coords:
-            return "0"
-        bits = []
-        for J, c in self.coords:
-            name = "*".join("lam%d" % j for j in J) if J else "1"
-            bits.append("%s*%s" % (c, name) if name != "1" else str(c))
-        return " + ".join(bits)
-
-
 @lru_cache(maxsize=None)
 def _reduce_monomial(g: int, exps: tuple) -> tuple:
-    """Normal form of a lambda monomial, as ((J, coeff), ...).
+    """Normal form of a lambda monomial, as ((J, coeff), ...); each coeff
+    is a signed power of 2.
 
     exps is a sorted tuple of indices with multiplicity.
     """
@@ -102,7 +54,7 @@ def _reduce_monomial(g: int, exps: tuple) -> tuple:
             rep = a
             break
     if rep is None:
-        return ((tuple(exps), Fraction(1)),)
+        return ((tuple(exps), 1),)
     rest = list(exps)
     rest.remove(rep)
     rest.remove(rep)
@@ -113,13 +65,14 @@ def _reduce_monomial(g: int, exps: tuple) -> tuple:
             continue
         new = sorted(rest + ([rep - i] if rep - i else []) + [rep + i])
         for J, c in _reduce_monomial(g, tuple(new)):
-            acc[J] = acc.get(J, Fraction(0)) + Fraction(2 * (-1) ** (i - 1)) * c
+            acc[J] = acc.get(J, 0) + 2 * (-1) ** (i - 1) * c
     return tuple(sorted((J, c) for J, c in acc.items() if c))
 
 
-def reduce(g: int, p: Poly) -> TautClassAg:
-    """Normal form of a polynomial in the untagged lambda variables."""
-    coords: dict = {}
+def reduce(g: int, p: Poly) -> Poly:
+    """Normal form of a polynomial in the untagged lambda variables: a
+    Poly over the square-free monomials lambda_J, J a subset of {1..g-1}."""
+    t: dict = {}
     for m, coeff in p.terms.items():
         exps = []
         for v, e in m:
@@ -127,22 +80,14 @@ def reduce(g: int, p: Poly) -> TautClassAg:
                 raise AgRingError("not a lambda polynomial: %r" % (v,))
             exps.extend([v[2]] * e)
         for J, c in _reduce_monomial(g, tuple(sorted(exps))):
-            key = frozenset(J)
-            coords[key] = coords.get(key, Fraction(0)) + coeff * c
-    return TautClassAg.make(g, coords)
+            key = tuple((lamvar(j), 1) for j in J)
+            t[key] = t.get(key, 0) + coeff * c
+    return Poly(t)
 
 
-def multiply(a: TautClassAg, b: TautClassAg) -> TautClassAg:
-    if a.g != b.g:
-        raise GenusMismatch((a.g, b.g))
-    coords: dict = {}
-    for Ja, ca in a.coords:
-        for Jb, cb in b.coords:
-            exps = tuple(sorted(Ja + Jb))
-            for J, c in _reduce_monomial(a.g, exps):
-                key = frozenset(J)
-                coords[key] = coords.get(key, Fraction(0)) + ca * cb * c
-    return TautClassAg.make(a.g, coords)
+def socle_generator(g: int) -> Poly:
+    """lambda_1 ... lambda_{g-1}, which spans the top degree."""
+    return prod((lam(i) for i in range(1, g)), start=Poly.const(1))
 
 
 def basis_subsets(g: int, d: int) -> list:
@@ -172,15 +117,14 @@ def socle_pairing(g: int, d: int):
         raise AgRingError("degree %d out of range" % d)
     rows = basis_subsets(g, d)
     cols = basis_subsets(g, D - d)
-    socle = frozenset(range(1, g))
+    socle = tuple(range(1, g))
     matrix = []
     for J in rows:
         row = []
         for K in cols:
-            prod = _reduce_monomial(g, tuple(sorted(J + K)))
-            entry = Fraction(0)
-            for L, c in prod:
-                if frozenset(L) == socle:
+            entry = 0
+            for L, c in _reduce_monomial(g, tuple(sorted(J + K))):
+                if L == socle:
                     entry = c
             row.append(entry)
         matrix.append(row)
@@ -252,7 +196,7 @@ def jacobi_trudi_wedge2(g: int, dual: bool = False) -> Poly:
     return det([[entry(i, j) for j in range(1, g + 1)] for i in range(1, g + 1)])
 
 
-def schur_wedge2(g: int) -> TautClassAg:
+def schur_wedge2(g: int) -> Poly:
     """Euler class of wedge^2 of the rank-g Hodge bundle, reduced; it
     must equal the socle generator lambda_1 ... lambda_{g-1}."""
     if g < 1:
@@ -272,28 +216,17 @@ def virtual_class_product(g: int, k: int):
     out = []
     for r in (k, g - k):
         cls = reduce(r, jacobi_trudi_wedge2(r, dual=True))
-        expected = reduce(
-            r,
-            Poly.const((-1) ** comb(r, 2))
-            * _product_of_lams(r),
-        )
+        expected = (-1) ** comb(r, 2) * socle_generator(r)
         if cls != expected:
             raise AgRingError("dual Euler class sign check failed at rank %d" % r)
         out.append(cls)
     return tuple(out)
 
 
-def _product_of_lams(r: int) -> Poly:
-    p = Poly.const(1)
-    for i in range(1, r):
-        p = p * lam(i)
-    return p
-
-
-def taut_projection_delta(g: int) -> TautClassAg:
+def taut_projection_delta(g: int) -> Poly:
     """The tautological projection of the product-locus class:
     (g / 6|B_2g|) * lambda_{g-1}."""
     if g < 1:
         raise AgRingError("g must be >= 1")
-    J = frozenset([g - 1]) if g >= 2 else frozenset()
-    return TautClassAg.make(g, {J: product_coefficient(g)})
+    c = product_coefficient(g)
+    return c * lam(g - 1) if g >= 2 else Poly.const(c)

@@ -119,7 +119,7 @@ def cmd_ring(args) -> int:
              for d in range(D + 1)]
     # the pairing in degree d is perfect when it is square and of full rank
     perfect = all(r == dims[d] == dims[D - d] for d, r in enumerate(ranks))
-    socle = "*".join("lam%d" % i for i in range(1, g)) or "1"
+    socle = str(agring.socle_generator(g))
     if args.format == "json":
         _emit_json(
             {

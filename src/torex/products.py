@@ -14,7 +14,6 @@ of every Hodge factor does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -251,9 +250,9 @@ def hodge_split_pullback(g: int, partition: Partition, m: int) -> dict:
     """Restriction of lambda_m to the product locus of the partition, as
     a sum of exterior tensor products of factorwise lambda classes.
 
-    Returns {(a_1, .., a_l): coefficient} over compositions of m with
-    a_i <= g_i; terms carrying any top class a_i = g_i are deleted since
-    the top Hodge class vanishes on each factor.
+    Returns {(a_1, .., a_l): 1} over the compositions of m with a_i < g_i,
+    each reached once: terms carrying a top class a_i = g_i are deleted
+    since the top Hodge class vanishes on each factor.
     """
     if partition.total != g:
         raise GenusMismatch((partition.total, g))
@@ -265,7 +264,7 @@ def hodge_split_pullback(g: int, partition: Partition, m: int) -> dict:
     def rec(i: int, left: int, acc: list):
         if i == len(parts):
             if left == 0:
-                out[tuple(acc)] = out.get(tuple(acc), Fraction(0)) + 1
+                out[tuple(acc)] = 1
             return
         for a in range(0, min(left, parts[i] - 1) + 1):
             acc.append(a)

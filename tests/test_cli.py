@@ -410,14 +410,35 @@ class TestCacheMisses:
         assert [p.name for p in tmp_path.iterdir()] == [self.PATH]
 
 
+# genus -> (dimension, socle degree, socle generator)
+RING_CASES = {
+    1: (1, 0, "1"),
+    2: (2, 1, "lam1"),
+    6: (32, 15, "lam1*lam2*lam3*lam4*lam5"),
+}
+
+
 class TestRing:
-    def test_json(self, capsys):
-        code, out, _ = run(capsys, "ring", "--genus", "6")
+    @pytest.mark.parametrize("g", sorted(RING_CASES))
+    def test_json(self, capsys, g):
+        dimension, degree, socle = RING_CASES[g]
+        code, out, _ = run(capsys, "ring", "--genus", str(g))
         assert code == 0
         data = json.loads(out)
-        assert data["dimension"] == 32
+        assert data["dimension"] == dimension
+        assert data["socle_degree"] == degree
         assert data["gorenstein"] is True
-        assert data["socle_generator"] == "lam1*lam2*lam3*lam4*lam5"
+        assert data["socle_generator"] == socle
+
+    @pytest.mark.parametrize("g", sorted(RING_CASES))
+    def test_text(self, capsys, g):
+        dimension, degree, socle = RING_CASES[g]
+        code, out, _ = run(capsys, "ring", "--genus", str(g), "--format", "text")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "genus %d: dim %d = 2^%d, socle degree %d, generator %s" % (
+            g, dimension, g - 1, degree, socle)
+        assert lines[-1] == "gorenstein: true"
 
 
 class TestConstants:
