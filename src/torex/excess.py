@@ -24,6 +24,16 @@ Taylor part of
 multiplied by the formal total class c(N).  The two routes are kept
 independent and cross-checked against each other.
 
+The closed formula reads only the paths and valences of T, its genus
+and its number of leaves: trees with the same shape (`trees.shape`, the
+tree with its leaf genera forgotten) share it up to the names of their
+edges.  The table of contributions therefore runs it once per shape and
+renames the result's z's into every tree of that shape.  The recursion
+still runs per tree, so every comparison of the two tables checks the
+renaming as well.  A per-shape recursion would call `smoothings` on the
+representatives only, which moves the smoothing counts the benchmark
+records; it waits for a refresh of the benchmark.
+
 The closed formula forms only the numerator terms its Taylor part keeps:
 a term survives the division by prod_e z_e and the truncation at degree
 g-1-n only if every z_e divides it and its degree is at most g-1.  Each
@@ -72,7 +82,7 @@ from operator import mul
 
 from . import __version__
 from .polyring import PackedLayout, Poly, cvar, prod, zvar
-from .trees import ExtremalTree, TreeError, enumerate_trees, smoothings, tree_codes
+from .trees import ExtremalTree, TreeError, enumerate_trees, shape, smoothings, tree_codes
 
 
 class ExcessError(Exception):
@@ -273,8 +283,8 @@ def all_contributions(g: int, method: str = "recursion",
 
     One thread fills the table.  The recursion takes the trees in order
     of increasing edge count (`_recursion_table`); the closed formula
-    treats the trees independently.  Results are keyed in canonical-code
-    order.
+    runs once per tree shape and is renamed into each tree of the shape
+    (`_closed_table`).  Results are keyed in canonical-code order.
     """
     if method not in ("recursion", "pixton"):
         raise ExcessError("unknown method %r" % method)
@@ -290,13 +300,38 @@ def all_contributions(g: int, method: str = "recursion",
         return dict(cached)
     trees = enumerate_trees(g, g - 1)
     if method == "pixton":
-        table = {t.code: pixton_contribution(t) for t in trees}
+        table = _closed_table(trees)
     else:
         table = _recursion_table(trees, g)
     out = {t.code: table[t.code] for t in trees}
     _MEMO[memo_key] = out
     _store_or_warn(cache_dir, g, method, out)
     return dict(out)
+
+
+def _closed_table(trees) -> dict:
+    """The closed formula's contributions of trees of one genus, computed
+    once per shape (`trees.shape`).  A shape's representative is its first
+    tree in the order given; every other tree of the shape gets the
+    representative's polynomial with each z renamed through the two
+    trees' shape labels."""
+    reps: dict = {}  # shape code -> (representative's Contribution, its relabel)
+    table = {}
+    for t in trees:
+        code, relabel = shape(t)
+        got = reps.get(code)
+        if got is None:
+            cont = pixton_contribution(t)
+            reps[code] = cont, relabel
+        else:
+            rep, rep_relabel = got
+            edge_of = {label: j for j, label in enumerate(relabel, 1)}
+            names = {zvar(j): zvar(edge_of[label]) for j, label in enumerate(rep_relabel, 1)}
+            poly = {tuple(sorted([(names.get(v, v), e) for v, e in m])): c
+                    for m, c in rep.poly.terms.items()}
+            cont = Contribution(tree=t, poly=Poly._of(poly))
+        table[t.code] = cont
+    return table
 
 
 def _recursion_table(trees, g: int) -> dict:
@@ -352,7 +387,7 @@ def _cache_load(cache_dir, g, method):
     """The cached table, or None for a miss.  A file that does not parse,
     was written in another format, by another package version, or for
     another genus or method, does not hold each enumerated tree exactly
-    once, or holds a polynomial without the shape of a contribution is a
+    once, or holds a polynomial without the form of a contribution is a
     miss: the table is recomputed and the file rewritten."""
     if not cache_dir:
         return None
@@ -367,7 +402,7 @@ def _cache_load(cache_dir, g, method):
         for entry in data["contributions"]:
             t = ExtremalTree.from_code(entry["code"])
             cont = Contribution(tree=t, poly=Poly.from_json(entry["poly"]))
-            if not _has_contribution_shape(cont):
+            if not _has_contribution_form(cont):
                 return None
             out[t.code] = cont
     except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError, TreeError,
@@ -378,10 +413,10 @@ def _cache_load(cache_dir, g, method):
     return out
 
 
-def _has_contribution_shape(cont: Contribution) -> bool:
+def _has_contribution_form(cont: Contribution) -> bool:
     """Whether every term of cont has degree g-1-n, uses only z_1 .. z_n
     for the tree's n edges, and holds at most one c_i, to the first
-    power: the shape every contribution has."""
+    power: the form every contribution has."""
     d = cont.degree
     zs = {zvar(i) for i in range(1, cont.tree.n_edges + 1)}
     cs = {cvar(i): i for i in range(1, d + 1)}

@@ -453,6 +453,31 @@ def _smoothing(t: ExtremalTree, cut) -> Smoothing:
                      contracted=frozenset(contracted))
 
 
+@lru_cache(maxsize=None)
+def shape(t: ExtremalTree) -> tuple:
+    """t's shape code and the shape labels of its edges.
+
+    The shape is t with every leaf genus forgotten.  Its code is the
+    canonical code with the genera dropped, each vertex the sorted tuple
+    of its children's shape codes (a leaf is ()).  The shape's edges are
+    labeled breadth-first, each vertex's children sorted stably by shape
+    code; relabel[j - 1] is the shape label of t's edge z_j.  Two trees
+    of one shape are matched, edge for edge, by their shape labels: the
+    match keeps every path and valence.
+    """
+    codes = [()] * t.n_vertices
+    # depth-first ids: every child comes after its parent
+    for v in range(t.n_vertices - 1, -1, -1):
+        codes[v] = tuple(sorted(codes[w] for w in t.children[v]))
+    relabel = [0] * t.n_edges
+    queue = [0]
+    for v in queue:
+        for w in sorted(t.children[v], key=codes.__getitem__):
+            queue.append(w)
+            relabel[t.edge_label[(v, w)] - 1] = len(queue) - 1
+    return codes[0], tuple(relabel)
+
+
 def mon(t: ExtremalTree, v: int) -> Monomial:
     """Product of edge variables on the root path of leaf v."""
     if v <= 0 or v >= t.n_vertices or t.children[v]:

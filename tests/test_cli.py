@@ -151,7 +151,9 @@ class TestContribution:
         code, out, err = run(capsys, "contribution", "--genus", "5", "--method", "both")
         assert code == 1
         assert json.loads(out)[wrong] == "-3*c1 + 6*z1 + 4*z2 + 4*z3"
-        assert "differ at tree %s (1 of 10 trees differ)" % wrong in err
+        # the closed table computes each shape once, at its first tree: the
+        # error reaches (1(0(2)(2))), the other tree of wrong's shape
+        assert "differ at tree %s (2 of 10 trees differ)" % wrong in err
 
 
 class TestPullback:
@@ -344,14 +346,14 @@ class TestCacheMisses:
         data = self.valid_file(tmp_path, monkeypatch, capsys)
         data["contributions"].append({"code": "(1(5))", "poly": [["1", []]]})
         assert self.cached_run(capsys, monkeypatch, tmp_path, data) == uncached
-        # a well-shaped entry of genus 4 in place of the genus-5 tree (1(4)):
+        # a well-formed entry of genus 4 in place of the genus-5 tree (1(4)):
         # only the tree set ties the entries to the header's genus
         data = self.valid_file(tmp_path, monkeypatch, capsys)
         entry = next(e for e in data["contributions"] if e["code"] == "(1(4))")
         entry.update(code="(1(3))", poly=[["1", [[["c", 2], 1]]]])
         assert self.cached_run(capsys, monkeypatch, tmp_path, data) == uncached
 
-    # each breaks the shape of the degree 3 class of the one-edge tree
+    # each breaks the form of the degree 3 class of the one-edge tree
     # (1(4)): every term of degree 3, only z1, at most one c_i to the power 1
     @pytest.mark.parametrize("poly", [
         [["5", [[["c", 1], 1], [["c", 2], 1]]]],
@@ -575,13 +577,18 @@ class TestUsage:
         assert a == b
 
 
+def load_trace_child():
+    spec = importlib.util.spec_from_file_location("trace_child", TRACE_CHILD)
+    trace_child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_child)
+    return trace_child
+
+
 class TestTraceTargets:
     def test_every_traced_name_resolves(self):
         # the benchmark's tracer rebinds these names after importing the CLI;
         # one that is renamed away would stop every traced benchmark run
-        spec = importlib.util.spec_from_file_location("trace_child", TRACE_CHILD)
-        trace_child = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(trace_child)
+        trace_child = load_trace_child()
         missing = []
         for owner_path, attr, *_ in trace_child.TARGETS:
             owner = sys.modules.get(owner_path)
@@ -591,3 +598,33 @@ class TestTraceTargets:
             if not callable(getattr(owner, attr, None)):
                 missing.append("%s.%s" % (owner_path, attr))
         assert missing == []
+
+    def test_closed_table_counts_match_golden(self, monkeypatch, memo):
+        # the tracer's own spans around the table pullback-closed-g7 builds:
+        # one closed formula per shape (21 shapes for 66 trees), one
+        # enumeration, no smoothings, and the recorded contribution sizes
+        from torex.polyring import Poly
+
+        trace_child = load_trace_child()
+        # the tracer rebinds for good; rebinding each original to itself
+        # first has monkeypatch restore it afterwards
+        for owner_path, attr, *_ in trace_child.TARGETS:
+            if owner_path == "torex.polyring.Poly":
+                monkeypatch.setattr(Poly, attr, getattr(Poly, attr))
+            else:
+                original = getattr(sys.modules[owner_path], attr)
+                rebind_everywhere(monkeypatch, original, original)
+        recorder = trace_child.Recorder()
+        assert trace_child.install(recorder) == []
+        excess.all_contributions(7, "pixton")
+        spans = {}
+        for span in recorder.spans:
+            spans.setdefault(span[2], []).append(span[8])
+        with open(BENCH / "golden.json", encoding="utf-8") as fh:
+            golden = json.load(fh)["counts"]["full"]["pullback-closed-g7"]
+        assert len(spans["excess.closed"]) == 21
+        assert spans["trees.enumerate"] == [golden["trees.count"]] == [66]
+        assert "trees.smoothings" not in spans and golden["trees.smoothings"] == 0
+        assert spans["excess.all_contributions"] == [
+            [golden["polyring.contrib_terms_total"], golden["polyring.contrib_terms_max"]]
+        ] == [[471, 20]]

@@ -13,7 +13,7 @@ from torex.excess import (
     tree_contribution,
 )
 from torex.polyring import PackedLayout, Poly, cvar, elem_sym_rewrite, evar, prod, zvar
-from torex.trees import ExtremalTree, enumerate_trees, smoothings
+from torex.trees import ExtremalTree, enumerate_trees, shape, smoothings
 from torex.verify import (
     G5_FOUR_EDGE_VALUES,
     G6_TRIPLE_INTERSECTIONS,
@@ -324,8 +324,10 @@ class TestOracleEquivalence:
             want = closed_formula_unpruned(t, g).to_json()
             assert pixton_contribution(t).poly.to_json() == want, t.code
 
-    @pytest.mark.parametrize("g", range(2, 8))
+    @pytest.mark.parametrize("g", [*range(2, 8), 9])
     def test_recursion_equals_closed_formula(self, g):
+        # the recursion runs per tree and the closed formula per shape, so
+        # this also checks the shape relabeling at every tree
         rec = all_contributions(g, "recursion")
         pix = all_contributions(g, "pixton")
         assert set(rec) == set(pix)
@@ -346,6 +348,47 @@ class TestOracleEquivalence:
         assert len(rec) == 179 and list(rec) == list(pix)
         for code in rec:
             assert rec[code].poly.to_json() == pix[code].poly.to_json(), code
+
+
+class TestShapes:
+    @pytest.mark.parametrize("g", range(2, 10))
+    def test_per_shape_table_equals_per_tree(self, g, memo):
+        # the per-tree closed formula is the reference for the shape table;
+        # up to g = 8 a table that skipped the renaming would still match
+        # (two trees there label their edges unlike their shape's first tree,
+        # and their polynomials do not see it), so g = 9 must be here
+        table = all_contributions(g, "pixton")
+        trees = enumerate_trees(g, g - 1)
+        assert list(table) == [t.code for t in trees]
+        for t in trees:
+            assert table[t.code].poly.to_json() == pixton_contribution(t).poly.to_json(), t.code
+
+    @pytest.mark.parametrize("g, trees, shapes", [(7, 66, 21), (8, 179, 37), (9, 521, 66),
+                                                  (10, 1536, 120)])
+    def test_shape_counts(self, g, trees, shapes):
+        got = enumerate_trees(g, g - 1)
+        assert len(got) == trees
+        assert len({shape(t)[0] for t in got}) == shapes
+
+    @pytest.mark.parametrize("g", range(2, 10))
+    def test_relabel_matches_leaf_paths(self, g):
+        # relabel is a bijection onto 1..n, and it maps the path sets of a
+        # tree's leaves onto those of its shape's first tree
+        reps = {}
+        for t in enumerate_trees(g, g - 1):
+            code, relabel = shape(t)
+            assert sorted(relabel) == list(range(1, t.n_edges + 1)), t.code
+            paths = {frozenset(relabel[j - 1] for j in t.path_labels(v)) for v in t.leaves()}
+            assert reps.setdefault(code, paths) == paths, t.code
+
+    def test_shape_forgets_leaf_genera_only(self):
+        assert shape(T("(1(0(1)(4)))")) == shape(T("(1(0(2)(3)))"))
+        assert shape(T("(1(0(1)(4)))"))[0] != shape(T("(1(1)(4))"))[0]
+        # shape labels visit the leaf (2) before the genus-0 vertex, which
+        # the canonical code puts first
+        code, relabel = shape(T("(1(0(1)(1))(2))"))
+        assert code == ((), ((), ()))
+        assert relabel == (2, 1, 3, 4)
 
 
 class TestCacheDir:
