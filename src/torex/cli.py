@@ -258,12 +258,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree", type=_tree_code, default=None,
                    help="canonical tree code (omit for the full table)")
     p.add_argument("--method", choices=("recursion", "pixton", "both"),
-                   default="recursion")
+                   default="recursion",
+                   help="both methods give identical bytes; pixton is the faster "
+                   "route from g = 9 on (see README); both runs the two and compares")
     p.set_defaults(fn=cmd_contribution)
 
     p = sub.add_parser("pullback", help="full decorated-strata expression")
     add_common(p, fmt=("json", "admcycles"), jobs=True)
-    p.add_argument("--method", choices=("recursion", "pixton"), default="recursion")
+    p.add_argument("--method", choices=("recursion", "pixton"), default="recursion",
+                   help="both methods give identical bytes; pixton is the faster "
+                   "route from g = 9 on (see README)")
     p.set_defaults(fn=cmd_pullback)
 
     p = sub.add_parser("ring", help="lambda-ring dimensions and pairings")

@@ -153,8 +153,8 @@ def recursion_contribution(t: ExtremalTree, solved: dict) -> list:
         got = solved.get(rec.target.code)
         if got is None:
             raise MissingSmoothing(rec.target.code)
-        # edge_map is sorted by target label: units[j] is the key of z_{j+1}'s image
-        units = [unit[zvar(src)] for _, src in rec.edge_map]
+        # units[j] is the key of the image of the target's z_{j+1}
+        units = [unit[zvar(src)] for src in rec.edge_map]
         factor = sum(units)
         for i, exps, c in got:
             slot = slots[i]
@@ -313,20 +313,19 @@ def _closed_table(trees) -> dict:
     """The closed formula's contributions of trees of one genus, computed
     once per shape (`trees.shape`).  A shape's representative is its first
     tree in the order given; every other tree of the shape gets the
-    representative's polynomial with each z renamed through the two
-    trees' shape labels."""
-    reps: dict = {}  # shape code -> (representative's Contribution, its relabel)
+    representative's polynomial with each z renamed from the
+    representative's label of a shape edge to this tree's label of it."""
+    reps: dict = {}  # shape code -> (representative's Contribution, its labels)
     table = {}
     for t in trees:
-        code, relabel = shape(t)
+        code, labels = shape(t)
         got = reps.get(code)
         if got is None:
             cont = pixton_contribution(t)
-            reps[code] = cont, relabel
+            reps[code] = cont, labels
         else:
-            rep, rep_relabel = got
-            edge_of = {label: j for j, label in enumerate(relabel, 1)}
-            names = {zvar(j): zvar(edge_of[label]) for j, label in enumerate(rep_relabel, 1)}
+            rep, rep_labels = got
+            names = {zvar(a): zvar(b) for a, b in zip(rep_labels, labels)}
             poly = {tuple(sorted([(names.get(v, v), e) for v, e in m])): c
                     for m, c in rep.poly.terms.items()}
             cont = Contribution(tree=t, poly=Poly._of(poly))

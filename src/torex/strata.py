@@ -81,24 +81,23 @@ def _truncation_bound(t: ExtremalTree, v: int) -> int:
     return 2 * t.genera[v] - 3 + t.valence(v)
 
 
-def marking_index(t: ExtremalTree, v: int, edge) -> int:
-    """1-based marking of the given incident edge at vertex v; the edge
-    toward the root comes first, then child edges in canonical order."""
-    incident = []
-    if v != 0:
-        incident.append((t.parent[v], v))
-    incident.extend((v, w) for w in t.children[v])
-    return incident.index(edge) + 1
+def marking_index(t: ExtremalTree, v: int, w: int) -> int:
+    """1-based marking at vertex v of the edge above w, v being w or its
+    parent; the edge toward the root comes first, then child edges in
+    canonical order."""
+    if v == w:
+        return 1
+    return t.children[v].index(w) + (2 if v else 1)
 
 
 def _substitutions(t: ExtremalTree, max_deg: int) -> dict:
     """The values of z_e and of c_1..c_max_deg on the tree, built as term
     dicts."""
     subs = {}
-    for (u, w), label in t.edge_label.items():
+    for u, w in t.edges():
         # z_e -> -(psi'_e + psi''_e), no psi at a rigid end
-        subs[zvar(label)] = Poly._of({
-            ((psivar(marking_index(t, v, (u, w)), v), 1),): -1
+        subs[zvar(t.label[w])] = Poly._of({
+            ((psivar(marking_index(t, v, w), v), 1),): -1
             for v in (u, w) if not _factor_is_rigid(t, v)
         })
     # (degree, monomial, coeff) of the product over leaves of genus h >= 2
@@ -311,7 +310,7 @@ def _to_audit_text(s: StrataExpression) -> str:
             "v%d(g=%d,n=%d)" % (v, t.genera[v], t.valence(v))
             for v in range(t.n_vertices)
         )
-        edesc = ", ".join("z%d=(%d-%d)" % (t.edge_label[e], e[0], e[1]) for e in t.edges())
+        edesc = ", ".join("z%d=(%d-%d)" % (t.label[w], u, w) for u, w in t.edges())
         lines.append("stratum %s  aut=%d" % (t.code, t.aut_order))
         lines.append("  vertices: %s" % vdesc)
         lines.append("  edges: %s" % edesc)

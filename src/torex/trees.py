@@ -3,8 +3,9 @@
 An extremal tree has a genus-1 root, genus-0 internal vertices of
 valence >= 3, and leaves of positive genus.  Vertices of the canonical
 form are numbered in depth-first order with children sorted by
-canonical code; edges carry 1-based labels assigned in breadth-first
-order (these are the z-variable indices used everywhere downstream).
+canonical code.  Each edge is named by the vertex w below it and
+carries the 1-based label label[w], assigned in breadth-first order
+(these are the z-variable indices used everywhere downstream).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from operator import itemgetter
 
 from .polyring import Monomial, zvar
 
@@ -91,7 +91,8 @@ class ExtremalTree:
     genera : tuple of int, genus per vertex (vertex 0 is the root)
     parent : tuple, parent vertex id per vertex (None for the root)
     children : tuple of tuples, children in canonical order
-    edge_label : dict, (parent, child) vertex pair -> 1-based z index
+    label : tuple, label[w] is the 1-based z index of the edge above
+        vertex w (label[0] = 0 for the root)
     code : printable canonical form
     aut_order : order of the root- and genus-preserving automorphism group
     """
@@ -100,7 +101,7 @@ class ExtremalTree:
         "genera",
         "parent",
         "children",
-        "edge_label",
+        "label",
         "code",
         "aut_order",
     )
@@ -129,16 +130,13 @@ class ExtremalTree:
         self.parent = tuple(parent)
         self.children = tuple(tuple(c) for c in children)
         # breadth-first edge labels
-        label = {}
+        label = [0] * len(genera)
         queue = [0]
-        nxt = 1
-        while queue:
-            v = queue.pop(0)
+        for v in queue:
             for w in self.children[v]:
-                label[(v, w)] = nxt
-                nxt += 1
+                label[w] = len(queue)
                 queue.append(w)
-        self.edge_label = label
+        self.label = tuple(label)
 
     # -- construction -------------------------------------------------
 
@@ -180,13 +178,14 @@ class ExtremalTree:
 
     def edges(self) -> list:
         """Edges as (parent, child) pairs in label order."""
-        return sorted(self.edge_label, key=lambda e: self.edge_label[e])
+        return [(self.parent[w], w)
+                for w in sorted(range(1, self.n_vertices), key=self.label.__getitem__)]
 
     def path_labels(self, v: int) -> list:
         """z labels on the minimal path from vertex v up to the root."""
         out = []
         while self.parent[v] is not None:
-            out.append(self.edge_label[(self.parent[v], v)])
+            out.append(self.label[v])
             v = self.parent[v]
         return sorted(out)
 
@@ -234,38 +233,28 @@ def _validate_code(code: Code, is_root: bool = True) -> None:
         _validate_code(k, is_root=False)
 
 
-def canonicalize(genera, edges, root):
-    """Canonical code of a genus-labeled rooted tree plus the vertex map.
+def _canonical_order(children, node) -> tuple:
+    """The canonical code of a rooted tree and its edges in label order.
 
-    genera: map vertex -> genus; edges: iterable of unordered pairs.
-    Returns (code, vertex_map) where vertex_map sends original vertex
-    ids to canonical depth-first ids.
+    children[v] lists v's children, vertex 0 is the root, and every
+    vertex comes after its parent (depth-first ids do), so one reverse
+    sweep finds every code bottom-up.  node(v, kids) is v's code from its
+    children's codes in sorted order.  Each vertex's children are sorted
+    stably by code, so children with equal codes, which are
+    interchangeable, keep their given order.  Returns (code, order):
+    edges labeled breadth-first along the sorted children, order[i] is
+    the vertex below the edge labeled i (order[0] is the root).
     """
-    adj: dict = {v: [] for v in genera}
-    for u, w in edges:
-        adj[u].append(w)
-        adj[w].append(u)
-
-    # each vertex's children sorted by code only, stable in adjacency
-    # order: children with equal codes are interchangeable, and any stable
-    # assignment yields the same canonical tree
-    ordered: dict = {}
-
-    def code_of(v, par) -> Code:
-        kids = [(code_of(w, v), w) for w in adj[v] if w != par]
-        kids.sort(key=itemgetter(0))
+    codes = [None] * len(children)
+    ordered = [None] * len(children)
+    for v in range(len(children) - 1, -1, -1):
+        kids = sorted(children[v], key=codes.__getitem__)
         ordered[v] = kids
-        return (genera[v], tuple(kc for kc, _ in kids))
-
-    code = code_of(root, None)
-    # number the vertices depth-first along the sorted children
-    vertex_map = {}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        vertex_map[v] = len(vertex_map)
-        stack.extend(w for _, w in reversed(ordered[v]))
-    return code, vertex_map
+        codes[v] = node(v, tuple(codes[w] for w in kids))
+    order = [0]
+    for v in order:
+        order.extend(ordered[v])
+    return codes[0], order
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +351,13 @@ def aut_order_brute(t: ExtremalTree) -> int:
 class Smoothing:
     """A tree T' this tree degenerates from, with its edge correspondence.
 
-    edge_map sends each canonical z label of the target to the z label
-    of the corresponding (non-contracted) edge of the degenerate tree;
-    contracted holds the z labels of the edges collapsed inside parts.
+    edge_map[j - 1] is the z label, in the degenerate tree, of the
+    (non-contracted) edge that is the target's z_j; contracted holds the
+    z labels of the edges collapsed inside parts.
     """
 
     target: ExtremalTree
-    edge_map: tuple  # tuple of (target z label, source z label)
+    edge_map: tuple  # source z label of each target edge, in target label order
     contracted: frozenset
 
 
@@ -428,54 +417,45 @@ def _smoothing(t: ExtremalTree, cut) -> Smoothing:
     """The record of contracting the edges above the vertices in cut."""
     cut = set(cut)
     # each part is named by its top vertex; labels are breadth-first, so
-    # the edge above u comes before every edge below u
+    # the edge above u comes before every edge below u; each part's
+    # children are listed in label order, which children of equal code
+    # keep, and the edge map with them
     part = list(range(t.n_vertices))
-    genus = {0: t.genera[0]}
-    kept = []
+    genus = list(t.genera)
+    children = [[] for _ in genus]
     contracted = []
-    for (u, w), label in t.edge_label.items():
+    for u, w in t.edges():
         if w in cut:
             part[w] = part[u]
             genus[part[u]] += t.genera[w]
-            contracted.append(label)
+            contracted.append(t.label[w])
         else:
-            genus[w] = t.genera[w]
-            kept.append((label, part[u], w))
-    code, vmap = canonicalize(genus, [(p, w) for _, p, w in kept], 0)
+            children[part[u]].append(w)
+    # a contracted vertex gets a code too, which nothing reads
+    code, order = _canonical_order(children, lambda v, kids: (genus[v], kids))
     try:
         target = _tree(code)
     except TreeError as err:
         raise TreeError("contracting edges %s of %s leaves no extremal tree: %s"
                         % (contracted, t.code, err)) from None
-    edge_label = target.edge_label
-    edge_map = sorted((edge_label[(vmap[p], vmap[w])], label) for label, p, w in kept)
-    return Smoothing(target=target, edge_map=tuple(edge_map),
+    return Smoothing(target=target, edge_map=tuple(t.label[w] for w in order[1:]),
                      contracted=frozenset(contracted))
 
 
 @lru_cache(maxsize=None)
 def shape(t: ExtremalTree) -> tuple:
-    """t's shape code and the shape labels of its edges.
+    """t's shape code and t's labels of the shape's edges.
 
     The shape is t with every leaf genus forgotten.  Its code is the
     canonical code with the genera dropped, each vertex the sorted tuple
     of its children's shape codes (a leaf is ()).  The shape's edges are
     labeled breadth-first, each vertex's children sorted stably by shape
-    code; relabel[j - 1] is the shape label of t's edge z_j.  Two trees
+    code; labels[i - 1] is t's label of the shape's edge i.  Two trees
     of one shape are matched, edge for edge, by their shape labels: the
     match keeps every path and valence.
     """
-    codes = [()] * t.n_vertices
-    # depth-first ids: every child comes after its parent
-    for v in range(t.n_vertices - 1, -1, -1):
-        codes[v] = tuple(sorted(codes[w] for w in t.children[v]))
-    relabel = [0] * t.n_edges
-    queue = [0]
-    for v in queue:
-        for w in sorted(t.children[v], key=codes.__getitem__):
-            queue.append(w)
-            relabel[t.edge_label[(v, w)] - 1] = len(queue) - 1
-    return codes[0], tuple(relabel)
+    code, order = _canonical_order(t.children, lambda v, kids: kids)
+    return code, tuple(t.label[w] for w in order[1:])
 
 
 def mon(t: ExtremalTree, v: int) -> Monomial:
@@ -485,15 +465,8 @@ def mon(t: ExtremalTree, v: int) -> Monomial:
     return tuple(sorted((zvar(i), 1) for i in t.path_labels(v)))
 
 
-_depth_cache: dict = {}
-
-
+@lru_cache(maxsize=None)
 def depth(t: ExtremalTree) -> int:
     """Length of the longest chain of nontrivial degenerations ending here."""
-    got = _depth_cache.get(t.code)
-    if got is not None:
-        return got
     records = smoothings(t)
-    d = 0 if not records else 1 + max(depth(r.target) for r in records)
-    _depth_cache[t.code] = d
-    return d
+    return 0 if not records else 1 + max(depth(r.target) for r in records)

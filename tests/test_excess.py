@@ -194,9 +194,9 @@ class TestRecursionMechanics:
                 rhs = parts[g - 1]
                 for rec in smoothings(t):
                     cont = table[rec.target.code].poly.substitute(
-                        {zvar(tgt): z(src) for tgt, src in rec.edge_map}
+                        {zvar(j): z(src) for j, src in enumerate(rec.edge_map, 1)}
                     )
-                    factor = prod(z(src) for _, src in rec.edge_map)
+                    factor = prod(z(src) for src in rec.edge_map)
                     rhs = rhs - factor * cont.substitute(chern)
                 quotient = rhs.exact_divide(
                     tuple(sorted((zvar(i), 1) for i in range(1, t.n_edges + 1)))
@@ -372,13 +372,15 @@ class TestShapes:
 
     @pytest.mark.parametrize("g", range(2, 10))
     def test_relabel_matches_leaf_paths(self, g):
-        # relabel is a bijection onto 1..n, and it maps the path sets of a
-        # tree's leaves onto those of its shape's first tree
+        # the shape's labels are a bijection onto t's labels 1..n, and
+        # they map the path sets of a tree's leaves onto those of its
+        # shape's first tree
         reps = {}
         for t in enumerate_trees(g, g - 1):
-            code, relabel = shape(t)
-            assert sorted(relabel) == list(range(1, t.n_edges + 1)), t.code
-            paths = {frozenset(relabel[j - 1] for j in t.path_labels(v)) for v in t.leaves()}
+            code, labels = shape(t)
+            assert sorted(labels) == list(range(1, t.n_edges + 1)), t.code
+            shape_label = {j: i for i, j in enumerate(labels, 1)}
+            paths = {frozenset(shape_label[j] for j in t.path_labels(v)) for v in t.leaves()}
             assert reps.setdefault(code, paths) == paths, t.code
 
     def test_shape_forgets_leaf_genera_only(self):
@@ -386,9 +388,9 @@ class TestShapes:
         assert shape(T("(1(0(1)(4)))"))[0] != shape(T("(1(1)(4))"))[0]
         # shape labels visit the leaf (2) before the genus-0 vertex, which
         # the canonical code puts first
-        code, relabel = shape(T("(1(0(1)(1))(2))"))
+        code, labels = shape(T("(1(0(1)(1))(2))"))
         assert code == ((), ((), ()))
-        assert relabel == (2, 1, 3, 4)
+        assert labels == (2, 1, 3, 4)
 
 
 class TestCacheDir:

@@ -25,6 +25,7 @@ from torex.strata import (
     stratum_class,
     substitute_stratum,
 )
+from torex.trees import enumerate_trees
 from torex.verify import WORKED_BRACKETS
 
 
@@ -34,12 +35,12 @@ def substitute_stratum_reference(c, weight=1):
     term placed before the vertex bounds drop any."""
     t = c.tree
     subs = {}
-    for (u, w), label in t.edge_label.items():
+    for u, w in t.edges():
         acc = Poly.zero()
         for vert in (u, w):
             if not _factor_is_rigid(t, vert):
-                acc = acc - Poly.var(psivar(marking_index(t, vert, (u, w)), vert))
-        subs[zvar(label)] = acc
+                acc = acc - Poly.var(psivar(marking_index(t, vert, w), vert))
+        subs[zvar(t.label[w])] = acc
     total = Poly.const(1)
     for v in t.leaves():
         h = t.genera[v]
@@ -94,7 +95,7 @@ def audit_text_reference(s):
             "v%d(g=%d,n=%d)" % (v, t.genera[v], t.valence(v))
             for v in range(t.n_vertices)
         )
-        edesc = ", ".join("z%d=(%d-%d)" % (t.edge_label[e], e[0], e[1]) for e in t.edges())
+        edesc = ", ".join("z%d=(%d-%d)" % (t.label[w], u, w) for u, w in t.edges())
         lines.append("stratum %s  aut=%d" % (t.code, t.aut_order))
         lines.append("  vertices: %s" % vdesc)
         lines.append("  edges: %s" % edesc)
@@ -152,6 +153,20 @@ class TestSubstitution:
         assert len(got) == 1
         assert got[0].coeff == Fraction(-3)
         assert got[0].render() == ["1", "1", "1", "1"]
+
+    @pytest.mark.parametrize("g", range(2, 8))
+    def test_marking_index_matches_incident_list(self, g):
+        def reference(t, v, edge):
+            incident = []
+            if v != 0:
+                incident.append((t.parent[v], v))
+            incident.extend((v, w) for w in t.children[v])
+            return incident.index(edge) + 1
+
+        for t in enumerate_trees(g, g - 1):
+            for u, w in t.edges():
+                for v in (u, w):
+                    assert marking_index(t, v, w) == reference(t, v, (u, w)), (t.code, v, w)
 
 
 class TestGoldenDisplays:

@@ -9,8 +9,8 @@ from torex.trees import (
     ExtremalTree,
     NotALeaf,
     TreeError,
+    _canonical_order,
     aut_order_brute,
-    canonicalize,
     depth,
     enumerate_trees,
     mon,
@@ -82,30 +82,24 @@ class TestAutomorphisms:
 
 
 class TestCanonicalCode:
-    def test_relabeling_invariance(self):
-        rng = random.Random(42)
-        for t in enumerate_trees(6, 5):
-            ids = list(range(t.n_vertices))
-            for _ in range(5):
-                perm = ids[:]
-                rng.shuffle(perm)
-                genera = {perm[v]: t.genera[v] for v in ids}
-                edges = [(perm[u], perm[w]) for u, w in t.edges()]
-                rng.shuffle(edges)
-                code, _ = canonicalize(genera, edges, perm[0])
-                assert ExtremalTree(code).code == t.code
+    @pytest.mark.parametrize("g", range(2, 8))
+    def test_canonical_order(self, g):
+        # shuffling each vertex's children keeps the code; on the canonical
+        # children the order is t's own breadth-first labeling
+        rng = random.Random(42 + g)
 
-    def test_vertex_map_matches_two_pass_reference(self):
-        rng = random.Random(7)
-        for t in enumerate_trees(7, 6):
-            ids = list(range(t.n_vertices))
-            perm = ids[:]
-            rng.shuffle(perm)
-            genera = {perm[v]: t.genera[v] for v in ids}
-            edges = [(perm[u], perm[w]) for u, w in t.edges()]
-            rng.shuffle(edges)
-            assert canonicalize(genera, edges, perm[0]) == reference_canonicalize(
-                genera, edges, perm[0]), t.code
+        def node(v, kids):
+            return (t.genera[v], kids)
+
+        for t in enumerate_trees(g, g - 1):
+            for _ in range(5):
+                shuffled = [rng.sample(kids, len(kids)) for kids in t.children]
+                code, _ = _canonical_order(shuffled, node)
+                assert code == parse_code(t.code), t.code
+            code, order = _canonical_order(t.children, node)
+            assert code == parse_code(t.code), t.code
+            assert sorted(order) == list(range(t.n_vertices)), t.code
+            assert all(t.label[w] == i for i, w in enumerate(order)), t.code
 
     def test_parse_roundtrip(self):
         for t in enumerate_trees(5, 4):
@@ -198,9 +192,10 @@ def _reference_contract(t, edge_list, contracted_idx):
         if i in contracted_idx:
             continue
         cu, cw = vmap[part_of[u]], vmap[part_of[w]]
-        pair = (cu, cw) if (cu, cw) in target.edge_label else (cw, cu)
-        edge_map.append((target.edge_label[pair], i + 1))
-    return (target.code, tuple(sorted(edge_map)), frozenset(i + 1 for i in contracted_idx))
+        below = cw if target.parent[cw] == cu else cu
+        edge_map.append((target.label[below], i + 1))
+    return (target.code, tuple(src for _, src in sorted(edge_map)),
+            frozenset(i + 1 for i in contracted_idx))
 
 
 class TestSmoothings:
@@ -270,9 +265,9 @@ class TestSmoothings:
     def test_edge_maps_are_injective(self):
         for t in enumerate_trees(6, 5):
             for rec in smoothings(t):
-                sources = [src for _, src in rec.edge_map]
+                sources = rec.edge_map
                 assert len(sources) == len(set(sources))
-                assert len(rec.edge_map) == rec.target.n_edges
+                assert len(sources) == rec.target.n_edges
                 assert set(sources) | set(rec.contracted) == set(
                     range(1, t.n_edges + 1)
                 )
@@ -325,19 +320,30 @@ class TestDepth:
 
     def test_no_placeholder_while_computing(self, monkeypatch):
         # a concurrent reader must never see a value for a tree whose
-        # depth is still being computed
-        monkeypatch.setattr(trees_module, "_depth_cache", {})
+        # depth is still being computed: whenever a tree's smoothings are
+        # listed, the memo holds exactly the trees whose depth has returned
+        depth.cache_clear()
+        returned = set()
         seen = []
 
+        def traced(t):
+            try:
+                return depth(t)
+            finally:
+                returned.add(t.code)
+
         def checked(t):
-            assert t.code not in trees_module._depth_cache
+            assert t.code not in returned
+            assert depth.cache_info().currsize == len(returned)
             seen.append(t.code)
             return smoothings(t)
 
+        monkeypatch.setattr(trees_module, "depth", traced)
         monkeypatch.setattr(trees_module, "smoothings", checked)
         for t in enumerate_trees(6, 5):
-            depth(t)
+            traced(t)
         assert len(seen) == len(set(seen)) == 24
+        assert depth.cache_info().currsize == 24
 
 
 class TestJson:
