@@ -90,15 +90,26 @@ def socle_generator(g: int) -> Poly:
     return prod((lam(i) for i in range(1, g)), start=Poly.const(1))
 
 
-def basis_subsets(g: int, d: int) -> list:
-    """Subsets of {1..g-1} with element sum d, sorted."""
-    out = []
+@lru_cache(maxsize=None)
+def _subsets_by_degree(g: int) -> tuple:
+    """All 2^(g-1) subsets of {1..g-1}, grouped by element sum: entry d
+    holds the subsets of sum d, sorted, for d = 0..binom(g,2)."""
     universe = list(range(1, g))
+    by_degree = [[] for _ in range(sum(universe) + 1)]
     for r in range(len(universe) + 1):
         for J in combinations(universe, r):
-            if sum(J) == d:
-                out.append(J)
-    return sorted(out)
+            by_degree[sum(J)].append(J)
+    return tuple(tuple(sorted(Js)) for Js in by_degree)
+
+
+def basis_subsets(g: int, d: int) -> list:
+    """Subsets of {1..g-1} with element sum d, sorted.
+
+    One cached pass per genus groups every subset by its sum; each call
+    reads its degree from there.
+    """
+    by_degree = _subsets_by_degree(g)
+    return list(by_degree[d]) if 0 <= d < len(by_degree) else []
 
 
 def graded_dimension(g: int, d: int) -> int:
@@ -131,12 +142,41 @@ def socle_pairing(g: int, d: int):
     return matrix
 
 
+# the prime modulo which matrix_rank first certifies full rank
+_PRIME = 2**61 - 1
+
+
+def _rank_mod_prime(m: list) -> int:
+    """Rank over Z/p of an integer matrix, by Gaussian elimination that
+    drops each column once it is cleared."""
+    p = _PRIME
+    rest = [[x % p for x in row] for row in m]
+    rank = 0
+    while rest and rest[0]:
+        pivot = next((row for row in rest if row[0]), None)
+        if pivot is None:
+            rest = [row[1:] for row in rest]
+            continue
+        rest.remove(pivot)
+        inv = pow(pivot[0], -1, p)
+        top = [x * inv % p for x in pivot[1:]]
+        rest = [[(a - f * b) % p for a, b in zip(row[1:], top)] if f else row[1:]
+                for row in rest for f in (row[0],)]
+        rank += 1
+    return rank
+
+
 def matrix_rank(matrix) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination.
+    """Rank over Q.
 
     Each row of rationals is scaled to integers by the lcm of its
-    denominators, which keeps the rank; every entry then stays an integer
-    minor of that matrix, so each division by the previous pivot is exact.
+    denominators, which keeps the rank.  The rank is then certified
+    modulo the prime 2^61 - 1: when it is min(rows, cols) there, some
+    maximal minor is nonzero mod p, hence nonzero over Q, and that is the
+    answer.  Otherwise (a rank-deficient matrix, or p dividing every
+    maximal minor) the rank comes from fraction-free (Bareiss)
+    elimination: every entry stays an integer minor of the scaled matrix,
+    so each division by the previous pivot is exact.
     """
     m = []
     for row in matrix:
@@ -144,6 +184,9 @@ def matrix_rank(matrix) -> int:
         m.append([x.numerator * (scale // x.denominator) for x in row])
     rows = len(m)
     cols = len(m[0]) if rows else 0
+    full = min(rows, cols)
+    if _rank_mod_prime(m) == full:
+        return full
     rank = 0
     prev = 1
     for c in range(cols):
@@ -163,14 +206,29 @@ def matrix_rank(matrix) -> int:
     return rank
 
 
+@lru_cache(maxsize=None)
+def pairing_ranks(g: int) -> tuple:
+    """(dims, ranks): the graded dimensions of the ring and the rank of
+    its socle pairing, in each degree d = 0..binom(g,2).
+
+    The pairing in degree D - d is the transpose of the one in degree d,
+    since lambda_J lambda_K = lambda_K lambda_J.  So only the degrees
+    d <= D/2 are built and ranked, and each rank is mirrored to D - d.
+    """
+    D = socle_degree(g)
+    dims = tuple(graded_dimension(g, d) for d in range(D + 1))
+    half = [matrix_rank(socle_pairing(g, d)) for d in range(D // 2 + 1)]
+    return dims, tuple(half[min(d, D - d)] for d in range(D + 1))
+
+
 def pairing_is_perfect(g: int, d: int) -> bool:
-    rows = basis_subsets(g, d)
-    cols = basis_subsets(g, socle_degree(g) - d)
-    if len(rows) != len(cols):
-        return False
-    if not rows:
+    """True when the pairing between degrees d and binom(g,2) - d is
+    square and of full rank; vacuously so for d outside 0..binom(g,2)."""
+    dims, ranks = pairing_ranks(g)
+    D = len(dims) - 1
+    if not 0 <= d <= D:
         return True
-    return matrix_rank(socle_pairing(g, d)) == len(rows)
+    return ranks[d] == dims[d] == dims[D - d]
 
 
 # ---------------------------------------------------------------------------

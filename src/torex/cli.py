@@ -114,11 +114,8 @@ def cmd_pullback(args) -> int:
 def cmd_ring(args) -> int:
     g = args.genus
     D = agring.socle_degree(g)
-    dims = [agring.graded_dimension(g, d) for d in range(D + 1)]
-    ranks = [agring.matrix_rank(agring.socle_pairing(g, d)) if dims[d] else 0
-             for d in range(D + 1)]
-    # the pairing in degree d is perfect when it is square and of full rank
-    perfect = all(r == dims[d] == dims[D - d] for d, r in enumerate(ranks))
+    dims, ranks = agring.pairing_ranks(g)
+    perfect = all(agring.pairing_is_perfect(g, d) for d in range(D + 1))
     socle = str(agring.socle_generator(g))
     if args.format == "json":
         _emit_json(

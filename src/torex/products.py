@@ -79,39 +79,41 @@ class RefinementComponent:
     excess_bundle: tuple
 
 
+@lru_cache(maxsize=None)
+def _compositions(n: int, bounds: tuple) -> tuple:
+    """The tuples v with sum n and 0 <= v[j] <= bounds[j], in increasing
+    lexicographic order."""
+    if not bounds:
+        return ((),) if n == 0 else ()
+    rest = bounds[1:]
+    return tuple((v,) + tail for v in range(min(n, bounds[0]) + 1)
+                 for tail in _compositions(n - v, rest))
+
+
 def _matrices(rows: tuple, cols: tuple):
     """Every nonnegative integer matrix, as a tuple of row tuples, whose
-    row sums are rows and column sums are cols, once each and in
-    increasing row-major order.  Each one is an extremal common
-    refinement: its nonzero cells are the refinement parts."""
+    row sums are rows (at least one) and column sums are cols, once each
+    and in increasing row-major order.  Each one is an extremal common
+    refinement: its nonzero cells are the refinement parts.
 
-    nr, nc = len(rows), len(cols)
+    The matrices are built a row at a time, depth first: a partial matrix
+    is extended by every composition of the next row sum bounded by what
+    its columns have left, in increasing order (the compositions are
+    cached across rows, pairs and calls).  The last row is what the
+    columns have left, when that has the last row sum.
+    """
+    last = len(rows) - 1
 
-    def rec(r: int, remaining_cols: tuple, acc: list):
-        if r == nr:
-            if all(x == 0 for x in remaining_cols):
-                yield tuple(acc)
+    def extend(r: int, m: tuple, left: tuple):
+        if r == last:
+            if sum(left) == rows[r]:
+                yield m + (left,)
             return
-        # distribute rows[r] over the nc columns
-        def fill(c: int, left: int, row: list):
-            if c == nc:
-                if left == 0:
-                    acc.append(tuple(row))
-                    new_cols = tuple(
-                        remaining_cols[j] - row[j] for j in range(nc)
-                    )
-                    if all(x >= 0 for x in new_cols):
-                        yield from rec(r + 1, new_cols, acc)
-                    acc.pop()
-                return
-            for v in range(0, min(left, remaining_cols[c]) + 1):
-                row.append(v)
-                yield from fill(c + 1, left - v, row)
-                row.pop()
+        for row in _compositions(rows[r], left):
+            rest = tuple(c - v for c, v in zip(left, row))
+            yield from extend(r + 1, m + (row,), rest)
 
-        yield from fill(0, rows[r], [])
-
-    yield from rec(0, cols, [])
+    return extend(0, (), cols)
 
 
 def _orbit(matrix: tuple, row_swaps: list, col_swaps: list) -> set:

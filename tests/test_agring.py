@@ -15,6 +15,7 @@ from torex.agring import (
     lam,
     matrix_rank,
     pairing_is_perfect,
+    pairing_ranks,
     reduce,
     schur_wedge2,
     socle_degree,
@@ -36,6 +37,9 @@ def cls(coords):
 
 def single(J, c=1):
     return cls({J: c})
+
+
+PRIME = 2**61 - 1
 
 
 def fraction_rank(matrix):
@@ -200,6 +204,38 @@ class TestSoclePairing:
     @example([[Fraction(0)] * 3] * 2)
     def test_rank_matches_fraction_elimination(self, matrix):
         assert matrix_rank(matrix) == fraction_rank(matrix)
+
+    # singular modulo the prime 2^61 - 1 that certifies full rank, but not
+    # (or less so) over Q: the rank must come from exact elimination
+    @pytest.mark.parametrize("matrix, rank", [
+        ([[PRIME]], 1),
+        ([[1, 1], [1, 1 + PRIME]], 2),
+        ([[2, 3], [4, 6 + PRIME]], 2),
+        ([[Fraction(PRIME, 3), Fraction(1, 3)], [Fraction(0), Fraction(1, 2)]], 2),
+        ([[Fraction(1, 2), Fraction(0), Fraction(0)],
+          [Fraction(0), Fraction(5 * PRIME, 7), Fraction(0)]], 2),
+        ([[PRIME, 0], [0, PRIME], [PRIME, PRIME]], 2),
+        ([[PRIME, 2 * PRIME], [1, 2]], 1),
+    ])
+    def test_rank_exact_where_the_prime_fails(self, matrix, rank):
+        assert fraction_rank(matrix) == rank
+        assert matrix_rank(matrix) == rank
+
+    @pytest.mark.parametrize("g", range(1, 10))
+    def test_mirrored_ranks_match_direct(self, g):
+        D = socle_degree(g)
+        dims, ranks = pairing_ranks(g)
+        assert list(dims) == [graded_dimension(g, d) for d in range(D + 1)]
+        assert list(ranks) == [matrix_rank(socle_pairing(g, d)) for d in range(D + 1)]
+
+    @pytest.mark.parametrize("g", range(1, 8))
+    def test_pairing_is_transposed_by_complement_degree(self, g):
+        D = socle_degree(g)
+        for d in range(D + 1):
+            assert socle_pairing(g, D - d) == [list(c) for c in zip(*socle_pairing(g, d))]
+
+    def test_out_of_range_degree_vacuously_perfect(self):
+        assert pairing_is_perfect(4, -1) and pairing_is_perfect(4, 7)
 
 
 class TestSchurWedge2:

@@ -463,6 +463,16 @@ class TestConstants:
         assert "2370/691" in out
 
 
+class TestLambdaProductsDigests:
+    @pytest.mark.parametrize("command", ["ring --genus 11", "zeroint --genus 6"])
+    def test_bytes_match_benchmark_digest(self, capsys, command):
+        with open(BENCH / "golden.json", encoding="utf-8") as fh:
+            digest = json.load(fh)["digests"]["full"][command]
+        code, out, _ = run(capsys, *command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 class TestZeroint:
     def test_small_genus(self, capsys):
         code, out, _ = run(capsys, "zeroint", "--genus", "4")
@@ -584,6 +594,25 @@ def load_trace_child():
     return trace_child
 
 
+def install_tracer(monkeypatch):
+    """The benchmark tracer's recorder, installed around every traced name
+    until the test ends."""
+    from torex.polyring import Poly
+
+    trace_child = load_trace_child()
+    # the tracer rebinds for good; rebinding each original to itself
+    # first has monkeypatch restore it afterwards
+    for owner_path, attr, *_ in trace_child.TARGETS:
+        if owner_path == "torex.polyring.Poly":
+            monkeypatch.setattr(Poly, attr, getattr(Poly, attr))
+        else:
+            original = getattr(sys.modules[owner_path], attr)
+            rebind_everywhere(monkeypatch, original, original)
+    recorder = trace_child.Recorder()
+    assert trace_child.install(recorder) == []
+    return recorder
+
+
 class TestTraceTargets:
     def test_every_traced_name_resolves(self):
         # the benchmark's tracer rebinds these names after importing the CLI;
@@ -603,19 +632,7 @@ class TestTraceTargets:
         # the tracer's own spans around the table pullback-closed-g7 builds:
         # one closed formula per shape (21 shapes for 66 trees), one
         # enumeration, no smoothings, and the recorded contribution sizes
-        from torex.polyring import Poly
-
-        trace_child = load_trace_child()
-        # the tracer rebinds for good; rebinding each original to itself
-        # first has monkeypatch restore it afterwards
-        for owner_path, attr, *_ in trace_child.TARGETS:
-            if owner_path == "torex.polyring.Poly":
-                monkeypatch.setattr(Poly, attr, getattr(Poly, attr))
-            else:
-                original = getattr(sys.modules[owner_path], attr)
-                rebind_everywhere(monkeypatch, original, original)
-        recorder = trace_child.Recorder()
-        assert trace_child.install(recorder) == []
+        recorder = install_tracer(monkeypatch)
         excess.all_contributions(7, "pixton")
         spans = {}
         for span in recorder.spans:
@@ -628,3 +645,18 @@ class TestTraceTargets:
         assert spans["excess.all_contributions"] == [
             [golden["polyring.contrib_terms_total"], golden["polyring.contrib_terms_max"]]
         ] == [[471, 20]]
+
+    def test_lambda_commands_call_traced_names(self, monkeypatch, capsys):
+        # agring.ring_s and products.zeroint_s add up the traced spans the
+        # command calls itself, and products.pairs counts zeroint_check among
+        # them: 55 pairs at genus 6
+        recorder = install_tracer(monkeypatch)
+        traced_main = recorder.span("cli.main", sys.modules["torex.cli"].main)
+        assert traced_main(["ring", "--genus", "5"]) == 0
+        assert traced_main(["zeroint", "--genus", "6"]) == 0
+        capsys.readouterr()
+        names = {span[0]: span[2] for span in recorder.spans}
+        direct = [span[2] for span in recorder.spans
+                  if names.get(span[1], "").startswith("cli.")]
+        assert any(name.startswith("agring.") for name in direct)
+        assert direct.count("products.zeroint_check") == 55

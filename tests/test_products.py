@@ -9,6 +9,7 @@ from torex.products import (
     Partition,
     ProductsError,
     RankTooLarge,
+    _matrices,
     euler_tensor_e_basis,
     euler_tensor_reduce,
     extremal_refinements,
@@ -68,6 +69,46 @@ def extremal_refinements_reference(p, q):
         ))
         out.append((sigma, cells, bundle))
     return sorted(out)
+
+
+def matrices_reference(rows, cols):
+    """Brute force: itertools.product over each cell's value, bounded by
+    its row and column sums, kept when every row and column sum matches.
+
+    A row's candidates are the cell products with the right row sum.  Each
+    is packed into one integer in base sum(rows) + 1, so the column sums
+    of a choice of rows match exactly when the packed integers sum to the
+    packed cols: no column sum can reach the base, so nothing carries.
+    """
+    base = sum(rows) + 1
+
+    def pack(values):
+        return sum(x * base ** j for j, x in enumerate(values))
+
+    target = pack(cols)
+    candidates = [
+        {pack(v): v for v in product(*(range(min(r, c) + 1) for c in cols))
+         if sum(v) == r}
+        for r in rows
+    ]
+    return [
+        tuple(row[code] for row, code in zip(candidates, codes))
+        for codes in product(*candidates)
+        if sum(codes) == target
+    ]
+
+
+class TestMatrices:
+    @pytest.mark.parametrize("g", range(2, 8))
+    def test_matches_reference_in_order(self, g):
+        parts = split_partitions(g)
+        for p in parts:
+            for q in parts:
+                assert list(_matrices(p, q)) == matrices_reference(p, q), (p, q)
+
+    def test_margins_that_differ_in_total(self):
+        assert list(_matrices((2, 1), (1, 1))) == []
+        assert list(_matrices((1, 1), (2, 1))) == []
 
 
 class TestRefinements:
