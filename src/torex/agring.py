@@ -122,7 +122,11 @@ def socle_degree(g: int) -> int:
 
 def socle_pairing(g: int, d: int):
     """Pairing matrix between degrees d and binom(g,2) - d, normalized
-    on the socle generator lambda_1 ... lambda_{g-1}."""
+    on the socle generator lambda_1 ... lambda_{g-1}.
+
+    The top degree is spanned by the socle, so each normal form is empty
+    or the single socle term; anything else raises AgRingError.
+    """
     D = socle_degree(g)
     if d < 0 or d > D:
         raise AgRingError("degree %d out of range" % d)
@@ -133,11 +137,10 @@ def socle_pairing(g: int, d: int):
     for J in rows:
         row = []
         for K in cols:
-            entry = 0
-            for L, c in _reduce_monomial(g, tuple(sorted(J + K))):
-                if L == socle:
-                    entry = c
-            row.append(entry)
+            form = _reduce_monomial(g, tuple(sorted(J + K)))
+            if form and (len(form) > 1 or form[0][0] != socle):
+                raise AgRingError("top degree of genus %d holds %r" % (g, form))
+            row.append(form[0][1] if form else 0)
         matrix.append(row)
     return matrix
 

@@ -9,13 +9,16 @@ at most one part.  The excess bundle of a component is the sum of
 E_a^dual (x) E_b^dual over pairs of parts lying in different rows and
 different columns; its Euler class vanishes because the top Chern class
 of every Hodge factor does.
+
+Reordering permutes rows of equal sum and columns of equal sum; each
+orbit stands for its least key, its tuple of columns, found by sorting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, chain, combinations, groupby, product
 
 from .polyring import Poly, det
 
@@ -116,58 +119,54 @@ def _matrices(rows: tuple, cols: tuple):
     return extend(0, (), cols)
 
 
-def _orbit(matrix: tuple, row_swaps: list, col_swaps: list) -> set:
-    """The matrices reached from matrix by permuting rows of equal sum and
-    columns of equal sum, closed under the adjacent swaps i <-> i + 1
-    listed in row_swaps and col_swaps."""
-    orbit = {matrix}
-    todo = [matrix]
-    while todo:
-        m = todo.pop()
-        moved = [m[:i] + (m[i + 1], m[i]) + m[i + 2:] for i in row_swaps]
-        moved += [
-            tuple(r[:j] + (r[j + 1], r[j]) + r[j + 2:] for r in m)
-            for j in col_swaps
-        ]
-        for new in moved:
-            if new not in orbit:
-                orbit.add(new)
-                todo.append(new)
-    return orbit
+def _runs(sums: tuple) -> list:
+    """The slices of the runs of equal entries in sums."""
+    stops = list(accumulate(len(list(run)) for _, run in groupby(sums)))
+    return [slice(a, b) for a, b in zip([0] + stops, stops)]
+
+
+def _arrangements(items: tuple):
+    """The distinct orderings of the sorted tuple items, each once."""
+    if not items:
+        yield ()
+    for i, x in enumerate(items):
+        if not i or x != items[i - 1]:
+            yield from ((x,) + r for r in _arrangements(items[:i] + items[i + 1:]))
 
 
 def extremal_refinements(p: Partition, q: Partition) -> list:
-    """All extremal common refinements of p and q, up to reordering."""
+    """All extremal common refinements of p and q, up to reordering.
+
+    Columns move only within their run of equal sums, so for a fixed row
+    order sorting each run of columns gives the least tuple of columns;
+    the orbit's least key is the least of those over the distinct
+    arrangements of the rows within their runs.  Every orbit holds a
+    matrix with its rows sorted within their runs, so only those are
+    keyed, and distinct orbits have distinct least keys.
+    """
     if p.total != q.total:
         raise GenusMismatch((p.total, q.total))
     rows, cols = p.parts, q.parts
-    row_swaps = [i for i in range(len(rows) - 1) if rows[i] == rows[i + 1]]
-    col_swaps = [j for j in range(len(cols) - 1) if cols[j] == cols[j + 1]]
-    seen = set()
-    out = []
+    row_runs, col_runs = _runs(rows), _runs(cols)
+    keys = set()
     for matrix in _matrices(rows, cols):
-        if matrix in seen:
-            continue
-        orbit = _orbit(matrix, row_swaps, col_swaps)
-        seen |= orbit
-        # the representative has the least column-major key in its orbit
-        canon = min(orbit, key=lambda m: tuple(zip(*m)))
-        cells = []
-        for i, row in enumerate(canon):
-            for j, v in enumerate(row):
-                if v:
-                    cells.append((i, j, v))
-        cells = tuple(sorted(cells))
+        if all(list(matrix[s]) == sorted(matrix[s]) for s in row_runs):
+            keys.add(min(
+                tuple(c for s in col_runs for c in sorted(columns[s]))
+                for blocks in product(*(_arrangements(matrix[s]) for s in row_runs))
+                for columns in (list(zip(*chain.from_iterable(blocks))),)
+            ))
+    out = []
+    for key in keys:
+        cells = tuple(sorted((i, j, v) for j, col in enumerate(key)
+                             for i, v in enumerate(col) if v))
+        bundle = tuple(sorted(
+            tuple(sorted((v1, v2)))
+            for (i1, j1, v1), (i2, j2, v2) in combinations(cells, 2)
+            if i1 != i2 and j1 != j2
+        ))
         sigma = Partition.make([v for _, _, v in cells])
-        bundle = []
-        for (i1, j1, v1), (i2, j2, v2) in combinations(cells, 2):
-            if i1 != i2 and j1 != j2:
-                bundle.append(tuple(sorted((v1, v2))))
-        out.append(
-            RefinementComponent(
-                sigma=sigma, cells=cells, excess_bundle=tuple(sorted(bundle))
-            )
-        )
+        out.append(RefinementComponent(sigma, cells, bundle))
     out.sort(key=lambda comp: (comp.sigma.parts, comp.cells))
     return out
 

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torex.agring import (
+    AgRingError,
     BadSplit,
     basis_subsets,
     graded_dimension,
@@ -233,6 +234,18 @@ class TestSoclePairing:
         D = socle_degree(g)
         for d in range(D + 1):
             assert socle_pairing(g, D - d) == [list(c) for c in zip(*socle_pairing(g, d))]
+
+    @pytest.mark.parametrize("form", [
+        (((1, 2), 1),),
+        (((1, 2), 1), ((1, 2, 3), 2)),
+        (((1, 2, 3), 2), ((1, 2, 3, 4), 1)),
+    ])
+    def test_top_degree_other_than_one_socle_term_raises(self, monkeypatch, form):
+        from torex import agring
+
+        monkeypatch.setattr(agring, "_reduce_monomial", lambda g, exps: form)
+        with pytest.raises(AgRingError, match="top degree of genus 4"):
+            socle_pairing(4, 3)
 
     def test_out_of_range_degree_vacuously_perfect(self):
         assert pairing_is_perfect(4, -1) and pairing_is_perfect(4, 7)

@@ -481,6 +481,12 @@ class TestZeroint:
         assert data["all_vanish"] is True
         assert all(p["vanishes"] for p in data["pairs"])
 
+    def test_genus7_digest(self, capsys):
+        code, out, _ = run(capsys, "zeroint", "--genus", "7")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "8e727d7abfa01ab6298f733fb4318601b9e51bfb0c7e5634ca3504a5d59ea710")
+
 
 class TestVerify:
     def test_all_checks_pass(self, capsys):

@@ -71,6 +71,57 @@ def extremal_refinements_reference(p, q):
     return sorted(out)
 
 
+def _orbit(matrix: tuple, row_swaps: list, col_swaps: list) -> set:
+    """The matrices reached from matrix by permuting rows of equal sum and
+    columns of equal sum, closed under the adjacent swaps i <-> i + 1
+    listed in row_swaps and col_swaps."""
+    orbit = {matrix}
+    todo = [matrix]
+    while todo:
+        m = todo.pop()
+        moved = [m[:i] + (m[i + 1], m[i]) + m[i + 2:] for i in row_swaps]
+        moved += [
+            tuple(r[:j] + (r[j + 1], r[j]) + r[j + 2:] for r in m)
+            for j in col_swaps
+        ]
+        for new in moved:
+            if new not in orbit:
+                orbit.add(new)
+                todo.append(new)
+    return orbit
+
+
+def orbit_closure_reference(p, q):
+    """Closes the orbit of each enumerated matrix by breadth-first
+    adjacent swaps and keeps its least column-major member; one
+    (sigma, cells, excess_bundle) per orbit, sorted."""
+    rows, cols = p.parts, q.parts
+    row_swaps = [i for i in range(len(rows) - 1) if rows[i] == rows[i + 1]]
+    col_swaps = [j for j in range(len(cols) - 1) if cols[j] == cols[j + 1]]
+    seen = set()
+    out = []
+    for matrix in _matrices(rows, cols):
+        if matrix in seen:
+            continue
+        orbit = _orbit(matrix, row_swaps, col_swaps)
+        seen |= orbit
+        # the representative has the least column-major key in its orbit
+        canon = min(orbit, key=lambda m: tuple(zip(*m)))
+        cells = []
+        for i, row in enumerate(canon):
+            for j, v in enumerate(row):
+                if v:
+                    cells.append((i, j, v))
+        cells = tuple(sorted(cells))
+        sigma = Partition.make([v for _, _, v in cells])
+        bundle = []
+        for (i1, j1, v1), (i2, j2, v2) in combinations(cells, 2):
+            if i1 != i2 and j1 != j2:
+                bundle.append(tuple(sorted((v1, v2))))
+        out.append((sigma.parts, cells, tuple(sorted(bundle))))
+    return sorted(out)
+
+
 def matrices_reference(rows, cols):
     """Brute force: itertools.product over each cell's value, bounded by
     its row and column sums, kept when every row and column sum matches.
@@ -122,6 +173,17 @@ class TestRefinements:
                     for c in extremal_refinements(P(p), P(q))
                 ]
                 assert got == extremal_refinements_reference(P(p), P(q)), (p, q)
+
+    @pytest.mark.parametrize("g", [6, 7])
+    def test_matches_orbit_closure_reference(self, g):
+        parts = split_partitions(g)
+        for p in parts:
+            for q in parts:
+                got = [
+                    (c.sigma.parts, c.cells, c.excess_bundle)
+                    for c in extremal_refinements(P(p), P(q))
+                ]
+                assert got == orbit_closure_reference(P(p), P(q)), (p, q)
 
     def test_elliptic_against_middle(self):
         for g in (5, 6, 8):
