@@ -3,7 +3,7 @@ tautological projection coefficient g / (6 |B_2g|)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -48,9 +48,9 @@ def coefficient_discrepancy(g: int) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True)
-class HodgeConstants:
-    """The two closed-form integrals entering the coefficient check.
+class HodgeConstants(namedtuple("HodgeConstants", "tail_integral triple_lambda")):
+    """The two closed-form integrals entering the coefficient check, each
+    a Fraction (triple_lambda None below g = 2).
 
     tail_integral:  integral of c(E^dual)/(1 - psi_1) * lambda_g lambda_{g-1}
                     over the (g,1) moduli space  =  |B_2g| / (2g (2g)!)
@@ -58,8 +58,7 @@ class HodgeConstants:
                     =  1/(2 (2g-2)!) * |B_2g|/(2g) * |B_{2g-2}|/(2g-2)
     """
 
-    tail_integral: Fraction
-    triple_lambda: Fraction | None
+    __slots__ = ()
 
 
 def hodge_constants(g: int) -> HodgeConstants:

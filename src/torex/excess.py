@@ -66,9 +66,11 @@ wide, under the degree.  The recursion keeps each solved tree as terms
 edge labels, and moves a smoothing's terms onto its source tree with one
 dot product of exps against the packed keys of the mapped edges.  Each
 tree's `Poly` is built once from its terms, so the table of
-contributions, the cache files and every other caller hold tuple
-`Poly`s.  The closed formula and the base case stay on tuple monomials,
-which keeps them independent references for the recursion.
+contributions and every other caller hold tuple `Poly`s; a cache file
+holds each tree's terms in this same form, with exps one exponent per
+edge, and is read back through the same builder (`_poly_of_terms`).
+The closed formula and the base case stay on tuple monomials, which
+keeps them independent references for the recursion.
 """
 
 from __future__ import annotations
@@ -76,7 +78,8 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
@@ -97,12 +100,11 @@ class MissingSmoothing(ExcessError):
     pass
 
 
-@dataclass(frozen=True)
-class Contribution:
-    """Cont_T in the edge variables z_e and formal Chern classes c_i."""
+class Contribution(namedtuple("Contribution", "tree poly")):
+    """Cont_T in the edge variables z_e and formal Chern classes c_i: an
+    ExtremalTree and a Poly."""
 
-    tree: ExtremalTree
-    poly: Poly
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
@@ -340,16 +342,28 @@ def _recursion_table(trees, g: int) -> dict:
     before it.  The sort is stable: canonical-code order within an edge
     count.  The solved terms stay in the recursion's form; each tree's
     `Poly` is built once from them."""
-    zs = list(_layout(g).unit)  # z_1 .. z_{2g-3}
-    cs = [()] + [((cvar(i), 1),) for i in range(1, g)]
     solved: dict = {}
     table: dict = {}
     for t in sorted(trees, key=lambda tree: tree.n_edges):
         terms = solved[t.code] = recursion_contribution(t, solved)
-        poly = {cs[i] + tuple((v, x) for v, x in zip(zs, exps) if x): c
-                for i, exps, c in terms}
-        table[t.code] = Contribution(tree=t, poly=Poly._of(poly))
+        table[t.code] = Contribution(tree=t, poly=_poly_of_terms(terms, g))
     return table
+
+
+def _poly_of_terms(terms, g: int) -> Poly:
+    """The Poly of terms (i, exps, coeff) of genus g, each coeff * c_i *
+    prod_j z_j^exps[j-1] with c_0 read as 1.  The recursion's results and
+    the cache's entries are built here."""
+    zs, cs = _term_variables(g)
+    return Poly._of({cs[i] + tuple((v, x) for v, x in zip(zs, exps) if x): c
+                     for i, exps, c in terms})
+
+
+@lru_cache(maxsize=None)
+def _term_variables(g: int) -> tuple:
+    """z_1 .. z_{2g-3} and, by i, the monomial of c_i (c_0 = 1)."""
+    return (tuple(_layout(g).unit),
+            ((),) + tuple(((cvar(i), 1),) for i in range(1, g)))
 
 
 def tree_contribution(t: ExtremalTree, method: str = "recursion") -> Contribution:
@@ -379,15 +393,17 @@ def _cache_path(cache_dir, g, method):
 
 # the layout of a cache file; a file of another format or package version
 # is a miss
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 
 
 def _cache_load(cache_dir, g, method):
-    """The cached table, or None for a miss.  A file that does not parse,
-    was written in another format, by another package version, or for
-    another genus or method, does not hold each enumerated tree exactly
-    once, or holds a polynomial without the form of a contribution is a
-    miss: the table is recomputed and the file rewritten."""
+    """The cached table, or None for a miss.  An entry holds a tree's code
+    and its contribution as terms [i, exps, coeff] (`_cache_terms`).  A
+    file that does not parse, was written in another format, by another
+    package version, or for another genus or method, does not hold each
+    enumerated tree exactly once, or holds a term without the form of a
+    contribution of that genus is a miss: the table is recomputed and the
+    file rewritten."""
     if not cache_dir:
         return None
     path = _cache_path(cache_dir, g, method)
@@ -400,10 +416,11 @@ def _cache_load(cache_dir, g, method):
         out = {}
         for entry in data["contributions"]:
             t = ExtremalTree.from_code(entry["code"])
-            cont = Contribution(tree=t, poly=Poly.from_json(entry["poly"]))
-            if not _has_contribution_form(cont):
-                return None
-            out[t.code] = cont
+            terms = _checked_terms(entry["poly"], t.n_edges, g - 1 - t.n_edges)
+            poly = _poly_of_terms(terms, g)
+            if len(poly.terms) != len(terms):
+                return None  # a term given twice
+            out[t.code] = Contribution(tree=t, poly=poly)
     except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError, TreeError,
             RecursionError):
         return None
@@ -412,29 +429,43 @@ def _cache_load(cache_dir, g, method):
     return out
 
 
-def _has_contribution_form(cont: Contribution) -> bool:
-    """Whether every term of cont has degree g-1-n, uses only z_1 .. z_n
-    for the tree's n edges, and holds at most one c_i, to the first
-    power: the form every contribution has."""
-    d = cont.degree
-    zs = {zvar(i) for i in range(1, cont.tree.n_edges + 1)}
-    cs = {cvar(i): i for i in range(1, d + 1)}
-    for m in cont.poly.terms:
-        degree, c_seen, prev = 0, False, None
+def _checked_terms(entry, n: int, d: int) -> list:
+    """The terms of a cache entry of a tree with n edges, each coefficient
+    an int or a Fraction; raises ValueError unless every term has the form
+    of a contribution's: i and the n exponents nonnegative ints of sum d,
+    the coefficient a nonzero int or the text of a non-integral fraction."""
+    out = []
+    for i, exps, c in entry:
+        if type(c) is str:
+            c = Fraction(c)
+            if c.denominator == 1:
+                raise ValueError("integral coefficient written as text")
+        elif type(c) is not int or not c:
+            raise ValueError("coefficient %r" % (c,))
+        if type(i) is not int or i < 0 or len(exps) != n or i + sum(exps) != d:
+            raise ValueError("term %r is not of degree %d in %d edges" % ([i, exps], d, n))
+        for x in exps:
+            if type(x) is not int or x < 0:
+                raise ValueError("exponent %r" % (x,))
+        out.append((i, exps, c))
+    return out
+
+
+def _cache_terms(cont: Contribution) -> list:
+    """cont as the terms [i, exps, coeff] the cache holds: coeff * c_i *
+    prod_j z_j^exps[j-1], exps one exponent per edge, coeff an int when it
+    is integral and the text "p/q" otherwise."""
+    n = cont.tree.n_edges
+    out = []
+    for m, c in cont.poly.terms.items():
+        i, exps = 0, [0] * n
         for v, e in m:
-            if type(e) is not int or e < 1 or v == prev:
-                return False
-            if v in zs:
-                degree += e
-            elif v in cs and e == 1 and not c_seen:
-                degree += cs[v]
-                c_seen = True
+            if v[0] == "c":
+                i = v[1]
             else:
-                return False
-            prev = v
-        if degree != d:
-            return False
-    return True
+                exps[v[1] - 1] = e
+        out.append([i, exps, c if type(c) is int else str(c)])
+    return out
 
 
 def _store_or_warn(cache_dir, g, method, table) -> None:
@@ -456,7 +487,7 @@ def _cache_store(cache_dir, g, method, table) -> None:
         "genus": g,
         "method": method,
         "contributions": [
-            {"code": code, "poly": cont.poly.to_json()}
+            {"code": code, "poly": _cache_terms(cont)}
             for code, cont in table.items()
         ],
     }
@@ -465,7 +496,7 @@ def _cache_store(cache_dir, g, method, table) -> None:
     tmp = "%s.%d.tmp" % (path, os.getpid())
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=1, sort_keys=True)
+            json.dump(data, fh, separators=(",", ":"), sort_keys=True)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

@@ -28,8 +28,7 @@ wide, and the degree sits in the field above them all.  A monomial
 product is an int addition, a degree is a shift, and the top bit of each
 field guards the exact division against a borrow.  The recursion builds
 its keys from `PackedLayout.unit` and reads exponents back with
-`PackedLayout.exponents`; every other module, the cache and the JSON
-form see tuple monomials only.
+`PackedLayout.exponents`; every other module sees tuple monomials only.
 """
 
 from __future__ import annotations
@@ -392,7 +391,7 @@ class Poly:
                 t[fm] = get(fm, 0) + fc
         return Poly._of_sums(t)
 
-    # -- canonical text / JSON --------------------------------------------
+    # -- canonical text ---------------------------------------------------
 
     def sorted_terms(self) -> list:
         return sorted(self._t.items(), key=lambda kv: _mono_sort_key(kv[0]))
@@ -419,20 +418,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return "Poly(%s)" % self
-
-    def to_json(self) -> list:
-        out = []
-        for m, c in self.sorted_terms():
-            out.append([str(c), [[list(v), e] for v, e in m]])
-        return out
-
-    @staticmethod
-    def from_json(data: Iterable) -> "Poly":
-        t = {}
-        for coeff, mono in data:
-            m = tuple(sorted((tuple(v), e) for v, e in mono))
-            t[m] = Fraction(coeff)
-        return Poly(t)
 
 
 def prod(polys: Iterable[Poly], max_deg: int | None = None) -> Poly:

@@ -16,7 +16,7 @@ orbit stands for its least key, its tuple of columns, found by sorting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, groupby, product
 
@@ -50,9 +50,32 @@ def split_partitions(g: int) -> list:
     return list(rec(g, g - 1))
 
 
-@dataclass(frozen=True)
 class Partition:
-    parts: tuple  # weakly decreasing positive integers
+    """A partition: parts, a tuple of weakly decreasing positive integers.
+    Immutable, and equal and hashed by its parts.  Not a tuple, since
+    len() is its number of parts."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple):
+        object.__setattr__(self, "parts", parts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __eq__(self, other):
+        if type(other) is not Partition:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self):
+        return hash(self.parts)
+
+    def __repr__(self):
+        return "Partition(parts=%r)" % (self.parts,)
 
     @staticmethod
     def make(parts) -> "Partition":
@@ -69,17 +92,15 @@ class Partition:
         return len(self.parts)
 
 
-@dataclass(frozen=True)
-class RefinementComponent:
+class RefinementComponent(namedtuple("RefinementComponent", "sigma cells excess_bundle")):
     """An extremal common refinement with its assignment data.
 
     cells: sorted tuple of (row, col, part); sigma is the multiset of
-    parts; excess_bundle lists the (a, b) rank pairs of its summands.
+    parts, a Partition; excess_bundle lists the (a, b) rank pairs of its
+    summands.
     """
 
-    sigma: Partition
-    cells: tuple
-    excess_bundle: tuple
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)

@@ -25,10 +25,10 @@ the bytes `json.dumps(..., indent=1)` gives for its fixed schema.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from operator import gt, itemgetter
+from operator import gt
 
 from .excess import Contribution, all_contributions
 from .polyring import (
@@ -36,7 +36,6 @@ from .polyring import (
     Poly,
     cvar,
     lamvar,
-    mono_degree,
     mono_mul,
     mono_str,
     psivar,
@@ -50,25 +49,27 @@ class StrataError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Summand:
-    coeff: Fraction
-    monos: tuple  # one monomial in untagged lam/psi variables per vertex
+class Summand(namedtuple("Summand", "coeff monos")):
+    """A rational coefficient and one monomial in untagged lam/psi
+    variables per vertex."""
+
+    __slots__ = ()
 
     def render(self) -> list:
         return [mono_str(m) for m in self.monos]
 
 
-@dataclass(frozen=True)
-class TreeTerm:
-    tree: ExtremalTree
-    summands: tuple  # of Summand, coefficients already weighted by 1/aut
+class TreeTerm(namedtuple("TreeTerm", "tree summands")):
+    """A tree and its tuple of Summands, coefficients already weighted by
+    1/|Aut|."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class StrataExpression:
-    genus: int
-    terms: tuple  # of TreeTerm, in canonical-code order
+class StrataExpression(namedtuple("StrataExpression", "genus terms")):
+    """The genus and its tuple of TreeTerms, in canonical-code order."""
+
+    __slots__ = ()
 
 
 def _factor_is_rigid(t: ExtremalTree, v: int) -> bool:
@@ -128,33 +129,37 @@ def substitute_stratum(c: Contribution, weight=1) -> list:
         raise StrataError("unexpected variables %r" % (missing,))
     expanded = c.poly.substitute(subs)
     bounds = [_truncation_bound(t, v) for v in range(t.n_vertices)]
-    # each lam/psi variable's vertex, untagged form and degree
-    place = {var: (var[1], (var[0], -1) + var[2:], var_degree(var))
-             for p in subs.values() for var in p.variables()}
+    nv = len(bounds)
+    # (var, e) -> (vertex, untagged (var, e), degree), filled as met
+    place: dict = {}
     kept = []
     for mono, coeff in expanded.terms.items():
         # a monomial's variables sorted by (name, vertex, index) are
         # sorted by (name, index) within each vertex once untagged
-        runs: list = [[] for _ in bounds]
-        degrees = [0] * len(bounds)
-        for var, e in mono:
-            v, name, d = place[var]
-            runs[v].append((name, e))
-            degrees[v] += d * e
+        monos = [()] * nv
+        degrees = [0] * nv
+        for ve in mono:
+            got = place.get(ve)
+            if got is None:
+                var, e = ve
+                got = place[ve] = (var[1], ((var[0], -1) + var[2:], e), var_degree(var) * e)
+            v, pair, d = got
+            monos[v] += (pair,)
+            degrees[v] += d
         if any(map(gt, degrees, bounds)):
             continue
-        kept.append(((sum(degrees), mono), coeff, runs))
-    kept.sort(key=itemgetter(0))
+        # the expanded monomials are distinct: the sort never reaches coeff
+        kept.append((sum(degrees), mono, coeff, monos))
+    kept.sort()
     # equal monomials share one object, which serialize renders once
-    known: dict = {}
+    share = {}.setdefault
     scaled: dict = {}  # coeff -> weight * coeff
     out = []
-    for _, coeff, runs in kept:
-        monos = tuple(known.setdefault(m, m) for m in map(tuple, runs))
+    for _, _, coeff, monos in kept:
         w = scaled.get(coeff)
         if w is None:
             w = scaled[coeff] = weight * coeff
-        out.append(Summand(coeff=w, monos=monos))
+        out.append(Summand(w, tuple(map(share, monos, monos))))
     return out
 
 
@@ -174,37 +179,6 @@ def assemble_pullback(g: int, method: str = "recursion",
         summands = stratum_class(cont, weight)
         terms.append(TreeTerm(tree=cont.tree, summands=summands))
     return StrataExpression(genus=g, terms=tuple(terms))
-
-
-# ---------------------------------------------------------------------------
-# invariants
-# ---------------------------------------------------------------------------
-
-
-def check_degree_balance(s: StrataExpression) -> bool:
-    """Tree codimension plus decoration degree equals g - 1 everywhere."""
-    for term in s.terms:
-        n = term.tree.n_edges
-        for sm in term.summands:
-            deco = sum(map(mono_degree, sm.monos))
-            if n + deco != s.genus - 1:
-                return False
-    return True
-
-
-def check_vanishing_discipline(s: StrataExpression) -> bool:
-    """No lambda on the root, genus-0, or genus-1 vertices; nothing at
-    all on rigid factors."""
-    for term in s.terms:
-        t = term.tree
-        for sm in term.summands:
-            for v, mono in enumerate(sm.monos):
-                for var, _ in mono:
-                    if var[0] == "lam" and t.genera[v] <= 1:
-                        return False
-                    if _factor_is_rigid(t, v) and mono:
-                        return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +222,8 @@ def _json_text(s: StrataExpression) -> str:
         {"genus": g, "terms": [{"tree": tree.to_json(), "aut": |Aut|,
           "summands": [{"coeff": "p/q", "vertex_polys": ["lam1", ...]}]}]}
 
-    written directly: json.dumps runs its pure-Python encoder when indent
-    is set.  A tree is dumped by json and indented by its depth."""
+    written directly, the trees by `_tree_json`: json.dumps runs its
+    pure-Python encoder when indent is set."""
     terms = []
     for term in s.terms:
         summands = [
@@ -259,10 +233,22 @@ def _json_text(s: StrataExpression) -> str:
                 term.summands,
                 lambda m: "\n      " + encode_basestring_ascii(mono_str(m)))
         ]
-        tree = json.dumps(term.tree.to_json(), indent=1).replace("\n", "\n   ")
         terms.append('\n  {\n   "tree": %s,\n   "aut": %d,\n   "summands": %s\n  }'
-                     % (tree, term.tree.aut_order, _json_list(summands, 3)))
+                     % (_tree_json(term.tree), term.tree.aut_order,
+                        _json_list(summands, 3)))
     return '{\n "genus": %d,\n "terms": %s\n}' % (s.genus, _json_list(terms, 1))
+
+
+def _tree_json(t: ExtremalTree) -> str:
+    """The text json.dumps(t.to_json(), indent=1) gives, with every line
+    after the first indented three more spaces, as a term holds it."""
+    vertices = ['\n     {\n      "id": %d,\n      "genus": %d\n     }' % vg
+                for vg in enumerate(t.genera)]
+    edges = ['\n     [\n      %d,\n      %d\n     ]' % uw for uw in t.edges()]
+    return ('{\n    "genus": %d,\n    "root": 0,\n    "vertices": %s,\n'
+            '    "edges": %s,\n    "aut": %d,\n    "code": %s\n   }'
+            % (t.genus, _json_list(vertices, 4), _json_list(edges, 4), t.aut_order,
+               encode_basestring_ascii(t.code)))
 
 
 def parse_json(data: bytes) -> StrataExpression:
@@ -320,16 +306,3 @@ def _to_audit_text(s: StrataExpression) -> str:
         for sm, texts in _rendered(term.summands, mono_str):
             lines.append("  %s * [%s]" % (sm.coeff, ", ".join(texts)))
     return "\n".join(lines) + "\n"
-
-
-def expression_equal(a: StrataExpression, b: StrataExpression) -> bool:
-    return a.genus == b.genus and _normal_form(a) == _normal_form(b)
-
-
-def _normal_form(s: StrataExpression) -> dict:
-    out: dict = {}
-    for term in s.terms:
-        for sm in term.summands:
-            key = (term.tree.code, sm.monos)
-            out[key] = out.get(key, Fraction(0)) + sm.coeff
-    return {k: v for k, v in out.items() if v}

@@ -10,7 +10,7 @@ carries the 1-based label label[w], assigned in breadth-first order
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import factorial
 
@@ -147,11 +147,6 @@ class ExtremalTree:
             return _tree(parse_code(s))
         except RecursionError:
             raise TreeError("tree code nested too deeply") from None
-
-    @staticmethod
-    def star(leaf_genera) -> "ExtremalTree":
-        kids = tuple(sorted((g, ()) for g in leaf_genera))
-        return ExtremalTree((1, kids))
 
     # -- basic structure ------------------------------------------------
 
@@ -326,39 +321,21 @@ def tree_codes(g: int, max_edges: int) -> set:
     return {_code_str(c) for c in _root_codes(g, max_edges)}
 
 
-def aut_order_brute(t: ExtremalTree) -> int:
-    """Automorphism order by explicit permutation search (small trees)."""
-    from itertools import permutations
-
-    n = t.n_vertices
-    edges = {frozenset(e) for e in t.edges()}
-    count = 0
-    for perm in permutations(range(1, n)):
-        full = (0,) + perm
-        if any(t.genera[full[v]] != t.genera[v] for v in range(n)):
-            continue
-        if all(frozenset((full[u], full[w])) in edges for u, w in edges):
-            count += 1
-    return count
-
-
 # ---------------------------------------------------------------------------
 # smoothings / degenerations
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Smoothing:
+class Smoothing(namedtuple("Smoothing", "target edge_map contracted")):
     """A tree T' this tree degenerates from, with its edge correspondence.
 
-    edge_map[j - 1] is the z label, in the degenerate tree, of the
-    (non-contracted) edge that is the target's z_j; contracted holds the
-    z labels of the edges collapsed inside parts.
+    target is T', an ExtremalTree.  edge_map[j - 1] is the z label, in the
+    degenerate tree, of the (non-contracted) edge that is the target's
+    z_j; contracted is the frozenset of the z labels of the edges
+    collapsed inside parts.
     """
 
-    target: ExtremalTree
-    edge_map: tuple  # source z label of each target edge, in target label order
-    contracted: frozenset
+    __slots__ = ()
 
 
 def smoothings(t: ExtremalTree) -> list:

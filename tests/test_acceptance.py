@@ -7,6 +7,7 @@ import pytest
 
 from conftest import display_normal_form, tree_normal_form
 from golden_displays import GENUS4, GENUS5, GENUS6
+from helpers import check_degree_balance, check_vanishing_discipline, expression_equal
 
 from torex import agring, constants, products, strata, verify
 from torex.excess import all_contributions
@@ -141,9 +142,9 @@ def test_criterion_10_declared_export():
         expr = strata.assemble_pullback(g)
         data = strata.serialize(expr, "json")
         again = strata.parse_json(data)
-        ok = ok and strata.expression_equal(expr, again)
-        ok = ok and strata.check_degree_balance(expr)
-        ok = ok and strata.check_vanishing_discipline(expr)
+        ok = ok and expression_equal(expr, again)
+        ok = ok and check_degree_balance(expr)
+        ok = ok and check_vanishing_discipline(expr)
         text = strata.serialize(expr, "admcycles")
         ok = ok and text.startswith(b"genus %d" % g)
     report(10, "declared: strata export emitted for external engines", ok)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import torex
-from torex import excess
+from torex import excess, strata
 from torex.cli import main
 from torex.trees import ExtremalTree, enumerate_trees
 
@@ -309,12 +309,13 @@ class TestCacheMisses:
         assert self.cached_run(capsys, monkeypatch, tmp_path, deep) == uncached
 
     @pytest.mark.parametrize("field,value", [
-        ("poly", [["1/0", []]]),
+        ("poly", [[0, [0, 0, 0, 0], "1/0"]]),
         ("code", "((("),
         pytest.param("code", DEEP_CODE, id="code-DEEP_CODE"),
         pytest.param("code", DEEP_TREE, id="code-DEEP_TREE"),
     ])
     def test_bad_entry(self, capsys, monkeypatch, tmp_path, uncached, field, value):
+        # the first entry is (1(0(1)(1)(2))): four edges, degree 0
         data = self.valid_file(tmp_path, monkeypatch, capsys)
         data["contributions"][0][field] = value
         assert self.cached_run(capsys, monkeypatch, tmp_path, data) == uncached
@@ -331,7 +332,7 @@ class TestCacheMisses:
         del data["format"], data["version"]
         assert self.cached_run(capsys, monkeypatch, tmp_path, data) == uncached
 
-    @pytest.mark.parametrize("key,value", [("format", 0), ("format", 1),
+    @pytest.mark.parametrize("key,value", [("format", 0), ("format", 1), ("format", 2),
                                            ("version", "0.0.0")])
     def test_other_format_or_version(self, capsys, monkeypatch, tmp_path, uncached,
                                      key, value):
@@ -339,33 +340,58 @@ class TestCacheMisses:
         data[key] = value
         assert self.cached_run(capsys, monkeypatch, tmp_path, data) == uncached
 
+    def test_format_2_file(self, capsys, monkeypatch, tmp_path, uncached):
+        # the table as format 2 held it: each class as [coeff text, [[variable,
+        # exponent], ...]] per term
+        data = self.valid_file(tmp_path, monkeypatch, capsys)
+        for entry in data["contributions"]:
+            entry["poly"] = [
+                [str(c), [[["c", i], 1]] * (i > 0)
+                 + [[["z", j], x] for j, x in enumerate(exps, 1) if x]]
+                for i, exps, c in entry["poly"]]
+        data["format"] = 2
+        assert self.cached_run(capsys, monkeypatch, tmp_path, data) == uncached
+
     def test_tree_set_mismatch(self, capsys, monkeypatch, tmp_path, uncached):
         data = self.valid_file(tmp_path, monkeypatch, capsys)
         data["contributions"].pop()
         assert self.cached_run(capsys, monkeypatch, tmp_path, data) == uncached
+        # an extra tree, of genus 6, its class of the form genus 5 asks
         data = self.valid_file(tmp_path, monkeypatch, capsys)
-        data["contributions"].append({"code": "(1(5))", "poly": [["1", []]]})
+        data["contributions"].append({"code": "(1(5))", "poly": [[3, [0], 1]]})
         assert self.cached_run(capsys, monkeypatch, tmp_path, data) == uncached
-        # a well-formed entry of genus 4 in place of the genus-5 tree (1(4)):
-        # only the tree set ties the entries to the header's genus
+        # an entry of genus 4 in place of the genus-5 tree (1(4)), its class of
+        # the degree genus 5 asks: only the tree set ties the entries to the
+        # header's genus
         data = self.valid_file(tmp_path, monkeypatch, capsys)
         entry = next(e for e in data["contributions"] if e["code"] == "(1(4))")
-        entry.update(code="(1(3))", poly=[["1", [[["c", 2], 1]]]])
+        entry.update(code="(1(3))", poly=[[3, [0], 1]])
         assert self.cached_run(capsys, monkeypatch, tmp_path, data) == uncached
 
     # each breaks the form of the degree 3 class of the one-edge tree
-    # (1(4)): every term of degree 3, only z1, at most one c_i to the power 1
+    # (1(4)): terms [i, [exponent of z1], coeff] with i + exponent = 3, both
+    # nonnegative ints, coeff a nonzero int or the text of a non-integral
+    # fraction, no (i, exponents) twice
     @pytest.mark.parametrize("poly", [
-        [["5", [[["c", 1], 1], [["c", 2], 1]]]],
-        [["5", [[["c", 1], 3]]]],
-        [["5", [[["c", 1], 1], [["z", 2], 2]]]],
-        [["5", [[["c", 2], 1]]]],
-        [["5", [[["e", "l", 1], 1], [["z", 1], 2]]]],
-        [["5", [[["z", 1], 3.0]]]],
-        [["5", [[["c", 3], 1], [["z", 1], 0]]]],
-        [["5", [[["z", 1], 1], [["z", 1], 2]]]],
-    ], ids=["c1*c2", "c1^3", "c1*z2^2", "degree-2", "e1*z1^2", "float-exponent",
-            "zero-exponent", "repeated-z1"])
+        [[1, [0, 2], 5]],
+        [[3, [], 5]],
+        [[2, [0], 5]],
+        [[0, [3.0], 5]],
+        [[4, [-1], 5]],
+        [[2, [True], 5]],
+        [[-1, [4], 5]],
+        [[True, [2], 5]],
+        [[0, [3], True]],
+        [[0, [3], 5.0]],
+        [[0, [3], 0]],
+        [[0, [3], "0/2"]],
+        [[0, [3], "5"]],
+        [[0, [3], 5], [0, [3], 2]],
+        [[0, [3]]],
+    ], ids=["c1*z2^2", "no-exponent", "degree-2", "float-exponent", "negative-exponent",
+            "bool-exponent", "negative-class", "bool-class", "bool-coefficient",
+            "float-coefficient", "zero-coefficient", "zero-text-coefficient",
+            "integral-text-coefficient", "repeated-term", "not-a-triple"])
     def test_not_a_contribution(self, capsys, monkeypatch, tmp_path, uncached, poly):
         data = self.valid_file(tmp_path, monkeypatch, capsys)
         entry = next(e for e in data["contributions"] if e["code"] == "(1(4))")
@@ -374,8 +400,30 @@ class TestCacheMisses:
 
     def test_duplicate_tree(self, capsys, monkeypatch, tmp_path, uncached):
         data = self.valid_file(tmp_path, monkeypatch, capsys)
-        data["contributions"].append({"code": "(1(4))", "poly": [["1", []]]})
+        data["contributions"].append({"code": "(1(4))", "poly": [[3, [0], 1]]})
         assert self.cached_run(capsys, monkeypatch, tmp_path, data) == uncached
+
+    def test_valid_file_is_a_hit(self, capsys, monkeypatch, tmp_path, uncached):
+        # the faults above are each the only one: the same file without them,
+        # fractions included, is read
+        data = self.valid_file(tmp_path, monkeypatch, capsys)
+        entry = next(e for e in data["contributions"] if e["code"] == "(1(4))")
+        entry["poly"] = [[3, [0], "1/2"], [0, [3], 5]]
+        (tmp_path / self.PATH).write_text(json.dumps(data))
+        table = excess._cache_load(str(tmp_path), 5, "recursion")
+        assert str(table["(1(4))"].poly) == "1/2*c3 + 5*z1^3"
+
+    @pytest.mark.parametrize("method", ["recursion", "pixton"])
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_round_trip(self, tmp_path, g, method):
+        table = excess.all_contributions(g, method, cache_dir=str(tmp_path))
+        want = [strata.serialize(strata.assemble_pullback(g, method), fmt)
+                for fmt in ("json", "admcycles")]
+        self.memo.clear()
+        assert excess._cache_load(str(tmp_path), g, method) == table
+        self.memo.clear()
+        expr = strata.assemble_pullback(g, method, cache_dir=str(tmp_path))
+        assert [strata.serialize(expr, fmt) for fmt in ("json", "admcycles")] == want
 
     def test_hit_leaves_file_untouched(self, capsys, monkeypatch, tmp_path, uncached):
         self.valid_file(tmp_path, monkeypatch, capsys)
@@ -471,6 +519,31 @@ class TestLambdaProductsDigests:
         code, out, _ = run(capsys, *command.split())
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+class TestCachedPullbackDigests:
+    """The benchmark's cached workload: both formats read from a cache that
+    the JSON command filled give the recorded bytes."""
+
+    FILL = "pullback --genus 8 --format json"
+    COMMANDS = ["pullback --genus 8 --format json", "pullback --genus 8 --format admcycles"]
+
+    def test_bytes_match_benchmark_digest(self, capsys, monkeypatch, tmp_path, memo):
+        with open(BENCH / "golden.json", encoding="utf-8") as fh:
+            digests = json.load(fh)["digests"]["full"]
+        monkeypatch.setenv("EXCESS_CACHE_DIR", str(tmp_path))
+        assert run(capsys, *self.FILL.split())[0] == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["contrib-g8-recursion.json"]
+
+        def recomputed(*args):
+            raise AssertionError("contributions recomputed instead of read")
+
+        monkeypatch.setattr(excess, "enumerate_trees", recomputed)
+        for command in self.COMMANDS:
+            memo.clear()
+            code, out, err = run(capsys, *command.split())
+            assert code == 0 and err == ""
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digests[command]
 
 
 class TestZeroint:

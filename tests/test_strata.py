@@ -5,6 +5,7 @@ import pytest
 
 from conftest import display_normal_form, tree_normal_form
 from golden_displays import GENUS4, GENUS5, GENUS6
+from helpers import check_degree_balance, check_vanishing_discipline, expression_equal
 
 from torex.excess import Contribution, all_contributions
 from torex.polyring import Poly, evar, lamvar, psivar, var_degree, zvar
@@ -14,18 +15,16 @@ from torex.strata import (
     Summand,
     TreeTerm,
     _factor_is_rigid,
+    _tree_json,
     _truncation_bound,
     assemble_pullback,
-    check_degree_balance,
-    check_vanishing_discipline,
-    expression_equal,
     marking_index,
     parse_json,
     serialize,
     stratum_class,
     substitute_stratum,
 )
-from torex.trees import enumerate_trees
+from torex.trees import ExtremalTree, enumerate_trees
 from torex.verify import WORKED_BRACKETS
 
 
@@ -254,3 +253,22 @@ class TestSerialization:
         a = serialize(assemble_pullback(g, method="recursion"), "json")
         b = serialize(assemble_pullback(g, method="pixton"), "json")
         assert a == b
+
+
+class TestTreeJson:
+    """The writer of a term's tree against json.dumps, re-indented the way
+    a term holds it."""
+
+    @staticmethod
+    def reference(t):
+        return json.dumps(t.to_json(), indent=1).replace("\n", "\n   ")
+
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_matches_json_dumps(self, g):
+        for t in enumerate_trees(g, g - 1):
+            assert _tree_json(t) == self.reference(t), t.code
+
+    def test_deeply_nested_code(self):
+        t = ExtremalTree.from_code("(1" + "(0" * 200 + "(1)(1)" + ")(1)" * 200 + ")")
+        assert t.n_edges == 402
+        assert _tree_json(t) == self.reference(t)

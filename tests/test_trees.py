@@ -10,7 +10,6 @@ from torex.trees import (
     NotALeaf,
     TreeError,
     _canonical_order,
-    aut_order_brute,
     depth,
     enumerate_trees,
     mon,
@@ -19,6 +18,8 @@ from torex.trees import (
     tree_codes,
 )
 from torex.verify import G6_IRREDUCIBLE_AUT_WEIGHTS, TREE_INVENTORY
+
+from helpers import aut_order_brute, star
 
 
 def partitions_count(n):
@@ -66,8 +67,8 @@ class TestEnumeration:
 
 class TestAutomorphisms:
     def test_known_orders(self):
-        assert ExtremalTree.star([1, 1, 1, 1]).aut_order == 24
-        assert ExtremalTree.star([1, 1, 1, 1, 1]).aut_order == 120
+        assert star([1, 1, 1, 1]).aut_order == 24
+        assert star([1, 1, 1, 1, 1]).aut_order == 120
         assert ExtremalTree.from_code("(1(4))").aut_order == 1
 
     def test_genus6_weight_list(self):

@@ -1,0 +1,66 @@
+"""The package's value types and the weight of importing it."""
+
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import torex
+from torex.constants import HodgeConstants
+from torex.excess import Contribution
+from torex.polyring import Poly, zvar
+from torex.products import Partition, RefinementComponent
+from torex.strata import StrataExpression, Summand, TreeTerm
+from torex.trees import ExtremalTree, Smoothing
+
+
+def tree():
+    return ExtremalTree.from_code("(1(0(1)(1))(2))")
+
+
+# each builds a fresh instance from equal fields, by keyword
+VALUES = {
+    "Contribution": lambda: Contribution(tree=tree(), poly=Poly.var(zvar(1)) * 3),
+    "Smoothing": lambda: Smoothing(target=tree(), edge_map=(1, 3), contracted=frozenset({2})),
+    "Summand": lambda: Summand(coeff=Fraction(1, 2), monos=((), ((("psi", -1, 1), 1),))),
+    "TreeTerm": lambda: TreeTerm(tree=tree(), summands=(Summand(coeff=1, monos=((),)),)),
+    "StrataExpression": lambda: StrataExpression(genus=4, terms=()),
+    "Partition": lambda: Partition(parts=(3, 2, 2)),
+    "RefinementComponent": lambda: RefinementComponent(
+        sigma=Partition(parts=(1, 1)), cells=((0, 0, 1), (1, 1, 1)), excess_bundle=((1, 1),)),
+    "HodgeConstants": lambda: HodgeConstants(tail_integral=Fraction(1, 24),
+                                             triple_lambda=None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_value_type_is_immutable_and_equal_by_fields(name):
+    a, b = VALUES[name](), VALUES[name]()
+    assert type(a).__name__ == name
+    assert a == b and hash(a) == hash(b) and not a != b
+    field = type(a).__slots__[0] if name == "Partition" else type(a)._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == b
+
+
+def test_partition_len_is_its_number_of_parts():
+    p = Partition.make([2, 3, 2])
+    assert p.parts == (3, 2, 2) and len(p) == 3 and p.total == 7
+    assert p != (3, 2, 2) and p != Partition(parts=(3, 2))
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    # -S: no site hooks, so only the package's own imports count; -B: no
+    # bytecode written into the source tree
+    src = str(Path(torex.__file__).resolve().parent.parent)
+    code = ("import sys, torex.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    res = subprocess.run([sys.executable, "-S", "-B", "-c", code], capture_output=True,
+                         text=True, env={"PYTHONPATH": src}, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
