@@ -14,7 +14,7 @@ import sys
 
 from . import agring, constants, products, strata, verify
 from .excess import all_contributions, ExcessError, tree_contribution
-from .trees import ExtremalTree, TreeError, enumerate_trees, tree_codes
+from .trees import ExtremalTree, TreeError, enumerate_trees
 
 
 def _cache_dir() -> str | None:
@@ -84,7 +84,9 @@ def cmd_contribution(args) -> int:
             return 1
         return 0
     tree = args.tree
-    if tree.code not in tree_codes(g, g - 1):
+    # the contributing trees are the extremal trees of genus g with at most
+    # g - 1 edges
+    if tree.genus != g or tree.n_edges > g - 1:
         print("tree %s does not contribute for genus %d" % (tree.code, g), file=sys.stderr)
         return 1
     values = {method: str(tree_contribution(tree, method).poly) for method in methods}

@@ -81,11 +81,12 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from operator import mul
 
 from . import __version__
-from .polyring import PackedLayout, Poly, cvar, prod, zvar
-from .trees import ExtremalTree, TreeError, enumerate_trees, shape, smoothings, tree_codes
+from .polyring import PackedLayout, Poly, cvar, zvar
+from .trees import ExtremalTree, enumerate_trees, shape, smoothings, trees_by_code
 
 
 class ExcessError(Exception):
@@ -126,9 +127,8 @@ def base_contribution(t: ExtremalTree) -> Contribution:
     if not t.is_irreducible():
         raise NotIrreducible(t.code)
     d = t.genus - 1 - len(t.leaves())
-    denom = prod(
-        (Poly.const(1) + Poly.var(zvar(i)) for i in range(1, t.n_edges + 1))
-    )
+    denom = prod((Poly.const(1) + Poly.var(zvar(i)) for i in range(1, t.n_edges + 1)),
+                 start=Poly.const(1))
     series = _formal_total_class(d).mul(denom.series_inverse(d), d)
     return Contribution(tree=t, poly=series.graded_part(d))
 
@@ -403,30 +403,31 @@ def _cache_load(cache_dir, g, method):
     package version, or for another genus or method, does not hold each
     enumerated tree exactly once, or holds a term without the form of a
     contribution of that genus is a miss: the table is recomputed and the
-    file rewritten."""
+    file rewritten.  Each entry takes its tree from the enumeration by
+    its code, spelled exactly as the tree's own."""
     if not cache_dir:
         return None
     path = _cache_path(cache_dir, g, method)
     try:
         with open(path, "r", encoding="utf-8") as fh:
+            # a file nested too deeply raises RecursionError
             data = json.load(fh)
         header = (data["format"], data["version"], data["genus"], data["method"])
         if header != (CACHE_FORMAT, __version__, g, method):
             return None
+        trees = trees_by_code(g, g - 1)
         out = {}
         for entry in data["contributions"]:
-            t = ExtremalTree.from_code(entry["code"])
+            # an unknown or repeated code raises KeyError
+            t = trees.pop(entry["code"])
             terms = _checked_terms(entry["poly"], t.n_edges, g - 1 - t.n_edges)
             poly = _poly_of_terms(terms, g)
             if len(poly.terms) != len(terms):
                 return None  # a term given twice
             out[t.code] = Contribution(tree=t, poly=poly)
-    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError, TreeError,
-            RecursionError):
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError, RecursionError):
         return None
-    if len(out) != len(data["contributions"]) or set(out) != tree_codes(g, g - 1):
-        return None
-    return out
+    return None if trees else out
 
 
 def _checked_terms(entry, n: int, d: int) -> list:

@@ -34,7 +34,7 @@ its keys from `PackedLayout.unit` and reads exponents back with
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 Variable = tuple
 Monomial = tuple  # sorted tuple of (Variable, int) pairs
@@ -164,12 +164,10 @@ class Poly:
     __slots__ = ("_t",)
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        t = {}
-        if terms:
-            for m, c in terms.items():
-                if c:
-                    t[m] = _exact(c)
-        self._t = t
+        # zeros dropped, integral coefficients stored as int; an int
+        # coefficient, the common case, skips _exact
+        self._t = {m: c if type(c) is int else _exact(c)
+                   for m, c in terms.items() if c} if terms else {}
 
     @staticmethod
     def _of(t: dict) -> "Poly":
@@ -177,13 +175,6 @@ class Poly:
         out = Poly.__new__(Poly)
         out._t = t
         return out
-
-    @staticmethod
-    def _of_sums(t: dict) -> "Poly":
-        """Wrap a dict of accumulated sums: drop zeros, and store integral
-        Fractions as int."""
-        return Poly._of({m: c if type(c) is int else _exact(c)
-                         for m, c in t.items() if c})
 
     # -- constructors ------------------------------------------------
 
@@ -212,20 +203,11 @@ class Poly:
     def constant_term(self):
         return self._t.get(ONE_MONO, 0)
 
-    def degree(self) -> int:
-        """Total Chow degree (0 for the zero polynomial)."""
-        if not self._t:
-            return 0
-        return max(mono_degree(m) for m in self._t)
-
     def variables(self) -> set:
         return {v for m in self._t for v, _ in m}
 
     def coeff(self, m: Monomial):
         return self._t.get(m, 0)
-
-    def is_homogeneous(self, d: int) -> bool:
-        return all(mono_degree(m) == d for m in self._t)
 
     # -- ring operations ----------------------------------------------
 
@@ -236,8 +218,10 @@ class Poly:
         return Poly.const(x)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Poly):
-            other = Poly._coerce(other)
+        if isinstance(other, (int, Fraction)):
+            other = Poly.const(other)
+        elif not isinstance(other, Poly):
+            return NotImplemented
         return self._t == other._t
 
     def __hash__(self):
@@ -292,7 +276,7 @@ class Poly:
                     break
                 m = mono_mul(m1, m2)
                 t[m] = get(m, 0) + c1 * c2
-        return Poly._of_sums(t)
+        return Poly(t)
 
     def __mul__(self, other) -> "Poly":
         return self.mul(other)
@@ -389,7 +373,7 @@ class Poly:
                 acc = [(mono_mul(m1, m2), c1 * c2) for m1, c1 in acc for m2, c2 in items]
             for fm, fc in acc:
                 t[fm] = get(fm, 0) + fc
-        return Poly._of_sums(t)
+        return Poly(t)
 
     # -- canonical text ---------------------------------------------------
 
@@ -418,13 +402,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return "Poly(%s)" % self
-
-
-def prod(polys: Iterable[Poly], max_deg: int | None = None) -> Poly:
-    out = Poly.const(1)
-    for p in polys:
-        out = out.mul(p, max_deg)
-    return out
 
 
 def det(matrix) -> Poly:

@@ -50,32 +50,11 @@ def split_partitions(g: int) -> list:
     return list(rec(g, g - 1))
 
 
-class Partition:
+class Partition(namedtuple("Partition", "parts")):
     """A partition: parts, a tuple of weakly decreasing positive integers.
-    Immutable, and equal and hashed by its parts.  Not a tuple, since
     len() is its number of parts."""
 
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: tuple):
-        object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete field %r" % name)
-
-    def __eq__(self, other):
-        if type(other) is not Partition:
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return "Partition(parts=%r)" % (self.parts,)
+    __slots__ = ()
 
     @staticmethod
     def make(parts) -> "Partition":

@@ -24,24 +24,13 @@ the bytes `json.dumps(..., indent=1)` gives for its fixed schema.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import gt
 
 from .excess import Contribution, all_contributions
-from .polyring import (
-    Monomial,
-    Poly,
-    cvar,
-    lamvar,
-    mono_mul,
-    mono_str,
-    psivar,
-    var_degree,
-    zvar,
-)
+from .polyring import Poly, cvar, lamvar, mono_str, psivar, var_degree, zvar
 from .trees import ExtremalTree
 
 
@@ -249,41 +238,6 @@ def _tree_json(t: ExtremalTree) -> str:
             '    "edges": %s,\n    "aut": %d,\n    "code": %s\n   }'
             % (t.genus, _json_list(vertices, 4), _json_list(edges, 4), t.aut_order,
                encode_basestring_ascii(t.code)))
-
-
-def parse_json(data: bytes) -> StrataExpression:
-    obj = json.loads(data.decode("utf-8"))
-    terms = []
-    for entry in obj["terms"]:
-        tree = ExtremalTree.from_code(entry["tree"]["code"])
-        summands = tuple(
-            Summand(coeff=Fraction(sm["coeff"]),
-                    monos=tuple(map(parse_vertex_mono, sm["vertex_polys"])))
-            for sm in entry["summands"]
-        )
-        terms.append(TreeTerm(tree=tree, summands=summands))
-    return StrataExpression(genus=obj["genus"], terms=tuple(terms))
-
-
-def parse_vertex_mono(text: str) -> Monomial:
-    """Parse a per-vertex monomial like 'lam1*psi2^3' (or '1')."""
-    if text == "1":
-        return ()
-    mono: Monomial = ()
-    for tok in text.split("*"):
-        if "^" in tok:
-            name, _, etext = tok.partition("^")
-            e = int(etext)
-        else:
-            name, e = tok, 1
-        if name.startswith("lam"):
-            var = lamvar(int(name[3:]))
-        elif name.startswith("psi"):
-            var = psivar(int(name[3:]))
-        else:
-            raise StrataError("bad vertex variable %r" % tok)
-        mono = mono_mul(mono, ((var, e),))
-    return mono
 
 
 def _to_audit_text(s: StrataExpression) -> str:

@@ -142,11 +142,16 @@ class ExtremalTree:
 
     @staticmethod
     def from_code(s: str) -> "ExtremalTree":
+        """The tree whose canonical code is s; raises TreeError for any
+        other text, a non-canonical spelling of a tree included."""
         # parsing, and building a tree that parsed, recurse once per level
         try:
-            return _tree(parse_code(s))
+            t = _tree(parse_code(s))
         except RecursionError:
             raise TreeError("tree code nested too deeply") from None
+        if t.code != s:
+            raise TreeError("%r is not canonical: the tree's code is %s" % (s, t.code))
+        return t
 
     # -- basic structure ------------------------------------------------
 
@@ -308,17 +313,17 @@ def _root_codes(g: int, max_edges: int) -> set:
             for kids in _child_multisets(g - 1, max_edges, 1)}
 
 
-def enumerate_trees(g: int, max_edges: int) -> list:
+def trees_by_code(g: int, max_edges: int) -> dict:
     """All isomorphism classes of extremal trees of genus g with at most
-    max_edges edges, in canonical-code order."""
-    return sorted((_tree(c) for c in _root_codes(g, max_edges)),
-                  key=lambda t: t.code)
+    max_edges edges, keyed by code in canonical-code order; a fresh dict
+    on each call."""
+    trees = sorted((_tree(c) for c in _root_codes(g, max_edges)), key=lambda t: t.code)
+    return {t.code: t for t in trees}
 
 
-def tree_codes(g: int, max_edges: int) -> set:
-    """The printable codes of enumerate_trees(g, max_edges), without
-    building the trees."""
-    return {_code_str(c) for c in _root_codes(g, max_edges)}
+def enumerate_trees(g: int, max_edges: int) -> list:
+    """The trees of trees_by_code(g, max_edges), in canonical-code order."""
+    return list(trees_by_code(g, max_edges).values())
 
 
 # ---------------------------------------------------------------------------

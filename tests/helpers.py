@@ -1,13 +1,17 @@
 """Test-only references: a star tree, a brute-force automorphism count,
-and the invariants and equality of an assembled strata expression."""
+the invariants and equality of an assembled strata expression, and a
+reader of `pullback`'s JSON."""
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import permutations
 
+from conftest import parse_decoration
+
 from torex.polyring import mono_degree
-from torex.strata import StrataExpression, _factor_is_rigid
+from torex.strata import StrataExpression, Summand, TreeTerm, _factor_is_rigid
 from torex.trees import ExtremalTree
 
 
@@ -68,3 +72,26 @@ def _normal_form(s: StrataExpression) -> dict:
             key = (term.tree.code, sm.monos)
             out[key] = out.get(key, Fraction(0)) + sm.coeff
     return {k: v for k, v in out.items() if v}
+
+
+def parse_json(data: bytes) -> StrataExpression:
+    """The expression that `serialize(..., "json")` wrote as data."""
+    obj = json.loads(data.decode("utf-8"))
+    terms = []
+    for entry in obj["terms"]:
+        tree = ExtremalTree.from_code(entry["tree"]["code"])
+        summands = tuple(
+            Summand(coeff=Fraction(sm["coeff"]),
+                    monos=tuple(map(_vertex_mono, sm["vertex_polys"])))
+            for sm in entry["summands"]
+        )
+        terms.append(TreeTerm(tree=tree, summands=summands))
+    return StrataExpression(genus=obj["genus"], terms=tuple(terms))
+
+
+def _vertex_mono(text: str) -> tuple:
+    """The monomial of a vertex's text, such as 'lam1*psi2^3' or '1'."""
+    (mono, coeff), = parse_decoration(text).terms.items()
+    if coeff != 1:
+        raise ValueError("not a monomial: %r" % text)
+    return mono

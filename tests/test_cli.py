@@ -88,6 +88,11 @@ class TestContribution:
         )
         assert code == 1
 
+    def test_tree_of_another_genus_fails(self, capsys):
+        code, out, err = run(capsys, "contribution", "--genus", "5", "--tree", "(1(3))")
+        assert code == 1 and out == ""
+        assert err == "tree (1(3)) does not contribute for genus 5\n"
+
     def test_tree_runs_one_closed_formula(self, capsys, monkeypatch, memo):
         # --tree computes the tree it names, not the table of genus 9
         tree = "(1(0(0(0(1)(1)(1))(1))(4)))"
@@ -403,6 +408,14 @@ class TestCacheMisses:
         data["contributions"].append({"code": "(1(4))", "poly": [[3, [0], 1]]})
         assert self.cached_run(capsys, monkeypatch, tmp_path, data) == uncached
 
+    def test_code_spelled_otherwise(self, capsys, monkeypatch, tmp_path):
+        # the code names the right tree, but is not the tree's own code
+        data = self.valid_file(tmp_path, monkeypatch, capsys)
+        assert data["contributions"][0]["code"] == "(1(0(1)(1)(2)))"
+        data["contributions"][0]["code"] = "(1(0(1)(1)(02)))"
+        (tmp_path / self.PATH).write_text(json.dumps(data))
+        assert excess._cache_load(str(tmp_path), 5, "recursion") is None
+
     def test_valid_file_is_a_hit(self, capsys, monkeypatch, tmp_path, uncached):
         # the faults above are each the only one: the same file without them,
         # fractions included, is read
@@ -644,6 +657,8 @@ class TestUsage:
         ["trees", "--genus", "4", "--max-edges", "0"],
         ["contribution", "--genus", "4", "--tree", "((("],
         ["contribution", "--genus", "4", "--tree", "(-)"],
+        ["contribution", "--genus", "2", "--tree", "(1(01))"],
+        ["contribution", "--genus", "3", "--tree", "(1(\uff12))"],
         pytest.param(["contribution", "--genus", "4", "--tree", DEEP_CODE],
                      id="contribution --genus 4 --tree DEEP_CODE"),
         pytest.param(["contribution", "--genus", "4", "--tree", DEEP_TREE],

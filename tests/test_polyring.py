@@ -14,6 +14,7 @@ from torex.polyring import (
     elem_sym_rewrite,
     evar,
     lamvar,
+    mono_degree,
     mono_mul,
     psivar,
     zvar,
@@ -113,7 +114,7 @@ def substitute_reference(p, values):
                 factor = factor.mul(vpow(v, e))
         for fm, fc in factor.terms.items():
             t[fm] = t.get(fm, 0) + fc
-    return Poly._of_sums(t)
+    return Poly(t)
 
 
 # values for GRADED_VARS: the zero polynomial, or polynomials in z_1 (itself
@@ -204,6 +205,15 @@ class TestArith:
     def test_difference_of_squares(self):
         assert (z(1) + z(2)) * (z(1) - z(2)) == z(1) ** 2 - z(2) ** 2
 
+    def test_equality_with_other_types(self):
+        # an int or a Fraction compares as a constant; anything else is unequal
+        assert Poly.const(1) == 1 == Fraction(1) == Poly.const(1)
+        assert Poly.const(Fraction(1, 2)) == Fraction(1, 2)
+        assert Poly.var(zvar(1)) != 1
+        for other in (None, "z1", [1]):
+            assert Poly.var(zvar(1)) != other and other != Poly.var(zvar(1))
+            assert not Poly.var(zvar(1)) == other
+
     def test_mul_identity(self):
         p = 3 * z(1) * z(2) - Fraction(1, 2) * c(2)
         assert p * Poly.const(1) == p
@@ -256,7 +266,7 @@ class TestGradedPart:
         for _ in range(20):
             p = random_poly(rng, vs)
             total = Poly.zero()
-            for d in range(p.degree() + 1):
+            for d in range(max(map(mono_degree, p.terms), default=0) + 1):
                 total = total + p.graded_part(d)
             assert total == p
 

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import display_normal_form, tree_normal_form
 from golden_displays import GENUS4, GENUS5, GENUS6
-from helpers import check_degree_balance, check_vanishing_discipline, expression_equal
+from helpers import check_degree_balance, check_vanishing_discipline, expression_equal, parse_json
 
 from torex.excess import Contribution, all_contributions
 from torex.polyring import Poly, evar, lamvar, psivar, var_degree, zvar
@@ -19,7 +19,6 @@ from torex.strata import (
     _truncation_bound,
     assemble_pullback,
     marking_index,
-    parse_json,
     serialize,
     stratum_class,
     substitute_stratum,

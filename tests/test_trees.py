@@ -15,7 +15,7 @@ from torex.trees import (
     mon,
     parse_code,
     smoothings,
-    tree_codes,
+    trees_by_code,
 )
 from torex.verify import G6_IRREDUCIBLE_AUT_WEIGHTS, TREE_INVENTORY
 
@@ -46,7 +46,18 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("g,max_edges", [(2, 1), (5, 2), (6, 5), (8, 7)])
     def test_codes_without_trees(self, g, max_edges):
-        assert tree_codes(g, max_edges) == {t.code for t in enumerate_trees(g, max_edges)}
+        # keyed by code, in the enumeration's order, a fresh dict each call
+        by_code = trees_by_code(g, max_edges)
+        assert list(by_code.items()) == [(t.code, t) for t in enumerate_trees(g, max_edges)]
+        by_code.clear()
+        assert trees_by_code(g, max_edges)
+
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_contributing_trees_are_those_of_few_edges(self, g):
+        # a tree of genus g contributes exactly when it has at most g - 1 edges
+        contributing = trees_by_code(g, g - 1)
+        for t in enumerate_trees(g, 2 * g - 3):
+            assert (t.n_edges <= g - 1) == (t.code in contributing), t.code
 
     @pytest.mark.parametrize("g", range(2, 9))
     def test_irreducible_count_is_partitions(self, g):
@@ -63,6 +74,13 @@ class TestEnumeration:
             ExtremalTree.from_code("(1(0(0)(1)))")  # genus-0 leaf
         with pytest.raises(TreeError):
             ExtremalTree.from_code("(1(-))")  # sign without digits
+
+    @pytest.mark.parametrize("text", ["(1(01))", "(1(\uff12))", "(1(0(1)(1)(02)))"])
+    def test_rejects_non_canonical_spelling(self, text):
+        # each parses to a valid tree, whose code is not the text given
+        assert ExtremalTree(parse_code(text)).code != text
+        with pytest.raises(TreeError, match="not canonical"):
+            ExtremalTree.from_code(text)
 
 
 class TestAutomorphisms:

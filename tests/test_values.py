@@ -1,5 +1,7 @@
-"""The package's value types and the weight of importing it."""
+"""The package's value types, the weight of importing it, and its
+imports."""
 
+import ast
 import subprocess
 import sys
 from fractions import Fraction
@@ -40,7 +42,7 @@ def test_value_type_is_immutable_and_equal_by_fields(name):
     a, b = VALUES[name](), VALUES[name]()
     assert type(a).__name__ == name
     assert a == b and hash(a) == hash(b) and not a != b
-    field = type(a).__slots__[0] if name == "Partition" else type(a)._fields[0]
+    field = type(a)._fields[0]
     with pytest.raises(AttributeError):
         setattr(a, field, getattr(b, field))
     with pytest.raises(AttributeError):
@@ -64,3 +66,21 @@ def test_import_leaves_out_dataclasses_and_inspect():
                          text=True, env={"PYTHONPATH": src}, timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+MODULES = sorted(p for p in Path(torex.__file__).resolve().parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(path):
+    # __init__.py imports names to export them; __future__ imports are flags
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []
