@@ -103,11 +103,8 @@ def _subsets_by_degree(g: int) -> tuple:
 
 
 def basis_subsets(g: int, d: int) -> list:
-    """Subsets of {1..g-1} with element sum d, sorted.
-
-    One cached pass per genus groups every subset by its sum; each call
-    reads its degree from there.
-    """
+    """Subsets of {1..g-1} with element sum d, sorted: read from one
+    cached grouping of every subset by its sum."""
     by_degree = _subsets_by_degree(g)
     return list(by_degree[d]) if 0 <= d < len(by_degree) else []
 
@@ -120,29 +117,35 @@ def socle_degree(g: int) -> int:
     return comb(g, 2)
 
 
+def _pairing_entry(g: int, J: tuple, K: tuple) -> int:
+    """lambda_J lambda_K as a multiple of the socle generator lambda_1 ...
+    lambda_{g-1}, which spans the top degree; any other normal form raises
+    AgRingError."""
+    form = _reduce_monomial(g, tuple(sorted(J + K)))
+    if form and (len(form) > 1 or form[0][0] != tuple(range(1, g))):
+        raise AgRingError("top degree of genus %d holds %r" % (g, form))
+    return form[0][1] if form else 0
+
+
 def socle_pairing(g: int, d: int):
     """Pairing matrix between degrees d and binom(g,2) - d, normalized
-    on the socle generator lambda_1 ... lambda_{g-1}.
-
-    The top degree is spanned by the socle, so each normal form is empty
-    or the single socle term; anything else raises AgRingError.
-    """
+    on the socle generator lambda_1 ... lambda_{g-1}."""
     D = socle_degree(g)
     if d < 0 or d > D:
         raise AgRingError("degree %d out of range" % d)
-    rows = basis_subsets(g, d)
     cols = basis_subsets(g, D - d)
-    socle = tuple(range(1, g))
-    matrix = []
-    for J in rows:
-        row = []
-        for K in cols:
-            form = _reduce_monomial(g, tuple(sorted(J + K)))
-            if form and (len(form) > 1 or form[0][0] != socle):
-                raise AgRingError("top degree of genus %d holds %r" % (g, form))
-            row.append(form[0][1] if form else 0)
-        matrix.append(row)
-    return matrix
+    return [[_pairing_entry(g, J, K) for K in cols] for J in basis_subsets(g, d)]
+
+
+def _unitriangular(g: int, d: int) -> bool:
+    """True when the pairing in degree d, with rows J in colex order (by J
+    reversed) and each column the complement of its row, is unit lower
+    triangular, hence of full rank: each diagonal entry lambda_J lambda_{J^c}
+    is the socle itself, and every entry left of it must vanish."""
+    rows = sorted(basis_subsets(g, d), key=lambda J: J[::-1])
+    cols = [tuple(i for i in range(1, g) if i not in J) for J in rows]
+    return all(_pairing_entry(g, J, K) == (i == k)
+               for i, J in enumerate(rows) for k, K in enumerate(cols[:i + 1]))
 
 
 # the prime modulo which matrix_rank first certifies full rank
@@ -216,11 +219,13 @@ def pairing_ranks(g: int) -> tuple:
 
     The pairing in degree D - d is the transpose of the one in degree d,
     since lambda_J lambda_K = lambda_K lambda_J.  So only the degrees
-    d <= D/2 are built and ranked, and each rank is mirrored to D - d.
+    d <= D/2 are ranked, by the unitriangular certificate or else by
+    matrix_rank, and each rank is mirrored to D - d.
     """
     D = socle_degree(g)
     dims = tuple(graded_dimension(g, d) for d in range(D + 1))
-    half = [matrix_rank(socle_pairing(g, d)) for d in range(D // 2 + 1)]
+    half = [dims[d] if _unitriangular(g, d) else matrix_rank(socle_pairing(g, d))
+            for d in range(D // 2 + 1)]
     return dims, tuple(half[min(d, D - d)] for d in range(D + 1))
 
 

@@ -178,10 +178,9 @@ def cmd_zeroint(args) -> int:
     parts = products.split_partitions(g)
     report = []
     all_ok = True
-    for p in parts:
-        for q in parts:
-            if p > q:
-                continue
+    # parts descend, so the pairs p <= q are q in parts[:i + 1]
+    for i, p in enumerate(parts):
+        for q in parts[:i + 1]:
             P, Q = products.Partition.make(p), products.Partition.make(q)
             # one enumeration of the pair's matrices serves both
             comps = products.extremal_refinements(P, Q)

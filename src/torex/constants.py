@@ -77,26 +77,17 @@ def hodge_constants(g: int) -> HodgeConstants:
 
 @lru_cache(maxsize=None)
 def _log_sine_series(order: int) -> Poly:
-    """-log(sin(t/2) / (t/2)) as an exact series up to degree 2*order."""
-    t = zvar(0)
-    max_deg = 2 * order
-    s = Poly.zero()
-    k = 0
-    while 2 * k <= max_deg:
-        coeff = Fraction((-1) ** k, 4 ** k * factorial(2 * k + 1))
-        s = s + Poly({((t, 2 * k),) if k else (): coeff})
-        k += 1
-    u = s - 1
-    out = Poly.zero()
-    power = Poly.const(1)
-    j = 1
-    while True:
-        power = power.mul(u, max_deg)
-        if power.is_zero():
-            break
-        out = out - power * Fraction((-1) ** (j + 1), j)
-        j += 1
-    return out
+    """-log(sin(t/2) / (t/2)) as an exact series up to degree 2*order.
+
+    In x = t^2 the quotient is f = sum_k (-1)^k x^k / (4^k (2k+1)!), and
+    the coefficients of log f = sum_k L_k x^k follow from x f (log f)' =
+    x f':  k L_k = k f_k - sum_{0<j<k} j L_j f_{k-j}.
+    """
+    f = [Fraction((-1) ** k, 4 ** k * factorial(2 * k + 1)) for k in range(order + 1)]
+    L = [0]
+    for k in range(1, order + 1):
+        L.append((k * f[k] - sum(j * L[j] * f[k - j] for j in range(1, k))) / k)
+    return Poly({((zvar(0), 2 * k),): -L[k] for k in range(1, order + 1)})
 
 
 def series_identity_check(order: int) -> bool:

@@ -212,23 +212,23 @@ class Poly:
     # -- ring operations ----------------------------------------------
 
     @staticmethod
-    def _coerce(x) -> "Poly":
+    def _coerce(x) -> "Poly | None":
+        """x as a Poly when it is a Poly, an int or a Fraction; else None."""
         if isinstance(x, Poly):
             return x
-        return Poly.const(x)
+        return Poly.const(x) if isinstance(x, (int, Fraction)) else None
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
-        elif not isinstance(other, Poly):
-            return NotImplemented
-        return self._t == other._t
+        other = Poly._coerce(other)
+        return NotImplemented if other is None else self._t == other._t
 
     def __hash__(self):
         return hash(frozenset(self._t.items()))
 
     def __add__(self, other) -> "Poly":
         other = Poly._coerce(other)
+        if other is None:
+            return NotImplemented
         t = dict(self._t)
         for m, c in other._t.items():
             nc = t.get(m, 0) + c
@@ -244,17 +244,20 @@ class Poly:
         return Poly._of({m: -c for m, c in self._t.items()})
 
     def __sub__(self, other) -> "Poly":
-        return self + (-Poly._coerce(other))
+        other = Poly._coerce(other)
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other) -> "Poly":
-        return Poly._coerce(other) + (-self)
+        return (-self).__add__(other)
 
     def mul(self, other, max_deg: int | None = None) -> "Poly":
         """Product; with max_deg, the product truncated above that Chow
         degree, where a pair of terms whose degrees add up to more than
         max_deg is skipped before its monomial is formed."""
-        other = Poly._coerce(other)
-        a, b = self._t, other._t
+        p = Poly._coerce(other)
+        if p is None:
+            raise TypeError("unsupported operand type for Poly.mul: %r" % type(other).__name__)
+        a, b = self._t, p._t
         if len(a) > len(b):
             a, b = b, a
         if max_deg is None:

@@ -16,6 +16,7 @@ orbit stands for its least key, its tuple of columns, found by sorting.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, groupby, product
@@ -93,26 +94,30 @@ def _compositions(n: int, bounds: tuple) -> tuple:
                  for tail in _compositions(n - v, rest))
 
 
-def _matrices(rows: tuple, cols: tuple):
+def _row_sorted_matrices(rows: tuple, cols: tuple):
     """Every nonnegative integer matrix, as a tuple of row tuples, whose
-    row sums are rows (at least one) and column sums are cols, once each
-    and in increasing row-major order.  Each one is an extremal common
-    refinement: its nonzero cells are the refinement parts.
+    row sums are rows (at least one), column sums are cols and rows are
+    sorted within each run of equal row sums, once each and in increasing
+    row-major order.  Each one is an extremal common refinement: its
+    nonzero cells are the refinement parts.
 
     The matrices are built a row at a time, depth first: a partial matrix
     is extended by every composition of the next row sum bounded by what
-    its columns have left, in increasing order (the compositions are
-    cached across rows, pairs and calls).  The last row is what the
-    columns have left, when that has the last row sum.
+    its columns have left, in increasing order, from the previous row on
+    when the two row sums are equal (the compositions are cached across
+    rows, pairs and calls).  The last row is what the columns have left,
+    when that has the last row sum.
     """
     last = len(rows) - 1
 
     def extend(r: int, m: tuple, left: tuple):
+        low = m[-1] if r and rows[r] == rows[r - 1] else ()
         if r == last:
-            if sum(left) == rows[r]:
+            if sum(left) == rows[r] and left >= low:
                 yield m + (left,)
             return
-        for row in _compositions(rows[r], left):
+        comps = _compositions(rows[r], left)
+        for row in comps[bisect_left(comps, low):]:
             rest = tuple(c - v for c, v in zip(left, row))
             yield from extend(r + 1, m + (row,), rest)
 
@@ -142,20 +147,16 @@ def extremal_refinements(p: Partition, q: Partition) -> list:
     the orbit's least key is the least of those over the distinct
     arrangements of the rows within their runs.  Every orbit holds a
     matrix with its rows sorted within their runs, so only those are
-    keyed, and distinct orbits have distinct least keys.
+    enumerated and keyed, and distinct orbits have distinct least keys.
     """
     if p.total != q.total:
         raise GenusMismatch((p.total, q.total))
     rows, cols = p.parts, q.parts
     row_runs, col_runs = _runs(rows), _runs(cols)
-    keys = set()
-    for matrix in _matrices(rows, cols):
-        if all(list(matrix[s]) == sorted(matrix[s]) for s in row_runs):
-            keys.add(min(
-                tuple(c for s in col_runs for c in sorted(columns[s]))
+    keys = {min(tuple(c for s in col_runs for c in sorted(columns[s]))
                 for blocks in product(*(_arrangements(matrix[s]) for s in row_runs))
-                for columns in (list(zip(*chain.from_iterable(blocks))),)
-            ))
+                for columns in (list(zip(*chain.from_iterable(blocks))),))
+            for matrix in _row_sorted_matrices(rows, cols)}
     out = []
     for key in keys:
         cells = tuple(sorted((i, j, v) for j, col in enumerate(key)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from torex import agring
 from torex.agring import (
     AgRingError,
     BadSplit,
@@ -38,6 +39,14 @@ def cls(coords):
 
 def single(J, c=1):
     return cls({J: c})
+
+
+@pytest.fixture
+def cold_ranks():
+    """pairing_ranks with its cache empty before and after."""
+    pairing_ranks.cache_clear()
+    yield pairing_ranks
+    pairing_ranks.cache_clear()
 
 
 PRIME = 2**61 - 1
@@ -229,6 +238,39 @@ class TestSoclePairing:
         assert list(dims) == [graded_dimension(g, d) for d in range(D + 1)]
         assert list(ranks) == [matrix_rank(socle_pairing(g, d)) for d in range(D + 1)]
 
+    def test_certificate_needs_no_elimination(self, monkeypatch, cold_ranks):
+        def refuse(matrix):
+            raise AssertionError("matrix_rank called")
+
+        monkeypatch.setattr(agring, "matrix_rank", refuse)
+        for g in range(2, 13):
+            dims, ranks = cold_ranks(g)
+            assert ranks == dims, g
+
+    def test_failed_certificate_falls_back_to_matrix_rank(self, monkeypatch, cold_ranks):
+        # lambda_3^2 = 0 at g = 4 sits left of the diagonal in degree 3,
+        # where rows (1, 2), (3,) meet columns (3,), (1, 2); forced to a
+        # quarter of the socle it makes that pairing singular
+        reduce_monomial = agring._reduce_monomial
+
+        def forced(g, exps):
+            if exps == (3, 3):
+                return (((1, 2, 3), Fraction(1, 4)),)
+            return reduce_monomial(g, exps)
+
+        ranked = []
+
+        def spy(matrix):
+            ranked.append(matrix)
+            return matrix_rank(matrix)
+
+        monkeypatch.setattr(agring, "_reduce_monomial", forced)
+        monkeypatch.setattr(agring, "matrix_rank", spy)
+        dims, ranks = cold_ranks(4)
+        assert ranked == [[[4, 1], [1, Fraction(1, 4)]]]
+        assert dims[3] == 2 and ranks[3] == 1
+        assert ranks[:3] == dims[:3] and ranks[4:] == dims[4:]
+
     @pytest.mark.parametrize("g", range(1, 8))
     def test_pairing_is_transposed_by_complement_degree(self, g):
         D = socle_degree(g)
@@ -241,8 +283,6 @@ class TestSoclePairing:
         (((1, 2, 3), 2), ((1, 2, 3, 4), 1)),
     ])
     def test_top_degree_other_than_one_socle_term_raises(self, monkeypatch, form):
-        from torex import agring
-
         monkeypatch.setattr(agring, "_reduce_monomial", lambda g, exps: form)
         with pytest.raises(AgRingError, match="top degree of genus 4"):
             socle_pairing(4, 3)

@@ -525,7 +525,7 @@ class TestConstants:
 
 
 class TestLambdaProductsDigests:
-    @pytest.mark.parametrize("command", ["ring --genus 11", "zeroint --genus 6"])
+    @pytest.mark.parametrize("command", ["ring --genus 11", "zeroint --genus 6", "verify-paper"])
     def test_bytes_match_benchmark_digest(self, capsys, command):
         with open(BENCH / "golden.json", encoding="utf-8") as fh:
             digest = json.load(fh)["digests"]["full"][command]

@@ -5,12 +5,14 @@ import pytest
 
 from torex.constants import (
     PRINTED_G6_VARIANT,
+    _log_sine_series,
     bernoulli,
     coefficient_discrepancy,
     hodge_constants,
     product_coefficient,
     series_identity_check,
 )
+from torex.polyring import Poly, zvar
 from torex.verify import G1_TAIL_INTEGRAL, PROJECTION_COEFFICIENTS
 
 
@@ -84,9 +86,28 @@ class TestHodgeConstants:
         )
 
 
+def log_sine_series_reference(order):
+    """-log(1 + u) for u = sin(t/2)/(t/2) - 1, summed over the truncated
+    powers of u up to degree 2*order."""
+    t, max_deg = zvar(0), 2 * order
+    u = Poly({((t, 2 * k),): Fraction((-1) ** k, 4 ** k * factorial(2 * k + 1))
+              for k in range(1, order + 1)})
+    out, power, j = Poly.zero(), Poly.const(1), 1
+    while True:
+        power = power.mul(u, max_deg)
+        if power.is_zero():
+            return out
+        out = out - power * Fraction((-1) ** (j + 1), j)
+        j += 1
+
+
 class TestSeriesIdentity:
     def test_holds_to_order_20(self):
         assert series_identity_check(20)
+
+    @pytest.mark.parametrize("order", range(2, 21))
+    def test_recurrence_matches_truncated_powers(self, order):
+        assert _log_sine_series(order) == log_sine_series_reference(order)
 
     def test_rejects_tiny_order(self):
         with pytest.raises(ValueError):

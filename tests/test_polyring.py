@@ -214,6 +214,18 @@ class TestArith:
             assert Poly.var(zvar(1)) != other and other != Poly.var(zvar(1))
             assert not Poly.var(zvar(1)) == other
 
+    @pytest.mark.parametrize("other", ["z1", None, [1], 0.5])
+    def test_arithmetic_with_other_types_raises_type_error(self, other):
+        # only a Poly, an int or a Fraction is an operand; anything else
+        # gets Python's own TypeError, not an error from inside Fraction
+        x = Poly.var(zvar(1))
+        for op in (lambda: x + other, lambda: other + x, lambda: x - other,
+                   lambda: other - x, lambda: x * other, lambda: x.mul(other, 2)):
+            with pytest.raises(TypeError):
+                op()
+        with pytest.raises(TypeError, match="unsupported operand"):
+            x + other
+
     def test_mul_identity(self):
         p = 3 * z(1) * z(2) - Fraction(1, 2) * c(2)
         assert p * Poly.const(1) == p

@@ -9,7 +9,8 @@ from torex.products import (
     Partition,
     ProductsError,
     RankTooLarge,
-    _matrices,
+    _compositions as bounded_compositions,
+    _row_sorted_matrices,
     euler_tensor_e_basis,
     euler_tensor_reduce,
     extremal_refinements,
@@ -122,6 +123,32 @@ def orbit_closure_reference(p, q):
     return sorted(out)
 
 
+def _matrices(rows, cols):
+    """Every nonnegative integer matrix with row sums rows (at least one)
+    and column sums cols, once each and in increasing row-major order:
+    depth first, a row at a time, each row a composition of its sum
+    bounded by what the columns have left; the last row is what they
+    have left."""
+    last = len(rows) - 1
+
+    def extend(r, m, left):
+        if r == last:
+            if sum(left) == rows[r]:
+                yield m + (left,)
+            return
+        for row in bounded_compositions(rows[r], left):
+            rest = tuple(c - v for c, v in zip(left, row))
+            yield from extend(r + 1, m + (row,), rest)
+
+    return extend(0, (), cols)
+
+
+def _rows_sorted(matrix, rows):
+    """True when each row is at most the next one of the same row sum."""
+    return all(matrix[i] <= matrix[i + 1]
+               for i in range(len(rows) - 1) if rows[i] == rows[i + 1])
+
+
 def matrices_reference(rows, cols):
     """Brute force: itertools.product over each cell's value, bounded by
     its row and column sums, kept when every row and column sum matches.
@@ -157,9 +184,22 @@ class TestMatrices:
             for q in parts:
                 assert list(_matrices(p, q)) == matrices_reference(p, q), (p, q)
 
+    @pytest.mark.parametrize("g", range(2, 8))
+    def test_row_sorted_matches_filtered_reference_in_order(self, g):
+        parts = split_partitions(g)
+        for p in parts:
+            for q in parts:
+                expected = [m for m in _matrices(p, q) if _rows_sorted(m, p)]
+                assert list(_row_sorted_matrices(p, q)) == expected, (p, q)
+
+    def test_row_sorted_single_row_and_equal_rows(self):
+        assert list(_row_sorted_matrices((3,), (2, 1))) == [((2, 1),)]
+        assert list(_row_sorted_matrices((1, 1), (1, 1))) == [((0, 1), (1, 0))]
+
     def test_margins_that_differ_in_total(self):
-        assert list(_matrices((2, 1), (1, 1))) == []
-        assert list(_matrices((1, 1), (2, 1))) == []
+        for enumerate_matrices in (_matrices, _row_sorted_matrices):
+            assert list(enumerate_matrices((2, 1), (1, 1))) == []
+            assert list(enumerate_matrices((1, 1), (2, 1))) == []
 
 
 class TestRefinements:
