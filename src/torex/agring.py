@@ -148,41 +148,14 @@ def _unitriangular(g: int, d: int) -> bool:
                for i, J in enumerate(rows) for k, K in enumerate(cols[:i + 1]))
 
 
-# the prime modulo which matrix_rank first certifies full rank
-_PRIME = 2**61 - 1
-
-
-def _rank_mod_prime(m: list) -> int:
-    """Rank over Z/p of an integer matrix, by Gaussian elimination that
-    drops each column once it is cleared."""
-    p = _PRIME
-    rest = [[x % p for x in row] for row in m]
-    rank = 0
-    while rest and rest[0]:
-        pivot = next((row for row in rest if row[0]), None)
-        if pivot is None:
-            rest = [row[1:] for row in rest]
-            continue
-        rest.remove(pivot)
-        inv = pow(pivot[0], -1, p)
-        top = [x * inv % p for x in pivot[1:]]
-        rest = [[(a - f * b) % p for a, b in zip(row[1:], top)] if f else row[1:]
-                for row in rest for f in (row[0],)]
-        rank += 1
-    return rank
-
-
 def matrix_rank(matrix) -> int:
     """Rank over Q.
 
     Each row of rationals is scaled to integers by the lcm of its
-    denominators, which keeps the rank.  The rank is then certified
-    modulo the prime 2^61 - 1: when it is min(rows, cols) there, some
-    maximal minor is nonzero mod p, hence nonzero over Q, and that is the
-    answer.  Otherwise (a rank-deficient matrix, or p dividing every
-    maximal minor) the rank comes from fraction-free (Bareiss)
-    elimination: every entry stays an integer minor of the scaled matrix,
-    so each division by the previous pivot is exact.
+    denominators, which keeps the rank.  The rank then comes from
+    fraction-free (Bareiss) elimination: every entry stays an integer
+    minor of the scaled matrix, so each division by the previous pivot is
+    exact.
     """
     m = []
     for row in matrix:
@@ -190,9 +163,6 @@ def matrix_rank(matrix) -> int:
         m.append([x.numerator * (scale // x.denominator) for x in row])
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    full = min(rows, cols)
-    if _rank_mod_prime(m) == full:
-        return full
     rank = 0
     prev = 1
     for c in range(cols):

@@ -21,12 +21,8 @@ def _cache_dir() -> str | None:
     return os.environ.get("EXCESS_CACHE_DIR") or None
 
 
-def _print(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
 def _emit_json(obj) -> None:
-    _print(json.dumps(obj, indent=1))
+    sys.stdout.write(json.dumps(obj, indent=1) + "\n")
 
 
 def _int_at_least(low: int):

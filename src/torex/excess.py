@@ -286,15 +286,15 @@ def all_contributions(g: int, method: str = "recursion",
     One thread fills the table.  The recursion takes the trees in order
     of increasing edge count (`_recursion_table`); the closed formula
     runs once per tree shape and is renamed into each tree of the shape
-    (`_closed_table`).  Results are keyed in canonical-code order.
+    (`_closed_table`).  Results are keyed in canonical-code order.  A
+    process computes or loads each table once (`_MEMO`): the cache is read
+    and written only when the table is not yet in memory.
     """
     if method not in ("recursion", "pixton"):
         raise ExcessError("unknown method %r" % method)
     memo_key = (g, method)
     got = _MEMO.get(memo_key)
     if got is not None:
-        if cache_dir and not os.path.exists(_cache_path(cache_dir, g, method)):
-            _store_or_warn(cache_dir, g, method, got)
         return dict(got)
     cached = _cache_load(cache_dir, g, method)
     if cached is not None:

@@ -260,18 +260,4 @@ def hodge_split_pullback(g: int, partition: Partition, m: int) -> dict:
         raise GenusMismatch((partition.total, g))
     if m < 0 or m > g:
         raise ProductsError("degree %d out of range" % m)
-    parts = partition.parts
-    out: dict = {}
-
-    def rec(i: int, left: int, acc: list):
-        if i == len(parts):
-            if left == 0:
-                out[tuple(acc)] = 1
-            return
-        for a in range(0, min(left, parts[i] - 1) + 1):
-            acc.append(a)
-            rec(i + 1, left - a, acc)
-            acc.pop()
-
-    rec(0, m, [])
-    return out
+    return dict.fromkeys(_compositions(m, tuple(p - 1 for p in partition.parts)), 1)

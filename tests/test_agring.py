@@ -215,8 +215,8 @@ class TestSoclePairing:
     def test_rank_matches_fraction_elimination(self, matrix):
         assert matrix_rank(matrix) == fraction_rank(matrix)
 
-    # singular modulo the prime 2^61 - 1 that certifies full rank, but not
-    # (or less so) over Q: the rank must come from exact elimination
+    # singular modulo the prime 2^61 - 1, but not (or less so) over Q: the
+    # Bareiss elimination must keep entries of 2^61 and above exact
     @pytest.mark.parametrize("matrix, rank", [
         ([[PRIME]], 1),
         ([[1, 1], [1, 1 + PRIME]], 2),

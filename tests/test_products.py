@@ -341,7 +341,36 @@ class TestZeroint:
         ]
 
 
+def hodge_split_reference(g, partition, m):
+    """The compositions of m with a_i < g_i, by a depth-first walk over the
+    parts: the former body of hodge_split_pullback, kept as its reference."""
+    parts = partition.parts
+    out = {}
+
+    def rec(i, left, acc):
+        if i == len(parts):
+            if left == 0:
+                out[tuple(acc)] = 1
+            return
+        for a in range(0, min(left, parts[i] - 1) + 1):
+            acc.append(a)
+            rec(i + 1, left - a, acc)
+            acc.pop()
+
+    rec(0, m, [])
+    return out
+
+
 class TestHodgeSplit:
+    def test_matches_recursive_reference(self):
+        # every partition of g, the one-part one included, and every degree
+        for g in range(2, 13):
+            for parts in [(g,)] + split_partitions(g):
+                for m in range(g + 1):
+                    want = hodge_split_reference(g, P(parts), m)
+                    got = hodge_split_pullback(g, P(parts), m)
+                    assert list(got.items()) == list(want.items()), (parts, m)
+
     def test_top_degree_vanishes(self):
         for g in range(2, 11):
             for g1 in range(1, g):

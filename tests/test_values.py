@@ -56,25 +56,37 @@ def test_partition_len_is_its_number_of_parts():
     assert p != (3, 2, 2) and p != Partition(parts=(3, 2))
 
 
-def test_import_leaves_out_dataclasses_and_inspect():
-    # -S: no site hooks, so only the package's own imports count; -B: no
-    # bytecode written into the source tree
+def bare_python(code: str) -> str:
+    """stdout of code run by a fresh interpreter that finds this package.
+    -S: no site hooks, so only the package's own imports count; -B: no
+    bytecode written into the source tree."""
     src = str(Path(torex.__file__).resolve().parent.parent)
-    code = ("import sys, torex.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     res = subprocess.run([sys.executable, "-S", "-B", "-c", code], capture_output=True,
                          text=True, env={"PYTHONPATH": src}, timeout=60)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    return res.stdout.strip()
 
 
-MODULES = sorted(p for p in Path(torex.__file__).resolve().parent.glob("*.py")
-                 if p.name != "__init__.py")
+def test_import_leaves_out_dataclasses_and_inspect():
+    code = ("import sys, torex.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert bare_python(code) == "[]"
+
+
+def test_import_torex_loads_no_submodule():
+    # the package binds only __version__, so a command module can load the
+    # rest when it needs it
+    code = ("import sys, torex; "
+            "print(sorted(n for n in sys.modules if n.startswith('torex.')))")
+    assert bare_python(code) == "[]"
+
+
+MODULES = sorted(Path(torex.__file__).resolve().parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
-    # __init__.py imports names to export them; __future__ imports are flags
+    # __future__ imports are flags
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
