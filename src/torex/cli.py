@@ -8,13 +8,41 @@ environment variable, when set, caches contribution tables as JSON.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
 
-from . import agring, constants, products, strata, verify
-from .excess import all_contributions, ExcessError, tree_contribution
-from .trees import ExtremalTree, TreeError, enumerate_trees
+
+def _lazy(name: str):
+    """The module torex.<name>, in sys.modules and on the package but
+    compiled and executed only at its first attribute access, so that a
+    command pays for the modules it runs (see README, "Start-up"); a
+    module already imported is returned as it is.  Only the one-threaded
+    CLI does this: on Python 3.11 a lazy module's first access is not
+    guarded against a second thread."""
+    fullname = "%s.%s" % (__package__, name)
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+agring = _lazy("agring")
+constants = _lazy("constants")
+excess = _lazy("excess")
+products = _lazy("products")
+strata = _lazy("strata")
+trees = _lazy("trees")
+verify = _lazy("verify")
+# registered though cli never names it: the benchmark's tracer finds
+# Poly through sys.modules["torex.polyring"] and rebinds names in it
+_lazy("polyring")
 
 
 def _cache_dir() -> str | None:
@@ -38,17 +66,17 @@ def _int_at_least(low: int):
     return parse
 
 
-def _tree_code(text: str) -> ExtremalTree:
+def _tree_code(text: str) -> trees.ExtremalTree:
     """argparse type: a well-formed canonical tree code."""
     try:
-        return ExtremalTree.from_code(text)
-    except TreeError as exc:
+        return trees.ExtremalTree.from_code(text)
+    except trees.TreeError as exc:
         raise argparse.ArgumentTypeError("malformed tree code: %s" % exc) from None
 
 
 def cmd_trees(args) -> int:
     max_edges = args.max_edges if args.max_edges is not None else args.genus - 1
-    ts = enumerate_trees(args.genus, max_edges)
+    ts = trees.enumerate_trees(args.genus, max_edges)
     if args.format == "json":
         _emit_json([t.to_json() for t in ts])
     else:
@@ -63,7 +91,7 @@ def cmd_contribution(args) -> int:
     methods = ["recursion", "pixton"] if args.method == "both" else [args.method]
     if args.tree is None:
         # the full table: tree code -> contribution in canonical text form
-        tables = [all_contributions(g, method=method, cache_dir=_cache_dir())
+        tables = [excess.all_contributions(g, method=method, cache_dir=_cache_dir())
                   for method in methods]
         texts = [{code: str(cont.poly) for code, cont in table.items()} for table in tables]
         table = texts[0]
@@ -85,7 +113,7 @@ def cmd_contribution(args) -> int:
     if tree.genus != g or tree.n_edges > g - 1:
         print("tree %s does not contribute for genus %d" % (tree.code, g), file=sys.stderr)
         return 1
-    values = {method: str(tree_contribution(tree, method).poly) for method in methods}
+    values = {method: str(excess.tree_contribution(tree, method).poly) for method in methods}
     match = len(set(values.values())) == 1
     if args.format == "json":
         out = {"tree": tree.code, "genus": g, "contribution": values}
@@ -169,46 +197,66 @@ def cmd_constants(args) -> int:
     return 0
 
 
+def _json_array(items: list, indent: int) -> str:
+    """The text json.dumps(..., indent=1) gives for an array whose items
+    it writes as the given texts: one item a line, one space deeper than
+    the given indent, and the closing bracket at it."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (indent + 1)
+    return "[%s%s\n%s]" % (pad, ("," + pad).join(items), " " * indent)
+
+
+def _zeroint_json(g: int, all_ok: bool, pairs: list) -> str:
+    """The text json.dumps(obj, indent=1) gives for the object
+
+        {"genus": g, "all_vanish": all_ok, "pairs": [{"first": p,
+          "second": q, "vanishes": ok, "components": [{"sigma": parts,
+          "excess": [[a, b], ...]}]}]}
+
+    written directly: json.dumps runs its pure-Python encoder when indent
+    is set."""
+
+    def ints(xs, indent: int) -> str:
+        return _json_array([str(x) for x in xs], indent)
+
+    def component(comp) -> str:
+        return '{\n     "sigma": %s,\n     "excess": %s\n    }' % (
+            ints(comp.sigma.parts, 5),
+            _json_array([ints(ab, 6) for ab in comp.excess_bundle], 5))
+
+    entries = [
+        '{\n   "first": %s,\n   "second": %s,\n   "vanishes": %s,\n   "components": %s\n  }'
+        % (ints(p, 3), ints(q, 3), str(ok).lower(),
+           _json_array([component(c) for c in comps], 3))
+        for p, q, ok, comps in pairs
+    ]
+    return '{\n "genus": %d,\n "all_vanish": %s,\n "pairs": %s\n}' % (
+        g, str(all_ok).lower(), _json_array(entries, 1))
+
+
 def cmd_zeroint(args) -> int:
     g = args.genus
     parts = products.split_partitions(g)
-    report = []
-    all_ok = True
+    pairs = []
     # parts descend, so the pairs p <= q are q in parts[:i + 1]
     for i, p in enumerate(parts):
         for q in parts[:i + 1]:
             P, Q = products.Partition.make(p), products.Partition.make(q)
             # one enumeration of the pair's matrices serves both
             comps = products.extremal_refinements(P, Q)
-            ok = products.zeroint_check(P, Q, comps)
-            all_ok = all_ok and ok
-            report.append(
-                {
-                    "first": list(p),
-                    "second": list(q),
-                    "vanishes": ok,
-                    "components": [
-                        {
-                            "sigma": list(comp.sigma.parts),
-                            "excess": [list(ab) for ab in comp.excess_bundle],
-                        }
-                        for comp in comps
-                    ],
-                }
-            )
+            pairs.append((p, q, products.zeroint_check(P, Q, comps), comps))
+    all_ok = all(ok for _, _, ok, _ in pairs)
     if args.format == "json":
-        _emit_json({"genus": g, "all_vanish": all_ok, "pairs": report})
+        sys.stdout.write(_zeroint_json(g, all_ok, pairs) + "\n")
     else:
-        for entry in report:
-            comps = "; ".join(
-                "sigma=%s excess=%s" % (tuple(c["sigma"]), c["excess"])
-                for c in entry["components"]
+        for p, q, ok, comps in pairs:
+            text = "; ".join(
+                "sigma=%s excess=%s" % (c.sigma.parts, [list(ab) for ab in c.excess_bundle])
+                for c in comps
             )
-            print(
-                "%s x %s -> vanishes=%s  [%s]"
-                % (tuple(entry["first"]), tuple(entry["second"]),
-                   str(entry["vanishes"]).lower(), comps)
-            )
+            print("%s x %s -> vanishes=%s  [%s]"
+                  % (tuple(p), tuple(q), str(ok).lower(), text))
         print("all pairs vanish: %s" % str(all_ok).lower())
     return 0 if all_ok else 1
 
@@ -287,7 +335,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (TreeError, ExcessError, products.ProductsError,
+    except (trees.TreeError, excess.ExcessError, products.ProductsError,
             agring.AgRingError, strata.StrataError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import os
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -573,6 +574,22 @@ class TestZeroint:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
             "8e727d7abfa01ab6298f733fb4318601b9e51bfb0c7e5634ca3504a5d59ea710")
 
+    @pytest.mark.parametrize("genus", range(2, 9))
+    def test_json_is_what_json_dumps_writes(self, capsys, genus):
+        # the report is written directly, in json.dumps(..., indent=1)'s bytes
+        code, out, _ = run(capsys, "zeroint", "--genus", str(genus))
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=1) + "\n"
+        if genus == 8:
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+                "196bba7751464fb8020b3854fe0b6f841c98769d4e89e1d735fe40468b421db8")
+
+    def test_text_digest(self, capsys):
+        code, out, _ = run(capsys, "zeroint", "--genus", "6", "--format", "text")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "3ccf2f98a533a15c467146bff497c2e54c675133977b77f1438fe957c8cc459d")
+
 
 class TestVerify:
     def test_all_checks_pass(self, capsys):
@@ -754,3 +771,28 @@ class TestTraceTargets:
                   if names.get(span[1], "").startswith("cli.")]
         assert any(name.startswith("agring.") for name in direct)
         assert direct.count("products.zeroint_check") == 55
+
+
+class TestTraceChildProcess:
+    """The tracer in a fresh process, where `torex.cli` alone decides what
+    is in sys.modules; install_tracer above runs after pytest has imported
+    every module, so it cannot see a module the CLI forgot to register."""
+
+    @pytest.mark.parametrize("argv, spans", [
+        (["ring", "--genus", "3"], "agring.socle_degree"),
+        (["pullback", "--genus", "3"], "strata.assemble"),
+    ])
+    def test_every_target_resolves(self, capsys, tmp_path, argv, spans):
+        path = tmp_path / "spans.json"
+        src = str(Path(torex.__file__).resolve().parent.parent)
+        env = {k: v for k, v in os.environ.items() if k != "EXCESS_CACHE_DIR"}
+        env["PYTHONPATH"] = src
+        res = subprocess.run([sys.executable, "-B", str(TRACE_CHILD), str(path), "fresh",
+                              "--", *argv], capture_output=True, text=True, env=env,
+                             cwd=tmp_path, timeout=120)
+        assert res.returncode == 0, res.stderr
+        data = json.loads(path.read_text(encoding="utf-8"))
+        assert data["run_id"] == "fresh" and data["argv"] == argv
+        assert spans in {span[2] for span in data["spans"]}
+        # the traced stdout is the command's own
+        assert res.stdout == run(capsys, *argv)[1]

@@ -56,13 +56,18 @@ def test_partition_len_is_its_number_of_parts():
     assert p != (3, 2, 2) and p != Partition(parts=(3, 2))
 
 
-def bare_python(code: str) -> str:
-    """stdout of code run by a fresh interpreter that finds this package.
-    -S: no site hooks, so only the package's own imports count; -B: no
-    bytecode written into the source tree."""
+def fresh_python(code: str) -> subprocess.CompletedProcess:
+    """code run by a fresh interpreter that finds this package.  -S: no
+    site hooks, so only the package's own imports count; -B: no bytecode
+    written into the source tree."""
     src = str(Path(torex.__file__).resolve().parent.parent)
-    res = subprocess.run([sys.executable, "-S", "-B", "-c", code], capture_output=True,
-                         text=True, env={"PYTHONPATH": src}, timeout=60)
+    return subprocess.run([sys.executable, "-S", "-B", "-c", code], capture_output=True,
+                          text=True, env={"PYTHONPATH": src}, timeout=60)
+
+
+def bare_python(code: str) -> str:
+    """stdout of code run by a fresh interpreter, which must exit 0."""
+    res = fresh_python(code)
     assert res.returncode == 0, res.stderr
     return res.stdout.strip()
 
@@ -79,6 +84,63 @@ def test_import_torex_loads_no_submodule():
     code = ("import sys, torex; "
             "print(sorted(n for n in sys.modules if n.startswith('torex.')))")
     assert bare_python(code) == "[]"
+
+
+LIBRARY = ["agring", "constants", "excess", "polyring", "products", "strata", "trees",
+           "verify"]
+
+# the torex submodules that have run, and those registered: a module the
+# CLI registers lazily is of a ModuleType subclass until its first
+# attribute access, and type() does not make that access
+RAN = ("print([n[6:] for n, m in sorted(sys.modules.items()) "
+       "if n.startswith('torex.') and type(m) is types.ModuleType], "
+       "[n[6:] for n in sorted(sys.modules) if n.startswith('torex.')], sep='\\n')")
+
+
+def test_import_cli_runs_no_other_module():
+    ran, registered = bare_python("import sys, types, torex.cli; " + RAN).splitlines()
+    assert ran == str(["cli"])
+    assert registered == str(sorted(LIBRARY + ["cli"]))
+    # on the package as an eager import would leave them
+    code = "import torex.cli; print(all(hasattr(torex, n) for n in %r))" % LIBRARY
+    assert bare_python(code) == "True"
+
+
+@pytest.mark.parametrize("command, ran", [
+    ("ring --genus 3", ["agring", "constants", "polyring"]),
+    ("zeroint --genus 3", ["polyring", "products"]),
+    ("pullback --genus 3", ["excess", "polyring", "strata", "trees"]),
+    ("verify-paper", LIBRARY),
+])
+def test_command_runs_only_the_modules_it_uses(command, ran):
+    code = ("import os, sys, types, torex.cli\n"
+            "out, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
+            "assert torex.cli.main(%r) == 0\n"
+            "sys.stdout = out\n" % command.split()) + RAN
+    assert bare_python(code).splitlines()[0] == str(sorted(ran + ["cli"]))
+
+
+def test_direct_import_gives_ordinary_modules():
+    # only the CLI registers modules lazily
+    code = "import sys, types; from torex import strata; " + RAN
+    ran, registered = bare_python(code).splitlines()
+    assert ran == registered == str(["excess", "polyring", "strata", "trees"])
+
+
+def test_error_handler_runs_lazy_modules():
+    # main's except tuple names agring, products and the rest, which a
+    # pullback has not run when the error arrives
+    code = ("import sys, types, torex.cli\n"
+            "from torex import excess, strata\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise excess.ExcessError('no table for you')\n"
+            "strata.assemble_pullback = refuse\n"
+            "code = torex.cli.main(['pullback', '--genus', '3'])\n" + RAN + "\n"
+            "sys.exit(code)\n")
+    res = fresh_python(code)
+    assert (res.returncode, res.stderr) == (1, "error: no table for you\n")
+    ran = sorted(set(LIBRARY) - {"verify"} | {"cli"})
+    assert res.stdout.splitlines()[0] == str(ran)
 
 
 MODULES = sorted(Path(torex.__file__).resolve().parent.glob("*.py"))
