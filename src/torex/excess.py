@@ -28,9 +28,10 @@ The closed formula reads only the paths and valences of T, its genus
 and its number of leaves: trees with the same shape (`trees.shape`, the
 tree with its leaf genera forgotten) share it up to the names of their
 edges.  The table of contributions therefore runs it once per shape and
-renames the result's z's into every tree of that shape.  The recursion
-still runs per tree, so every comparison of the two tables checks the
-renaming as well.  A per-shape recursion would call `smoothings` on the
+renames the result into every tree of that shape by permuting each
+term's exponents through the shape labels.  The recursion still runs
+per tree, so every comparison of the two tables checks the renaming as
+well.  A per-shape recursion would call `smoothings` on the
 representatives only, which moves the smoothing counts the benchmark
 records; it waits for a refresh of the benchmark.
 
@@ -64,13 +65,15 @@ genus g: fields for z_1 .. z_{2g-3}, each (g-1).bit_length() + 1 bits
 wide, under the degree.  The recursion keeps each solved tree as terms
 (i, exps, coeff), coeff * c_i * prod_j z_j^exps[j-1] in the tree's own
 edge labels, and moves a smoothing's terms onto its source tree with one
-dot product of exps against the packed keys of the mapped edges.  Each
-tree's `Poly` is built once from its terms, so the table of
-contributions and every other caller hold tuple `Poly`s; a cache file
-holds each tree's terms in this same form, with exps one exponent per
-edge, and is read back through the same builder (`_poly_of_terms`).
-The closed formula and the base case stay on tuple monomials, which
-keeps them independent references for the recursion.
+dot product of exps against the packed keys of the mapped edges.
+
+A `Contribution` holds these terms and nothing else, whichever route
+made it: the table, the in-process memo and the cache file all hold
+terms, exps a tuple of one exponent per edge.  The closed formula and
+the base case derive a tuple-monomial `Poly`, which keeps them
+independent references for the recursion, and convert it to terms once
+at the end.  `Contribution.poly` builds the `Poly` where one is printed,
+substituted or compared.
 """
 
 from __future__ import annotations
@@ -101,9 +104,10 @@ class MissingSmoothing(ExcessError):
     pass
 
 
-class Contribution(namedtuple("Contribution", "tree poly")):
-    """Cont_T in the edge variables z_e and formal Chern classes c_i: an
-    ExtremalTree and a Poly."""
+class Contribution(namedtuple("Contribution", "tree terms")):
+    """Cont_T of an ExtremalTree as a tuple of terms (i, exps, coeff), each
+    coeff * c_i * prod_j z_j^exps[j-1] (c_0 = 1), exps one exponent per
+    edge of the tree, no (i, exps) twice."""
 
     __slots__ = ()
 
@@ -111,8 +115,27 @@ class Contribution(namedtuple("Contribution", "tree poly")):
     def degree(self) -> int:
         return self.tree.genus - 1 - self.tree.n_edges
 
-    def __str__(self) -> str:
-        return str(self.poly)
+    @property
+    def poly(self) -> Poly:
+        """Cont_T as a Poly in the z_e and c_i, built from the terms."""
+        return Poly._of({((cvar(i), 1),)[:i]
+                         + tuple((zvar(j), x) for j, x in enumerate(exps, 1) if x): c
+                         for i, exps, c in self.terms})
+
+
+def _terms_of(poly: Poly, n: int) -> tuple:
+    """The terms (i, exps, coeff) of a Poly in c_i and z_1 .. z_n, in the
+    order of poly's terms."""
+    out = []
+    for m, c in poly.terms.items():
+        i, exps = 0, [0] * n
+        for v, e in m:
+            if v[0] == "c":
+                i = v[1]
+            else:
+                exps[v[1] - 1] = e
+        out.append((i, tuple(exps), c))
+    return tuple(out)
 
 
 def _formal_total_class(max_deg: int) -> Poly:
@@ -130,10 +153,10 @@ def base_contribution(t: ExtremalTree) -> Contribution:
     denom = prod((Poly.const(1) + Poly.var(zvar(i)) for i in range(1, t.n_edges + 1)),
                  start=Poly.const(1))
     series = _formal_total_class(d).mul(denom.series_inverse(d), d)
-    return Contribution(tree=t, poly=series.graded_part(d))
+    return Contribution(tree=t, terms=_terms_of(series.graded_part(d), t.n_edges))
 
 
-def recursion_contribution(t: ExtremalTree, solved: dict) -> list:
+def recursion_contribution(t: ExtremalTree, solved: dict) -> tuple:
     """Solve the inductive equation for Cont_T, as the recursion's terms.
 
     A term (i, exps, coeff) stands for coeff * c_i * prod_j z_j^exps[j-1]
@@ -183,7 +206,7 @@ def recursion_contribution(t: ExtremalTree, solved: dict) -> list:
                     raise ExcessError("contribution of %s not homogeneous of degree %d"
                                       % (t.code, d))
                 terms.append((i, layout.exponents(key, n), c))
-    return terms
+    return tuple(terms)
 
 
 def _times_leaf_factors(slots: list, leaves: list) -> None:
@@ -250,7 +273,7 @@ def pixton_contribution(t: ExtremalTree) -> Contribution:
     n = t.n_edges
     d = g - 1 - n
     if d < 0:
-        return Contribution(tree=t, poly=Poly.zero())
+        return Contribution(tree=t, terms=())
     top = g - 1  # numerator degree needed before dividing by prod z_e
     factors = [(t.path_labels(v), t.valence(v) - 2) for v in range(t.n_vertices)]
     factors = [(path, e) for path, e in factors if path and e]
@@ -276,7 +299,7 @@ def pixton_contribution(t: ExtremalTree) -> Contribution:
     all_edges = tuple(sorted((zvar(i), 1) for i in range(1, n + 1)))
     taylor = num.taylor_part(all_edges).truncate(d)
     poly = (taylor * _formal_total_class(d)).graded_part(d)
-    return Contribution(tree=t, poly=poly)
+    return Contribution(tree=t, terms=_terms_of(poly, n))
 
 
 def all_contributions(g: int, method: str = "recursion",
@@ -292,22 +315,14 @@ def all_contributions(g: int, method: str = "recursion",
     """
     if method not in ("recursion", "pixton"):
         raise ExcessError("unknown method %r" % method)
-    memo_key = (g, method)
-    got = _MEMO.get(memo_key)
-    if got is not None:
-        return dict(got)
-    cached = _cache_load(cache_dir, g, method)
-    if cached is not None:
-        _MEMO[memo_key] = cached
-        return dict(cached)
-    trees = enumerate_trees(g, g - 1)
-    if method == "pixton":
-        table = _closed_table(trees)
-    else:
-        table = _recursion_table(trees, g)
-    out = {t.code: table[t.code] for t in trees}
-    _MEMO[memo_key] = out
-    _store_or_warn(cache_dir, g, method, out)
+    out = _MEMO.get((g, method))
+    if out is None:
+        out = _cache_load(cache_dir, g, method)
+        if out is None:
+            trees = enumerate_trees(g, g - 1)
+            out = (_closed_table if method == "pixton" else _recursion_table)(trees)
+            _store_or_warn(cache_dir, g, method, out)
+        _MEMO[g, method] = out
     return dict(out)
 
 
@@ -315,55 +330,36 @@ def _closed_table(trees) -> dict:
     """The closed formula's contributions of trees of one genus, computed
     once per shape (`trees.shape`).  A shape's representative is its first
     tree in the order given; every other tree of the shape gets the
-    representative's polynomial with each z renamed from the
-    representative's label of a shape edge to this tree's label of it."""
-    reps: dict = {}  # shape code -> (representative's Contribution, its labels)
+    representative's terms with the exponent of each shape edge moved from
+    the representative's label of it to this tree's label of it."""
+    reps: dict = {}  # shape code -> (representative's terms, its labels)
     table = {}
     for t in trees:
         code, labels = shape(t)
         got = reps.get(code)
         if got is None:
-            cont = pixton_contribution(t)
-            reps[code] = cont, labels
+            terms = pixton_contribution(t).terms
+            reps[code] = terms, labels
         else:
-            rep, rep_labels = got
-            names = {zvar(a): zvar(b) for a, b in zip(rep_labels, labels)}
-            poly = {tuple(sorted([(names.get(v, v), e) for v, e in m])): c
-                    for m, c in rep.poly.terms.items()}
-            cont = Contribution(tree=t, poly=Poly._of(poly))
-        table[t.code] = cont
+            rep_terms, rep_labels = got
+            # t's exponent at label b is the representative's at label a
+            src = [0] * len(labels)
+            for a, b in zip(rep_labels, labels):
+                src[b - 1] = a - 1
+            terms = tuple((i, tuple([exps[j] for j in src]), c) for i, exps, c in rep_terms)
+        table[t.code] = Contribution(tree=t, terms=terms)
     return table
 
 
-def _recursion_table(trees, g: int) -> dict:
-    """The recursion's contributions of trees of genus g closed under
+def _recursion_table(trees) -> dict:
+    """The recursion's contributions of trees of one genus closed under
     smoothing, taken in order of increasing edge count: every smoothing
     contracts at least one edge, so each tree's smoothings are solved
-    before it.  The sort is stable: canonical-code order within an edge
-    count.  The solved terms stay in the recursion's form; each tree's
-    `Poly` is built once from them."""
+    before it.  The table is keyed in the order of trees."""
     solved: dict = {}
-    table: dict = {}
     for t in sorted(trees, key=lambda tree: tree.n_edges):
-        terms = solved[t.code] = recursion_contribution(t, solved)
-        table[t.code] = Contribution(tree=t, poly=_poly_of_terms(terms, g))
-    return table
-
-
-def _poly_of_terms(terms, g: int) -> Poly:
-    """The Poly of terms (i, exps, coeff) of genus g, each coeff * c_i *
-    prod_j z_j^exps[j-1] with c_0 read as 1.  The recursion's results and
-    the cache's entries are built here."""
-    zs, cs = _term_variables(g)
-    return Poly._of({cs[i] + tuple((v, x) for v, x in zip(zs, exps) if x): c
-                     for i, exps, c in terms})
-
-
-@lru_cache(maxsize=None)
-def _term_variables(g: int) -> tuple:
-    """z_1 .. z_{2g-3} and, by i, the monomial of c_i (c_0 = 1)."""
-    return (tuple(_layout(g).unit),
-            ((),) + tuple(((cvar(i), 1),) for i in range(1, g)))
+        solved[t.code] = recursion_contribution(t, solved)
+    return {t.code: Contribution(tree=t, terms=solved[t.code]) for t in trees}
 
 
 def tree_contribution(t: ExtremalTree, method: str = "recursion") -> Contribution:
@@ -381,7 +377,7 @@ def tree_contribution(t: ExtremalTree, method: str = "recursion") -> Contributio
             if rec.target.code not in closure:
                 closure[rec.target.code] = rec.target
                 todo.append(rec.target)
-    return _recursion_table(closure.values(), t.genus)[t.code]
+    return _recursion_table(closure.values())[t.code]
 
 
 _MEMO: dict = {}
@@ -398,13 +394,14 @@ CACHE_FORMAT = 3
 
 def _cache_load(cache_dir, g, method):
     """The cached table, or None for a miss.  An entry holds a tree's code
-    and its contribution as terms [i, exps, coeff] (`_cache_terms`).  A
-    file that does not parse, was written in another format, by another
-    package version, or for another genus or method, does not hold each
-    enumerated tree exactly once, or holds a term without the form of a
-    contribution of that genus is a miss: the table is recomputed and the
-    file rewritten.  Each entry takes its tree from the enumeration by
-    its code, spelled exactly as the tree's own."""
+    and its contribution's terms [i, exps, coeff], coeff an int when it is
+    integral and the text "p/q" otherwise.  A file that does not parse,
+    was written in another format, by another package version, or for
+    another genus or method, does not hold each enumerated tree exactly
+    once, or holds a term without the form of a contribution of that genus
+    is a miss: the table is recomputed and the file rewritten.  Each entry
+    takes its tree from the enumeration by its code, spelled exactly as
+    the tree's own."""
     if not cache_dir:
         return None
     path = _cache_path(cache_dir, g, method)
@@ -421,20 +418,20 @@ def _cache_load(cache_dir, g, method):
             # an unknown or repeated code raises KeyError
             t = trees.pop(entry["code"])
             terms = _checked_terms(entry["poly"], t.n_edges, g - 1 - t.n_edges)
-            poly = _poly_of_terms(terms, g)
-            if len(poly.terms) != len(terms):
+            if len({(i, exps) for i, exps, _ in terms}) != len(terms):
                 return None  # a term given twice
-            out[t.code] = Contribution(tree=t, poly=poly)
+            out[t.code] = Contribution(tree=t, terms=terms)
     except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError, RecursionError):
         return None
     return None if trees else out
 
 
-def _checked_terms(entry, n: int, d: int) -> list:
-    """The terms of a cache entry of a tree with n edges, each coefficient
-    an int or a Fraction; raises ValueError unless every term has the form
-    of a contribution's: i and the n exponents nonnegative ints of sum d,
-    the coefficient a nonzero int or the text of a non-integral fraction."""
+def _checked_terms(entry, n: int, d: int) -> tuple:
+    """The terms of a cache entry of a tree with n edges, exps a tuple and
+    each coefficient an int or a Fraction; raises ValueError unless every
+    term has the form of a contribution's: i and the n exponents
+    nonnegative ints of sum d, the coefficient a nonzero int or the text
+    of a non-integral fraction."""
     out = []
     for i, exps, c in entry:
         if type(c) is str:
@@ -448,25 +445,8 @@ def _checked_terms(entry, n: int, d: int) -> list:
         for x in exps:
             if type(x) is not int or x < 0:
                 raise ValueError("exponent %r" % (x,))
-        out.append((i, exps, c))
-    return out
-
-
-def _cache_terms(cont: Contribution) -> list:
-    """cont as the terms [i, exps, coeff] the cache holds: coeff * c_i *
-    prod_j z_j^exps[j-1], exps one exponent per edge, coeff an int when it
-    is integral and the text "p/q" otherwise."""
-    n = cont.tree.n_edges
-    out = []
-    for m, c in cont.poly.terms.items():
-        i, exps = 0, [0] * n
-        for v, e in m:
-            if v[0] == "c":
-                i = v[1]
-            else:
-                exps[v[1] - 1] = e
-        out.append([i, exps, c if type(c) is int else str(c)])
-    return out
+        out.append((i, tuple(exps), c))
+    return tuple(out)
 
 
 def _store_or_warn(cache_dir, g, method, table) -> None:
@@ -488,7 +468,8 @@ def _cache_store(cache_dir, g, method, table) -> None:
         "genus": g,
         "method": method,
         "contributions": [
-            {"code": code, "poly": _cache_terms(cont)}
+            {"code": code,
+             "poly": [[i, exps, c if type(c) is int else str(c)] for i, exps, c in cont.terms]}
             for code, cont in table.items()
         ],
     }

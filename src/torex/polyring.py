@@ -203,9 +203,6 @@ class Poly:
     def constant_term(self):
         return self._t.get(ONE_MONO, 0)
 
-    def variables(self) -> set:
-        return {v for m in self._t for v, _ in m}
-
     def coeff(self, m: Monomial):
         return self._t.get(m, 0)
 

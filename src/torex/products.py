@@ -7,11 +7,14 @@ sums the other; it is extremal exactly when no two refinement parts sit
 in the same row and the same column, i.e. when each matrix cell holds
 at most one part.  The excess bundle of a component is the sum of
 E_a^dual (x) E_b^dual over pairs of parts lying in different rows and
-different columns; its Euler class vanishes because the top Chern class
-of every Hodge factor does.
+different columns.  With the top Chern class of every Hodge factor set
+to zero, its Euler class vanishes exactly when it has a summand
+(`zeroint_check`).
 
 Reordering permutes rows of equal sum and columns of equal sum; each
-orbit stands for its least key, its tuple of columns, found by sorting.
+orbit stands for its least key, its tuple of columns, found by sorting
+each column run under every arrangement of the rows, the arrangements
+stepped one at a time in a single list.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
-from itertools import accumulate, chain, combinations, groupby, product
+from itertools import accumulate, combinations, groupby
 
 from .polyring import Poly, det
 
@@ -130,13 +133,29 @@ def _runs(sums: tuple) -> list:
     return [slice(a, b) for a, b in zip([0] + stops, stops)]
 
 
-def _arrangements(items: tuple):
-    """The distinct orderings of the sorted tuple items, each once."""
-    if not items:
-        yield ()
-    for i, x in enumerate(items):
-        if not i or x != items[i - 1]:
-            yield from ((x,) + r for r in _arrangements(items[:i] + items[i + 1:]))
+def _row_orders(matrix: tuple, runs: list):
+    """Every distinct arrangement of matrix's rows within their runs, each
+    run sorted to begin with, one at a time in one list stepped in place:
+    the last run steps to its next arrangement in lexicographic order, and
+    a run past its last is sorted back and carries to the run before it."""
+    rows = list(matrix)
+    while True:
+        yield rows
+        for run in reversed(runs):
+            lo, hi = run.start, run.stop
+            i = hi - 2
+            while i >= lo and rows[i] >= rows[i + 1]:
+                i -= 1
+            if i >= lo:
+                break
+            rows[run] = rows[run][::-1]
+        else:
+            return
+        j = hi - 1
+        while rows[j] <= rows[i]:
+            j -= 1
+        rows[i], rows[j] = rows[j], rows[i]
+        rows[i + 1:hi] = rows[hi - 1:i:-1]
 
 
 def extremal_refinements(p: Partition, q: Partition) -> list:
@@ -154,8 +173,8 @@ def extremal_refinements(p: Partition, q: Partition) -> list:
     rows, cols = p.parts, q.parts
     row_runs, col_runs = _runs(rows), _runs(cols)
     keys = {min(tuple(c for s in col_runs for c in sorted(columns[s]))
-                for blocks in product(*(_arrangements(matrix[s]) for s in row_runs))
-                for columns in (list(zip(*chain.from_iterable(blocks))),))
+                for order in _row_orders(matrix, row_runs)
+                for columns in (list(zip(*order)),))
             for matrix in _row_sorted_matrices(rows, cols)}
     out = []
     for key in keys:
@@ -216,7 +235,8 @@ def euler_tensor_e_basis(a: int, b: int) -> Poly:
 @lru_cache(maxsize=None)
 def euler_tensor_reduce(a: int, b: int) -> Poly:
     """The e-basis Euler class of the tensor product with the top classes
-    e_a(x) and e_b(y) set to zero; the reduction is always zero."""
+    e_a(x) and e_b(y) set to zero; the reduction is always zero, and this
+    expansion is the reference for `zeroint_check`."""
     expr = euler_tensor_e_basis(a, b)
     zero = Poly.zero()
     return expr.substitute({("e", "x", a): zero, ("e", "y", b): zero})
@@ -227,6 +247,13 @@ def zeroint_check(p: Partition, q: Partition, components: list | None = None) ->
     an excess bundle whose Euler class reduces to zero once the top
     Chern class of every Hodge factor is set to zero.
 
+    That holds exactly when the bundle is not empty.  The Euler class of
+    E_a^dual (x) E_b^dual is, up to sign, the resultant of f(t) =
+    prod (t - x_i) and h(t) = prod (t + y_j) (`euler_tensor_e_basis`).
+    With e_a(x) = e_b(y) = 0, f and h share the root t = 0, so for every
+    a, b >= 1 the resultant vanishes, and with it the Euler class of any
+    sum holding that summand; an empty bundle has Euler class 1.
+
     components are the extremal_refinements of p and q, when the caller
     already has them.  The components of one reordering orbit carry
     identical excess bundles, so checking one of each orbit is enough.
@@ -235,12 +262,7 @@ def zeroint_check(p: Partition, q: Partition, components: list | None = None) ->
         raise ProductsError("both partitions need at least 2 parts")
     if components is None:
         components = extremal_refinements(p, q)
-    # a direct sum's Euler class vanishes as soon as one tensor factor
-    # reduces to zero (euler_tensor_reduce is cached)
-    return bool(components) and all(
-        any(euler_tensor_reduce(a, b).is_zero() for a, b in comp.excess_bundle)
-        for comp in components
-    )
+    return bool(components) and all(comp.excess_bundle for comp in components)
 
 
 # ---------------------------------------------------------------------------

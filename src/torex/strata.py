@@ -16,10 +16,12 @@ The assembled pullback is a weighted sum over all contributing trees
 with weights 1/|Aut|; each bracket summand stores one monomial per
 vertex, in vertex order.
 
-The substitution values are built as term dicts and expanded by
-`Poly.substitute`; terms past a vertex bound are dropped before the rest
-are sorted.  `serialize` writes both formats directly, the JSON one as
-the bytes `json.dumps(..., indent=1)` gives for its fixed schema.
+A contribution holds terms in the z_e and c_i only (`excess`), so every
+variable of its `Poly` has a value.  The substitution values are built
+as term dicts and expanded by `Poly.substitute`; terms past a vertex
+bound are dropped before the rest are sorted.  `serialize` writes both
+formats directly, the JSON one as the bytes `json.dumps(..., indent=1)`
+gives for its fixed schema.
 """
 
 from __future__ import annotations
@@ -112,11 +114,7 @@ def substitute_stratum(c: Contribution, weight=1) -> list:
     every coefficient multiplied by weight, in the graded-lex order of the
     expanded monomials."""
     t = c.tree
-    subs = _substitutions(t, max(c.degree, 0))
-    missing = {v for v in c.poly.variables() if v not in subs}
-    if missing:
-        raise StrataError("unexpected variables %r" % (missing,))
-    expanded = c.poly.substitute(subs)
+    expanded = c.poly.substitute(_substitutions(t, max(c.degree, 0)))
     bounds = [_truncation_bound(t, v) for v in range(t.n_vertices)]
     nv = len(bounds)
     # (var, e) -> (vertex, untagged (var, e), degree), filled as met

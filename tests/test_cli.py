@@ -142,8 +142,6 @@ class TestContribution:
         assert both == one
 
     def test_full_table_both_mismatch(self, capsys, monkeypatch, memo):
-        from torex.polyring import Poly
-
         wrong = "(1(0(1)(3)))"
         closed = excess.pixton_contribution
 
@@ -151,7 +149,8 @@ class TestContribution:
             got = closed(t)
             if t.code != wrong:
                 return got
-            return excess.Contribution(tree=t, poly=got.poly + Poly.const(1))
+            # the closed formula's class plus the constant 1
+            return excess.Contribution(tree=t, terms=got.terms + ((0, (0,) * t.n_edges, 1),))
 
         monkeypatch.setattr(excess, "pixton_contribution", broken)
         code, out, err = run(capsys, "contribution", "--genus", "5", "--method", "both")
@@ -781,6 +780,7 @@ class TestTraceChildProcess:
     @pytest.mark.parametrize("argv, spans", [
         (["ring", "--genus", "3"], "agring.socle_degree"),
         (["pullback", "--genus", "3"], "strata.assemble"),
+        (["pullback", "--genus", "5", "--method", "pixton"], "excess.closed"),
     ])
     def test_every_target_resolves(self, capsys, tmp_path, argv, spans):
         path = tmp_path / "spans.json"
@@ -796,3 +796,13 @@ class TestTraceChildProcess:
         assert spans in {span[2] for span in data["spans"]}
         # the traced stdout is the command's own
         assert res.stdout == run(capsys, *argv)[1]
+        # the table's measure is the term count of its Polys, summed and
+        # at most, as in-process
+        measures = [span[8] for span in data["spans"] if span[2] == "excess.all_contributions"]
+        if argv[0] == "pullback":
+            method = argv[4] if len(argv) > 4 else "recursion"
+            table = excess.all_contributions(int(argv[2]), method)
+            sizes = [len(c.poly.terms) for c in table.values()]
+            assert measures == [[sum(sizes), max(sizes)]]
+        else:
+            assert measures == []

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from math import prod
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import star
 
+import torex
 from torex import excess
 from torex.excess import (
     MissingSmoothing,
@@ -178,12 +181,14 @@ class TestRecursionMechanics:
             for cont in all_contributions(g).values():
                 d = g - 1 - cont.tree.n_edges
                 assert all(mono_degree(m) == d for m in cont.poly.terms)
-                assert all(v[0] in ("z", "c") for v in cont.poly.variables())
+                # one exponent per edge, each term once
+                assert all(len(exps) == cont.tree.n_edges for _, exps, _ in cont.terms)
+                assert len({(i, exps) for i, exps, _ in cont.terms}) == len(cont.terms)
 
     def test_excess_edge_count_vanishing(self):
         # trees with at least g edges carry the zero class
         trees = enumerate_trees(4, 5)
-        table = excess._recursion_table(trees, 4)
+        table = excess._recursion_table(trees)
         heavy = [t for t in trees if t.n_edges >= 4]
         assert heavy
         assert all(table[t.code].poly.is_zero() for t in heavy)
@@ -398,7 +403,79 @@ class TestShapes:
         assert labels == (2, 1, 3, 4)
 
 
+def poly_of_terms_reference(terms):
+    """The Poly of terms (i, exps, coeff) as the table built it when it held
+    Polys: coeff * c_i * prod_j z_j^exps[j-1] with c_0 read as 1."""
+    return Poly({tuple(sorted([(cvar(i), 1)] * (i > 0)
+                              + [(zvar(j), x) for j, x in enumerate(exps, 1) if x])): c
+                 for i, exps, c in terms})
+
+
+def poly_table_reference(g, method):
+    """The table of genus g, code -> Poly, by the route it took when it held
+    Polys: each tree's recursion terms built into a Poly, or the closed
+    formula's Poly of each shape's first tree renamed into every other tree
+    of the shape monomial by monomial, through a dict of variable names."""
+    trees = enumerate_trees(g, g - 1)
+    out = {}
+    if method == "recursion":
+        solved = {}
+        for t in sorted(trees, key=lambda tree: tree.n_edges):
+            solved[t.code] = recursion_contribution(t, solved)
+            out[t.code] = poly_of_terms_reference(solved[t.code])
+        return out
+    reps = {}
+    for t in trees:
+        code, labels = shape(t)
+        if code not in reps:
+            reps[code] = poly_of_terms_reference(pixton_contribution(t).terms), labels
+        rep, rep_labels = reps[code]
+        names = {zvar(a): zvar(b) for a, b in zip(rep_labels, labels)}
+        out[t.code] = Poly({tuple(sorted((names.get(v, v), e) for v, e in m)): c
+                            for m, c in rep.terms.items()})
+    return out
+
+
+class TestTermsForm:
+    @pytest.mark.parametrize("method", ["recursion", "pixton"])
+    @pytest.mark.parametrize("g", range(2, 10))
+    def test_poly_equals_poly_route(self, g, method):
+        # the table holds terms; Contribution.poly builds what the table
+        # held when it held Polys, for every tree
+        want = poly_table_reference(g, method)
+        table = all_contributions(g, method)
+        assert set(table) == set(want)
+        for code, cont in table.items():
+            assert cont.poly == want[code], code
+            assert set(excess._terms_of(want[code], cont.tree.n_edges)) == set(cont.terms), code
+            assert all(type(exps) is tuple for _, exps, _ in cont.terms), code
+
+    def test_memo_holds_no_poly(self, memo):
+        for method in ("recursion", "pixton"):
+            all_contributions(5, method)
+        for table in memo.values():
+            for cont in table.values():
+                assert type(cont.terms) is tuple
+                assert all(type(term) is tuple and not isinstance(x, Poly)
+                           for term in cont.terms for x in term)
+
+
 class TestCacheDir:
+    @pytest.mark.parametrize("method, digest", [
+        ("recursion", "21b3ceb1c8d26b400f00d0e4149bddfbcfcea66d79794c2160b5f1c3339d544c"),
+        ("pixton", "8e714fc1107ea5f39f8663d12cae5293a71a4e17da4ee83ad9901c5c930d1db0"),
+    ])
+    def test_file_bytes_pinned(self, tmp_path, memo, method, digest):
+        # the bytes of a format-3 file do not move; the package version
+        # they carry is read as 0.1.0
+        assert excess.CACHE_FORMAT == 3, "a new format pins new digests"
+        all_contributions(6, method, cache_dir=str(tmp_path))
+        data = (tmp_path / ("contrib-g6-%s.json" % method)).read_bytes()
+        version = ('"version":%s' % json.dumps(torex.__version__)).encode()
+        assert data.count(version) == 1
+        data = data.replace(version, b'"version":"0.1.0"')
+        assert hashlib.sha256(data).hexdigest() == digest
+
     def test_json_cache_roundtrip(self, tmp_path, memo):
         first = all_contributions(4, cache_dir=str(tmp_path))
         path = tmp_path / "contrib-g4-recursion.json"

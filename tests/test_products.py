@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 
 import pytest
 
@@ -10,7 +10,9 @@ from torex.products import (
     ProductsError,
     RankTooLarge,
     _compositions as bounded_compositions,
+    _row_orders,
     _row_sorted_matrices,
+    _runs,
     euler_tensor_e_basis,
     euler_tensor_reduce,
     extremal_refinements,
@@ -202,6 +204,28 @@ class TestMatrices:
             assert list(enumerate_matrices((1, 1), (2, 1))) == []
 
 
+class TestRowOrders:
+    @pytest.mark.parametrize("g", range(2, 7))
+    def test_distinct_arrangements_within_runs(self, g):
+        # every arrangement of the rows within their runs, once each, the
+        # first being the matrix itself
+        parts = split_partitions(g)
+        for p in parts:
+            runs = _runs(p)
+            for q in parts:
+                for matrix in _row_sorted_matrices(p, q):
+                    got = [tuple(order) for order in _row_orders(matrix, runs)]
+                    blocks = [set(permutations(matrix[s])) for s in runs]
+                    want = {tuple(chain.from_iterable(b)) for b in product(*blocks)}
+                    assert got[0] == matrix and len(got) == len(set(got)), (p, q)
+                    assert set(got) == want, (p, q, matrix)
+
+    def test_equal_rows_and_two_runs(self):
+        matrix = ((0, 1), (0, 1), (1, 0), (0, 2), (1, 1))
+        got = [tuple(order) for order in _row_orders(matrix, [slice(0, 3), slice(3, 5)])]
+        assert len(got) == 3 * 2 == len(set(got))
+
+
 class TestRefinements:
     @pytest.mark.parametrize("g", range(2, 6))
     def test_matches_brute_force_reference(self, g):
@@ -301,7 +325,7 @@ class TestEulerTensor:
                 direct = direct * (Poly.var(root("x", i)) + Poly.var(root("y", j)))
         expr = euler_tensor_e_basis(a, b)
         subs = {}
-        for v in expr.variables():
+        for v in {v for m in expr.terms for v, _ in m}:
             block, idx = v[1], v[2]
             n = a if block == "x" else b
             terms = {}
@@ -333,6 +357,29 @@ class TestZeroint:
     def test_rejects_single_part(self):
         with pytest.raises(ProductsError):
             zeroint_check(P([5]), P([1, 4]))
+
+    def test_past_the_expansion_rank(self):
+        # genus 11: one component's only excess summand has ranks 5 and 6,
+        # past what the resultant's expansion takes
+        comps = extremal_refinements(P([6, 5]), P([6, 5]))
+        assert ((5, 6),) in [c.excess_bundle for c in comps]
+        with pytest.raises(RankTooLarge):
+            euler_tensor_reduce(5, 6)
+        assert zeroint_check(P([6, 5]), P([6, 5]))
+        assert zeroint_check(P([6, 5]), P([6, 5]), comps)
+
+    @pytest.mark.parametrize("g", range(2, 8))
+    def test_verdict_equals_resultant(self, g):
+        # the expanded resultant, reduced, decides each component as the
+        # emptiness of its bundle does
+        parts = split_partitions(g)
+        for i, p in enumerate(parts):
+            for q in parts[:i + 1]:
+                comps = extremal_refinements(P(p), P(q))
+                verdicts = [any(euler_tensor_reduce(a, b).is_zero() for a, b in c.excess_bundle)
+                            for c in comps]
+                assert verdicts == [bool(c.excess_bundle) for c in comps], (p, q)
+                assert zeroint_check(P(p), P(q), comps) == (bool(comps) and all(verdicts))
 
     def test_split_partitions(self):
         assert split_partitions(1) == []

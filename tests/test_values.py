@@ -12,7 +12,6 @@ import pytest
 import torex
 from torex.constants import HodgeConstants
 from torex.excess import Contribution
-from torex.polyring import Poly, zvar
 from torex.products import Partition, RefinementComponent
 from torex.strata import StrataExpression, Summand, TreeTerm
 from torex.trees import ExtremalTree, Smoothing
@@ -24,7 +23,7 @@ def tree():
 
 # each builds a fresh instance from equal fields, by keyword
 VALUES = {
-    "Contribution": lambda: Contribution(tree=tree(), poly=Poly.var(zvar(1)) * 3),
+    "Contribution": lambda: Contribution(tree=tree(), terms=((0, (0, 0, 0, 0), 3),)),
     "Smoothing": lambda: Smoothing(target=tree(), edge_map=(1, 3), contracted=frozenset({2})),
     "Summand": lambda: Summand(coeff=Fraction(1, 2), monos=((), ((("psi", -1, 1), 1),))),
     "TreeTerm": lambda: TreeTerm(tree=tree(), summands=(Summand(coeff=1, monos=((),)),)),
