@@ -13,3 +13,8 @@ constants tying everything together.
 # the one place the version is written: pyproject.toml reads it, and the
 # contribution cache stamps it
 __version__ = "0.1.0"
+
+
+class TorexError(Exception):
+    """The one error the package raises for a failure it detects; the
+    message states the reason, and the CLI prints it as one line."""

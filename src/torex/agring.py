@@ -22,16 +22,9 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb, lcm, prod
 
+from . import TorexError
 from .constants import product_coefficient
 from .polyring import Poly, det, lamvar
-
-
-class AgRingError(Exception):
-    pass
-
-
-class BadSplit(AgRingError):
-    pass
 
 
 def lam(i: int) -> Poly:
@@ -77,7 +70,7 @@ def reduce(g: int, p: Poly) -> Poly:
         exps = []
         for v, e in m:
             if v[0] != "lam" or v[1] != -1:
-                raise AgRingError("not a lambda polynomial: %r" % (v,))
+                raise TorexError("not a lambda polynomial: %r" % (v,))
             exps.extend([v[2]] * e)
         for J, c in _reduce_monomial(g, tuple(sorted(exps))):
             key = tuple((lamvar(j), 1) for j in J)
@@ -120,10 +113,10 @@ def socle_degree(g: int) -> int:
 def _pairing_entry(g: int, J: tuple, K: tuple) -> int:
     """lambda_J lambda_K as a multiple of the socle generator lambda_1 ...
     lambda_{g-1}, which spans the top degree; any other normal form raises
-    AgRingError."""
+    TorexError."""
     form = _reduce_monomial(g, tuple(sorted(J + K)))
     if form and (len(form) > 1 or form[0][0] != tuple(range(1, g))):
-        raise AgRingError("top degree of genus %d holds %r" % (g, form))
+        raise TorexError("top degree of genus %d holds %r" % (g, form))
     return form[0][1] if form else 0
 
 
@@ -132,7 +125,7 @@ def socle_pairing(g: int, d: int):
     on the socle generator lambda_1 ... lambda_{g-1}."""
     D = socle_degree(g)
     if d < 0 or d > D:
-        raise AgRingError("degree %d out of range" % d)
+        raise TorexError("degree %d out of range" % d)
     cols = basis_subsets(g, D - d)
     return [[_pairing_entry(g, J, K) for K in cols] for J in basis_subsets(g, d)]
 
@@ -236,7 +229,7 @@ def schur_wedge2(g: int) -> Poly:
     """Euler class of wedge^2 of the rank-g Hodge bundle, reduced; it
     must equal the socle generator lambda_1 ... lambda_{g-1}."""
     if g < 1:
-        raise AgRingError("g must be >= 1")
+        raise TorexError("g must be >= 1")
     return reduce(g, jacobi_trudi_wedge2(g))
 
 
@@ -248,13 +241,13 @@ def virtual_class_product(g: int, k: int):
     (-1)^binom(r,2) on lambda_1 ... lambda_{r-1}.
     """
     if k < 1 or k > g - 1:
-        raise BadSplit("need 1 <= k <= g-1, got k=%d, g=%d" % (k, g))
+        raise TorexError("need 1 <= k <= g-1, got k=%d, g=%d" % (k, g))
     out = []
     for r in (k, g - k):
         cls = reduce(r, jacobi_trudi_wedge2(r, dual=True))
         expected = (-1) ** comb(r, 2) * socle_generator(r)
         if cls != expected:
-            raise AgRingError("dual Euler class sign check failed at rank %d" % r)
+            raise TorexError("dual Euler class sign check failed at rank %d" % r)
         out.append(cls)
     return tuple(out)
 
@@ -263,6 +256,6 @@ def taut_projection_delta(g: int) -> Poly:
     """The tautological projection of the product-locus class:
     (g / 6|B_2g|) * lambda_{g-1}."""
     if g < 1:
-        raise AgRingError("g must be >= 1")
+        raise TorexError("g must be >= 1")
     c = product_coefficient(g)
     return c * lam(g - 1) if g >= 2 else Poly.const(c)

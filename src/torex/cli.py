@@ -13,6 +13,8 @@ import json
 import os
 import sys
 
+from . import TorexError
+
 
 def _lazy(name: str):
     """The module torex.<name>, in sys.modules and on the package but
@@ -70,7 +72,7 @@ def _tree_code(text: str) -> trees.ExtremalTree:
     """argparse type: a well-formed canonical tree code."""
     try:
         return trees.ExtremalTree.from_code(text)
-    except trees.TreeError as exc:
+    except TorexError as exc:
         raise argparse.ArgumentTypeError("malformed tree code: %s" % exc) from None
 
 
@@ -335,8 +337,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (trees.TreeError, excess.ExcessError, products.ProductsError,
-            agring.AgRingError, strata.StrataError) as exc:
+    except TorexError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

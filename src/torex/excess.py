@@ -87,21 +87,9 @@ from functools import lru_cache
 from math import prod
 from operator import mul
 
-from . import __version__
+from . import TorexError, __version__
 from .polyring import PackedLayout, Poly, cvar, zvar
 from .trees import ExtremalTree, enumerate_trees, shape, smoothings, trees_by_code
-
-
-class ExcessError(Exception):
-    pass
-
-
-class NotIrreducible(ExcessError):
-    pass
-
-
-class MissingSmoothing(ExcessError):
-    pass
 
 
 class Contribution(namedtuple("Contribution", "tree terms")):
@@ -148,7 +136,7 @@ def _formal_total_class(max_deg: int) -> Poly:
 def base_contribution(t: ExtremalTree) -> Contribution:
     """Excess class of an irreducible component, in (Z, c(N)) form."""
     if not t.is_irreducible():
-        raise NotIrreducible(t.code)
+        raise TorexError("tree %s is not irreducible" % t.code)
     d = t.genus - 1 - len(t.leaves())
     denom = prod((Poly.const(1) + Poly.var(zvar(i)) for i in range(1, t.n_edges + 1)),
                  start=Poly.const(1))
@@ -177,7 +165,8 @@ def recursion_contribution(t: ExtremalTree, solved: dict) -> tuple:
     for rec in smoothings(t):
         got = solved.get(rec.target.code)
         if got is None:
-            raise MissingSmoothing(rec.target.code)
+            raise TorexError("smoothing %s of %s has no solved contribution"
+                             % (rec.target.code, t.code))
         # units[j] is the key of the image of the target's z_{j+1}
         units = [unit[zvar(src)] for src in rec.edge_map]
         factor = sum(units)
@@ -203,8 +192,8 @@ def recursion_contribution(t: ExtremalTree, solved: dict) -> tuple:
             if c:
                 # a tree with n >= g edges (d < 0) has the zero class
                 if layout.degree(key) + i != d:
-                    raise ExcessError("contribution of %s not homogeneous of degree %d"
-                                      % (t.code, d))
+                    raise TorexError("contribution of %s not homogeneous of degree %d"
+                                     % (t.code, d))
                 terms.append((i, layout.exponents(key, n), c))
     return tuple(terms)
 
@@ -314,14 +303,14 @@ def all_contributions(g: int, method: str = "recursion",
     and written only when the table is not yet in memory.
     """
     if method not in ("recursion", "pixton"):
-        raise ExcessError("unknown method %r" % method)
+        raise TorexError("unknown method %r" % method)
     out = _MEMO.get((g, method))
     if out is None:
         out = _cache_load(cache_dir, g, method)
         if out is None:
             trees = enumerate_trees(g, g - 1)
             out = (_closed_table if method == "pixton" else _recursion_table)(trees)
-            _store_or_warn(cache_dir, g, method, out)
+            _cache_store(cache_dir, g, method, out)
         _MEMO[g, method] = out
     return dict(out)
 
@@ -369,7 +358,7 @@ def tree_contribution(t: ExtremalTree, method: str = "recursion") -> Contributio
     if method == "pixton":
         return pixton_contribution(t)
     if method != "recursion":
-        raise ExcessError("unknown method %r" % method)
+        raise TorexError("unknown method %r" % method)
     closure = {t.code: t}
     todo = [t]
     while todo:
@@ -449,19 +438,11 @@ def _checked_terms(entry, n: int, d: int) -> tuple:
     return tuple(out)
 
 
-def _store_or_warn(cache_dir, g, method, table) -> None:
+def _cache_store(cache_dir, g, method, table) -> None:
     """Store the table; a cache that cannot be written is warned about on
     stderr, and the run goes on as if no cache were set."""
-    try:
-        _cache_store(cache_dir, g, method, table)
-    except OSError as exc:
-        print("warning: contribution cache not written: %s" % exc, file=sys.stderr)
-
-
-def _cache_store(cache_dir, g, method, table) -> None:
     if not cache_dir:
         return
-    os.makedirs(cache_dir, exist_ok=True)
     data = {
         "format": CACHE_FORMAT,
         "version": __version__,
@@ -477,9 +458,12 @@ def _cache_store(cache_dir, g, method, table) -> None:
     path = _cache_path(cache_dir, g, method)
     tmp = "%s.%d.tmp" % (path, os.getpid())
     try:
+        os.makedirs(cache_dir, exist_ok=True)
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(data, fh, separators=(",", ":"), sort_keys=True)
         os.replace(tmp, path)
+    except OSError as exc:
+        print("warning: contribution cache not written: %s" % exc, file=sys.stderr)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)

@@ -36,22 +36,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
+from . import TorexError
+
 Variable = tuple
 Monomial = tuple  # sorted tuple of (Variable, int) pairs
 
 ONE_MONO: Monomial = ()
-
-
-class PolyError(Exception):
-    pass
-
-
-class NotDivisible(PolyError):
-    """Exact division failed; the divisibility invariant was violated."""
-
-
-class NotUnitConstantTerm(PolyError):
-    """Series inversion requires constant term 1."""
 
 
 def zvar(i: int) -> Variable:
@@ -308,7 +298,7 @@ class Poly:
     # -- division ------------------------------------------------------
 
     def exact_divide(self, m: Monomial) -> "Poly":
-        """Exact quotient by a monomial; raises NotDivisible otherwise.
+        """Exact quotient by a monomial; raises TorexError otherwise.
         No command divides on tuple monomials: this is a reference for the
         tests and the benchmark's tracer."""
         neg = tuple((v, -e) for v, e in m)
@@ -316,7 +306,7 @@ class Poly:
         for mono, c in self._t.items():
             q = mono_mul(mono, neg)
             if any(e < 0 for _, e in q):
-                raise NotDivisible("term %s not divisible by %s" % (mono_str(mono), mono_str(m)))
+                raise TorexError("term %s not divisible by %s" % (mono_str(mono), mono_str(m)))
             t[q] = c
         return Poly._of(t)
 
@@ -334,7 +324,7 @@ class Poly:
     def series_inverse(self, max_deg: int) -> "Poly":
         """Inverse modulo degree > max_deg; constant term must equal 1."""
         if self.constant_term() != 1:
-            raise NotUnitConstantTerm("constant term %s != 1" % self.constant_term())
+            raise TorexError("constant term %s != 1" % self.constant_term())
         minus_u = -(self - 1).truncate(max_deg)
         result = Poly.const(1)
         power = Poly.const(1)
@@ -464,7 +454,7 @@ class PackedLayout:
         return tuple(key >> width * j & fmask for j in range(n))
 
     def divide(self, p: dict, m: int) -> dict:
-        """Exact quotient by the monomial m; raises NotDivisible otherwise."""
+        """Exact quotient by the monomial m; raises TorexError otherwise."""
         guard = self.guard
         out = {}
         for key, c in p.items():
@@ -473,7 +463,7 @@ class PackedLayout:
             q = (key | guard) - m
             if q & guard != guard:
                 n = len(self.unit)
-                raise NotDivisible("term with z exponents %s not divisible by %s" % (
+                raise TorexError("term with z exponents %s not divisible by %s" % (
                     self.exponents(key, n), self.exponents(m, n)))
             out[q ^ guard] = c
         return out

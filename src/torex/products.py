@@ -24,19 +24,8 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, combinations, groupby
 
+from . import TorexError
 from .polyring import Poly, det
-
-
-class ProductsError(Exception):
-    pass
-
-
-class GenusMismatch(ProductsError):
-    pass
-
-
-class RankTooLarge(ProductsError):
-    pass
 
 
 def split_partitions(g: int) -> list:
@@ -64,7 +53,7 @@ class Partition(namedtuple("Partition", "parts")):
     def make(parts) -> "Partition":
         parts = tuple(sorted(parts, reverse=True))
         if not parts or any(p < 1 for p in parts):
-            raise ProductsError("parts must be positive, got %r" % (parts,))
+            raise TorexError("parts must be positive, got %r" % (parts,))
         return Partition(parts)
 
     @property
@@ -169,7 +158,7 @@ def extremal_refinements(p: Partition, q: Partition) -> list:
     enumerated and keyed, and distinct orbits have distinct least keys.
     """
     if p.total != q.total:
-        raise GenusMismatch((p.total, q.total))
+        raise TorexError("partitions of genus %d and %d" % (p.total, q.total))
     rows, cols = p.parts, q.parts
     row_runs, col_runs = _runs(rows), _runs(cols)
     keys = {min(tuple(c for s in col_runs for c in sorted(columns[s]))
@@ -215,9 +204,9 @@ def euler_tensor_e_basis(a: int, b: int) -> Poly:
         prod h(x_i) = Res_t(f, h).
     """
     if a < 1 or b < 1:
-        raise RankTooLarge("ranks must be >= 1")
+        raise TorexError("ranks must be >= 1")
     if a * b > 25:
-        raise RankTooLarge("rank product %d exceeds 25" % (a * b))
+        raise TorexError("rank product %d exceeds 25" % (a * b))
     # f coefficients, highest degree first: t^a - e1 t^(a-1) + ...
     f = [Poly.const(1)] + [
         Poly.const((-1) ** i) * _ex(i) for i in range(1, a + 1)
@@ -259,7 +248,7 @@ def zeroint_check(p: Partition, q: Partition, components: list | None = None) ->
     identical excess bundles, so checking one of each orbit is enough.
     """
     if len(p) < 2 or len(q) < 2:
-        raise ProductsError("both partitions need at least 2 parts")
+        raise TorexError("both partitions need at least 2 parts")
     if components is None:
         components = extremal_refinements(p, q)
     return bool(components) and all(comp.excess_bundle for comp in components)
@@ -279,7 +268,7 @@ def hodge_split_pullback(g: int, partition: Partition, m: int) -> dict:
     since the top Hodge class vanishes on each factor.
     """
     if partition.total != g:
-        raise GenusMismatch((partition.total, g))
+        raise TorexError("partition of genus %d, not %d" % (partition.total, g))
     if m < 0 or m > g:
-        raise ProductsError("degree %d out of range" % m)
+        raise TorexError("degree %d out of range" % m)
     return dict.fromkeys(_compositions(m, tuple(p - 1 for p in partition.parts)), 1)

@@ -31,13 +31,10 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import gt
 
+from . import TorexError
 from .excess import Contribution, all_contributions
 from .polyring import Poly, cvar, lamvar, mono_str, psivar, var_degree, zvar
 from .trees import ExtremalTree
-
-
-class StrataError(Exception):
-    pass
 
 
 class Summand(namedtuple("Summand", "coeff monos")):
@@ -178,7 +175,7 @@ def serialize(s: StrataExpression, format: str = "json") -> bytes:
         return _json_text(s).encode("utf-8")
     if format == "admcycles":
         return _to_audit_text(s).encode("utf-8")
-    raise StrataError("unknown format %r" % format)
+    raise TorexError("unknown format %r" % format)
 
 
 def _rendered(summands, render):

@@ -14,15 +14,8 @@ from collections import namedtuple
 from functools import lru_cache
 from math import factorial
 
+from . import TorexError
 from .polyring import Monomial, zvar
-
-
-class TreeError(Exception):
-    pass
-
-
-class NotALeaf(TreeError):
-    pass
 
 
 Code = tuple  # nested (genus, (child codes...)) structure
@@ -40,7 +33,7 @@ def parse_code(s: str) -> Code:
     def node() -> Code:
         nonlocal pos
         if pos >= len(s) or s[pos] != "(":
-            raise TreeError("expected '(' at %d in %r" % (pos, s))
+            raise TorexError("expected '(' at %d in %r" % (pos, s))
         pos += 1
         start = pos
         while pos < len(s) and (s[pos].isdigit() or s[pos] == "-"):
@@ -48,18 +41,18 @@ def parse_code(s: str) -> Code:
         try:
             g = int(s[start:pos])
         except ValueError:
-            raise TreeError("expected genus at %d in %r" % (start, s)) from None
+            raise TorexError("expected genus at %d in %r" % (start, s)) from None
         kids = []
         while pos < len(s) and s[pos] == "(":
             kids.append(node())
         if pos >= len(s) or s[pos] != ")":
-            raise TreeError("expected ')' at %d in %r" % (pos, s))
+            raise TorexError("expected ')' at %d in %r" % (pos, s))
         pos += 1
         return (g, tuple(kids))
 
     out = node()
     if pos != len(s):
-        raise TreeError("trailing input at %d in %r" % (pos, s))
+        raise TorexError("trailing input at %d in %r" % (pos, s))
     return out
 
 
@@ -142,15 +135,15 @@ class ExtremalTree:
 
     @staticmethod
     def from_code(s: str) -> "ExtremalTree":
-        """The tree whose canonical code is s; raises TreeError for any
+        """The tree whose canonical code is s; raises TorexError for any
         other text, a non-canonical spelling of a tree included."""
         # parsing, and building a tree that parsed, recurse once per level
         try:
             t = _tree(parse_code(s))
         except RecursionError:
-            raise TreeError("tree code nested too deeply") from None
+            raise TorexError("tree code nested too deeply") from None
         if t.code != s:
-            raise TreeError("%r is not canonical: the tree's code is %s" % (s, t.code))
+            raise TorexError("%r is not canonical: the tree's code is %s" % (s, t.code))
         return t
 
     # -- basic structure ------------------------------------------------
@@ -215,20 +208,20 @@ def _validate_code(code: Code, is_root: bool = True) -> None:
     g, kids = code
     if is_root:
         if g != 1:
-            raise TreeError("root genus must be 1, got %d" % g)
+            raise TorexError("root genus must be 1, got %d" % g)
         if not kids:
-            raise TreeError("root must have at least one child")
+            raise TorexError("root must have at least one child")
     else:
         if not kids:
             if g < 1:
-                raise TreeError("leaf genus must be positive")
+                raise TorexError("leaf genus must be positive")
         else:
             if g != 0:
-                raise TreeError("internal vertex genus must be 0")
+                raise TorexError("internal vertex genus must be 0")
             if len(kids) + 1 < 3:
-                raise TreeError("internal vertex valence must be >= 3")
+                raise TorexError("internal vertex valence must be >= 3")
     if list(kids) != sorted(kids):
-        raise TreeError("children not in canonical order")
+        raise TorexError("children not in canonical order")
     for k in kids:
         _validate_code(k, is_root=False)
 
@@ -306,9 +299,9 @@ def _child_multisets(h: int, edge_budget: int, min_children: int) -> list:
 
 def _root_codes(g: int, max_edges: int) -> set:
     if g < 2:
-        raise TreeError("genus must be >= 2")
+        raise TorexError("genus must be >= 2")
     if max_edges < 1:
-        raise TreeError("max_edges must be >= 1")
+        raise TorexError("max_edges must be >= 1")
     return {(1, tuple(sorted(kids)))
             for kids in _child_multisets(g - 1, max_edges, 1)}
 
@@ -417,9 +410,9 @@ def _smoothing(t: ExtremalTree, cut) -> Smoothing:
     code, order = _canonical_order(children, lambda v, kids: (genus[v], kids))
     try:
         target = _tree(code)
-    except TreeError as err:
-        raise TreeError("contracting edges %s of %s leaves no extremal tree: %s"
-                        % (contracted, t.code, err)) from None
+    except TorexError as err:
+        raise TorexError("contracting edges %s of %s leaves no extremal tree: %s"
+                         % (contracted, t.code, err)) from None
     return Smoothing(target=target, edge_map=tuple(t.label[w] for w in order[1:]),
                      contracted=frozenset(contracted))
 
@@ -443,7 +436,7 @@ def shape(t: ExtremalTree) -> tuple:
 def mon(t: ExtremalTree, v: int) -> Monomial:
     """Product of edge variables on the root path of leaf v."""
     if v <= 0 or v >= t.n_vertices or t.children[v]:
-        raise NotALeaf("vertex %d is not a leaf" % v)
+        raise TorexError("vertex %d is not a leaf" % v)
     return tuple(sorted((zvar(i), 1) for i in t.path_labels(v)))
 
 

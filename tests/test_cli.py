@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import torex
-from torex import excess, strata
+from torex import excess, products, strata
 from torex.cli import main
 from torex.trees import ExtremalTree, enumerate_trees
 
@@ -458,7 +459,7 @@ class TestCacheMisses:
         assert err.count("\n") == 1 and err.endswith("\n")
         assert not_a_dir.read_text() == ""
 
-    def test_failed_write_keeps_old_file(self, monkeypatch, tmp_path):
+    def test_failed_write_keeps_old_file(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / self.PATH
         path.write_text("old")
 
@@ -467,8 +468,8 @@ class TestCacheMisses:
             raise OSError("disk full")
 
         monkeypatch.setattr(excess.json, "dump", broken_dump)
-        with pytest.raises(OSError):
-            excess._cache_store(str(tmp_path), 5, "recursion", {})
+        excess._cache_store(str(tmp_path), 5, "recursion", {})
+        assert capsys.readouterr().err == "warning: contribution cache not written: disk full\n"
         assert path.read_text() == "old"
         assert [p.name for p in tmp_path.iterdir()] == [self.PATH]
 
@@ -648,6 +649,42 @@ class TestReferencesOffCommandPath:
         got = [run(capsys, *argv) for argv in self.COMMANDS]
         assert [code for code, _, _ in want] == [0] * len(self.COMMANDS)
         assert got == want
+
+
+def drop_first_smoothings(monkeypatch):
+    smoothings = excess.smoothings
+    monkeypatch.setattr(excess, "smoothings", lambda t: smoothings(t)[1:])
+
+
+def keep_most_edges(monkeypatch):
+    enumerate_trees = excess.enumerate_trees
+    monkeypatch.setattr(excess, "enumerate_trees", lambda g, max_edges: [
+        t for t in enumerate_trees(g, max_edges) if t.n_edges == g - 1])
+
+
+def mix_genera(monkeypatch):
+    monkeypatch.setattr(products, "split_partitions", lambda g: [(4, 2), (3, 2)])
+
+
+class TestInternalFailure:
+    """A fault the library detects, injected in one layer at a time, ends
+    the command with exit 1 and one stderr line naming its reason."""
+
+    @pytest.mark.parametrize("argv, fault, reason", [
+        # the recursion's division by prod z_e meets a term it does not divide
+        (["pullback", "--genus", "6"], drop_first_smoothings,
+         r"term with z exponents \([\d, ]+\) not divisible by \([\d, ]+\)"),
+        (["pullback", "--genus", "5"], keep_most_edges,
+         r"smoothing \([\d()]+\) of \([\d()]+\) has no solved contribution"),
+        (["zeroint", "--genus", "5"], mix_genera, "partitions of genus 5 and 6"),
+    ], ids=["polyring", "excess", "products"])
+    def test_one_error_line(self, capsys, monkeypatch, memo, argv, fault, reason):
+        monkeypatch.delenv("EXCESS_CACHE_DIR", raising=False)
+        fault(monkeypatch)
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert re.search(reason, err) and "Traceback" not in err
 
 
 class TestUsage:

@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from helpers import star
 
 import torex
-from torex import excess
+from torex import TorexError, excess
 from torex.excess import (
-    MissingSmoothing,
-    NotIrreducible,
     all_contributions,
     base_contribution,
     pixton_contribution,
@@ -92,7 +90,7 @@ class TestBaseContribution:
         assert base_contribution(t).poly == c(1) - z(1) - z(2)
 
     def test_rejects_reducible(self):
-        with pytest.raises(NotIrreducible):
+        with pytest.raises(TorexError, match=r"tree \(1\(0\(1\)\(2\)\)\) is not irreducible"):
             base_contribution(T("(1(0(1)(2)))"))
 
     def test_builds_no_packed_layout(self, monkeypatch):
@@ -173,7 +171,7 @@ class TestWorkedExamples:
 
 class TestRecursionMechanics:
     def test_missing_smoothing_raises(self):
-        with pytest.raises(MissingSmoothing):
+        with pytest.raises(TorexError, match="has no solved contribution"):
             recursion_contribution(T("(1(0(1)(2)))"), {})
 
     def test_contributions_homogeneous(self):

@@ -4,11 +4,10 @@ from itertools import combinations
 import pytest
 
 from torex.polyring import zvar
+from torex import TorexError
 from torex import trees as trees_module
 from torex.trees import (
     ExtremalTree,
-    NotALeaf,
-    TreeError,
     _canonical_order,
     depth,
     enumerate_trees,
@@ -66,20 +65,20 @@ class TestEnumeration:
         assert len(irr) == partitions_count(g - 1)
 
     def test_validation(self):
-        with pytest.raises(TreeError):
-            ExtremalTree.from_code("(2(1))")  # bad root genus
-        with pytest.raises(TreeError):
-            ExtremalTree.from_code("(1(0(1)))")  # 2-valent genus-0 vertex
-        with pytest.raises(TreeError):
-            ExtremalTree.from_code("(1(0(0)(1)))")  # genus-0 leaf
-        with pytest.raises(TreeError):
+        with pytest.raises(TorexError, match="root genus must be 1, got 2"):
+            ExtremalTree.from_code("(2(1))")
+        with pytest.raises(TorexError, match="valence must be >= 3"):
+            ExtremalTree.from_code("(1(0(1)))")
+        with pytest.raises(TorexError, match="leaf genus must be positive"):
+            ExtremalTree.from_code("(1(0(0)(1)))")
+        with pytest.raises(TorexError, match="expected genus at 3"):
             ExtremalTree.from_code("(1(-))")  # sign without digits
 
     @pytest.mark.parametrize("text", ["(1(01))", "(1(\uff12))", "(1(0(1)(1)(02)))"])
     def test_rejects_non_canonical_spelling(self, text):
         # each parses to a valid tree, whose code is not the text given
         assert ExtremalTree(parse_code(text)).code != text
-        with pytest.raises(TreeError, match="not canonical"):
+        with pytest.raises(TorexError, match="not canonical"):
             ExtremalTree.from_code(text)
 
 
@@ -125,8 +124,10 @@ class TestCanonicalCode:
             assert ExtremalTree.from_code(t.code).code == t.code
 
     def test_parse_rejects_garbage(self):
-        for bad in ["", "(1", "1)", "(1)x", "(x)"]:
-            with pytest.raises(TreeError):
+        for bad, reason in [("", r"expected '\(' at 0"), ("(1", r"expected '\)' at 2"),
+                            ("1)", r"expected '\(' at 0"), ("(1)x", "trailing input at 3"),
+                            ("(x)", "expected genus at 1")]:
+            with pytest.raises(TorexError, match=reason):
                 parse_code(bad)
 
 
@@ -234,7 +235,7 @@ class TestSmoothings:
         # vertex of valence 2
         t = ExtremalTree.from_code("(1(0(1)(2)))")
         leaf = next(v for v in t.leaves() if t.genera[v] == 1)
-        with pytest.raises(TreeError, match="leaves no extremal tree"):
+        with pytest.raises(TorexError, match="leaves no extremal tree"):
             trees_module._smoothing(t, [leaf])
 
     def test_targets_built_once_per_code(self):
@@ -309,9 +310,9 @@ class TestMonomials:
 
     def test_rejects_non_leaf(self):
         t = ExtremalTree.from_code("(1(0(1)(2)))")
-        with pytest.raises(NotALeaf):
+        with pytest.raises(TorexError, match="vertex 0 is not a leaf"):
             mon(t, 0)
-        with pytest.raises(NotALeaf):
+        with pytest.raises(TorexError, match="vertex 1 is not a leaf"):
             mon(t, 1)
 
 

@@ -2,6 +2,7 @@
 imports."""
 
 import ast
+import builtins
 import subprocess
 import sys
 from fractions import Fraction
@@ -78,8 +79,8 @@ def test_import_leaves_out_dataclasses_and_inspect():
 
 
 def test_import_torex_loads_no_submodule():
-    # the package binds only __version__, so a command module can load the
-    # rest when it needs it
+    # the package binds only __version__ and TorexError, so a command
+    # module can load the rest when it needs it
     code = ("import sys, torex; "
             "print(sorted(n for n in sys.modules if n.startswith('torex.')))")
     assert bare_python(code) == "[]"
@@ -126,20 +127,19 @@ def test_direct_import_gives_ordinary_modules():
     assert ran == registered == str(["excess", "polyring", "strata", "trees"])
 
 
-def test_error_handler_runs_lazy_modules():
-    # main's except tuple names agring, products and the rest, which a
-    # pullback has not run when the error arrives
+def test_error_handler_runs_no_other_module():
+    # main catches the package's one error class, so reporting an error
+    # runs no module the command did not
     code = ("import sys, types, torex.cli\n"
-            "from torex import excess, strata\n"
+            "from torex import TorexError, strata\n"
             "def refuse(*args, **kwargs):\n"
-            "    raise excess.ExcessError('no table for you')\n"
+            "    raise TorexError('no table for you')\n"
             "strata.assemble_pullback = refuse\n"
             "code = torex.cli.main(['pullback', '--genus', '3'])\n" + RAN + "\n"
             "sys.exit(code)\n")
     res = fresh_python(code)
     assert (res.returncode, res.stderr) == (1, "error: no table for you\n")
-    ran = sorted(set(LIBRARY) - {"verify"} | {"cli"})
-    assert res.stdout.splitlines()[0] == str(ran)
+    assert res.stdout.splitlines()[0] == str(["cli", "excess", "polyring", "strata", "trees"])
 
 
 MODULES = sorted(Path(torex.__file__).resolve().parent.glob("*.py"))
@@ -157,3 +157,19 @@ def test_module_uses_every_name_it_imports(path):
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_package_defines_an_error_class(path):
+    # one error class, torex.TorexError, so the CLI's one handler catches
+    # every failure the library detects
+    def is_error(base):
+        name = ast.unparse(base).rpartition(".")[2]
+        builtin = getattr(builtins, name, None)
+        return name == "TorexError" or (isinstance(builtin, type)
+                                        and issubclass(builtin, BaseException))
+
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    errors = [node.name for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) and any(map(is_error, node.bases))]
+    assert errors == (["TorexError"] if path.name == "__init__.py" else [])
