@@ -80,7 +80,8 @@ def cmd_trees(args) -> int:
     max_edges = args.max_edges if args.max_edges is not None else args.genus - 1
     ts = trees.enumerate_trees(args.genus, max_edges)
     if args.format == "json":
-        _emit_json([t.to_json() for t in ts])
+        sys.stdout.write(trees.json_list(["\n " + trees.tree_json(t, 1) for t in ts], 0)
+                         + "\n")
     else:
         for t in ts:
             print("%-28s edges=%d aut=%d" % (t.code, t.n_edges, t.aut_order))
@@ -336,9 +337,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the exit flush
+        return code
     except TorexError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed standard out: end quietly, with fd 1 on
+        # os.devnull so that the interpreter's last flush cannot fail too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
         return 1
 
 

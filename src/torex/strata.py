@@ -21,7 +21,8 @@ variable of its `Poly` has a value.  The substitution values are built
 as term dicts and expanded by `Poly.substitute`; terms past a vertex
 bound are dropped before the rest are sorted.  `serialize` writes both
 formats directly, the JSON one as the bytes `json.dumps(..., indent=1)`
-gives for its fixed schema.
+gives for its fixed schema, each term's tree by `trees.tree_json`, the
+one writer of a tree's JSON.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from operator import gt
 from . import TorexError
 from .excess import Contribution, all_contributions
 from .polyring import Poly, cvar, lamvar, mono_str, psivar, var_degree, zvar
-from .trees import ExtremalTree
+from .trees import ExtremalTree, json_list, tree_json
 
 
 class Summand(namedtuple("Summand", "coeff monos")):
@@ -192,47 +193,27 @@ def _rendered(summands, render):
         yield sm, texts
 
 
-def _json_list(items: list, indent: int) -> str:
-    """A JSON array of items that carry their own newline and indent, its
-    closing bracket at the given indent."""
-    if not items:
-        return "[]"
-    return "[%s\n%s]" % (",".join(items), " " * indent)
-
-
 def _json_text(s: StrataExpression) -> str:
     """The text json.dumps(obj, indent=1) gives for the object
 
-        {"genus": g, "terms": [{"tree": tree.to_json(), "aut": |Aut|,
+        {"genus": g, "terms": [{"tree": tree, "aut": |Aut|,
           "summands": [{"coeff": "p/q", "vertex_polys": ["lam1", ...]}]}]}
 
-    written directly, the trees by `_tree_json`: json.dumps runs its
+    written directly, each tree by `tree_json`: json.dumps runs its
     pure-Python encoder when indent is set."""
     terms = []
     for term in s.terms:
         summands = [
             '\n    {\n     "coeff": "%s",\n     "vertex_polys": %s\n    }'
-            % (sm.coeff, _json_list(lines, 5))
+            % (sm.coeff, json_list(lines, 5))
             for sm, lines in _rendered(
                 term.summands,
                 lambda m: "\n      " + encode_basestring_ascii(mono_str(m)))
         ]
         terms.append('\n  {\n   "tree": %s,\n   "aut": %d,\n   "summands": %s\n  }'
-                     % (_tree_json(term.tree), term.tree.aut_order,
-                        _json_list(summands, 3)))
-    return '{\n "genus": %d,\n "terms": %s\n}' % (s.genus, _json_list(terms, 1))
-
-
-def _tree_json(t: ExtremalTree) -> str:
-    """The text json.dumps(t.to_json(), indent=1) gives, with every line
-    after the first indented three more spaces, as a term holds it."""
-    vertices = ['\n     {\n      "id": %d,\n      "genus": %d\n     }' % vg
-                for vg in enumerate(t.genera)]
-    edges = ['\n     [\n      %d,\n      %d\n     ]' % uw for uw in t.edges()]
-    return ('{\n    "genus": %d,\n    "root": 0,\n    "vertices": %s,\n'
-            '    "edges": %s,\n    "aut": %d,\n    "code": %s\n   }'
-            % (t.genus, _json_list(vertices, 4), _json_list(edges, 4), t.aut_order,
-               encode_basestring_ascii(t.code)))
+                     % (tree_json(term.tree, 3), term.tree.aut_order,
+                        json_list(summands, 3)))
+    return '{\n "genus": %d,\n "terms": %s\n}' % (s.genus, json_list(terms, 1))
 
 
 def _to_audit_text(s: StrataExpression) -> str:

@@ -6,24 +6,21 @@ form are numbered in depth-first order with children sorted by
 canonical code.  Each edge is named by the vertex w below it and
 carries the 1-based label label[w], assigned in breadth-first order
 (these are the z-variable indices used everywhere downstream).
+
+`tree_json` is the one writer of a tree's JSON: `trees --format json`
+and every term of `pullback --format json` print their trees by it.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from math import factorial
 
 from . import TorexError
 from .polyring import Monomial, zvar
 
 
 Code = tuple  # nested (genus, (child codes...)) structure
-
-
-def _code_str(code: Code) -> str:
-    g, kids = code
-    return "(%d%s)" % (g, "".join(_code_str(k) for k in kids))
 
 
 def parse_code(s: str) -> Code:
@@ -56,21 +53,6 @@ def parse_code(s: str) -> Code:
     return out
 
 
-def _code_aut(code: Code) -> int:
-    g, kids = code
-    order = 1
-    for k in kids:
-        order *= _code_aut(k)
-    i = 0
-    while i < len(kids):
-        j = i
-        while j < len(kids) and kids[j] == kids[i]:
-            j += 1
-        order *= factorial(j - i)
-        i = j
-    return order
-
-
 def _code_edges(code: Code) -> int:
     g, kids = code
     return len(kids) + sum(_code_edges(k) for k in kids)
@@ -90,35 +72,47 @@ class ExtremalTree:
     aut_order : order of the root- and genus-preserving automorphism group
     """
 
-    __slots__ = (
-        "genera",
-        "parent",
-        "children",
-        "label",
-        "code",
-        "aut_order",
-    )
+    __slots__ = ("genera", "parent", "children", "label", "code", "aut_order")
 
     def __init__(self, code: Code):
-        _validate_code(code)
-        self.code = _code_str(code)
-        self.aut_order = _code_aut(code)
-        genera = []
-        parent = []
-        children = []
+        genera, parent, children = [], [], []
+        aut = 1
 
-        def build(node: Code, par) -> int:
-            vid = len(genera)
-            genera.append(node[0])
-            parent.append(par)
+        # one pre-order walk checks, records and prints each vertex: it is
+        # checked before its children's order and they after it
+        def walk(node: Code, up) -> str:
+            nonlocal aut
+            g, kids = node
+            if up is None:
+                if g != 1:
+                    raise TorexError("root genus must be 1, got %d" % g)
+                if not kids:
+                    raise TorexError("root must have at least one child")
+            elif not kids:
+                if g < 1:
+                    raise TorexError("leaf genus must be positive")
+            elif g != 0:
+                raise TorexError("internal vertex genus must be 0")
+            elif len(kids) < 2:
+                raise TorexError("internal vertex valence must be >= 3")
+            # children in canonical order; a run of r equal children
+            # multiplies aut by 2 * 3 * ... * r
+            run = 1
+            for a, b in zip(kids, kids[1:]):
+                if a > b:
+                    raise TorexError("children not in canonical order")
+                run = run + 1 if a == b else 1
+                aut *= run
+            v = len(genera)
+            genera.append(g)
+            parent.append(up)
             children.append([])
-            if par is not None:
-                children[par].append(vid)
-            for kid in node[1]:
-                build(kid, vid)
-            return vid
+            if up is not None:
+                children[up].append(v)
+            return "(%d%s)" % (g, "".join(walk(k, v) for k in kids))
 
-        build(code, None)
+        self.code = walk(code, None)
+        self.aut_order = aut
         self.genera = tuple(genera)
         self.parent = tuple(parent)
         self.children = tuple(tuple(c) for c in children)
@@ -137,7 +131,8 @@ class ExtremalTree:
     def from_code(s: str) -> "ExtremalTree":
         """The tree whose canonical code is s; raises TorexError for any
         other text, a non-canonical spelling of a tree included."""
-        # parsing, and building a tree that parsed, recurse once per level
+        # parse_code recurses once a level, the walk about three times
+        # (itself, its generator, join): too deep a code is refused here
         try:
             t = _tree(parse_code(s))
         except RecursionError:
@@ -191,39 +186,30 @@ class ExtremalTree:
     def __repr__(self):
         return "ExtremalTree(%s)" % self.code
 
-    def to_json(self) -> dict:
-        return {
-            "genus": self.genus,
-            "root": 0,
-            "vertices": [
-                {"id": v, "genus": self.genera[v]} for v in range(self.n_vertices)
-            ],
-            "edges": [[u, w] for (u, w) in self.edges()],
-            "aut": self.aut_order,
-            "code": self.code,
-        }
+def tree_json(t: ExtremalTree, level: int) -> str:
+    """The text json.dumps(obj, indent=1) gives for the tree's object
+
+        {"genus": g, "root": 0, "vertices": [{"id": v, "genus": g_v}, ...],
+         "edges": [[u, w], ...] in label order, "aut": |Aut|, "code": code}
+
+    with every line after the first indented level spaces more, as the
+    tree stands level deep in a document.  `trees` and `pullback` print
+    every tree by it: json.dumps runs its pure-Python encoder."""
+    vertices = ['\n  {\n   "id": %d,\n   "genus": %d\n  }' % vg for vg in enumerate(t.genera)]
+    edges = ['\n  [\n   %d,\n   %d\n  ]' % uw for uw in t.edges()]
+    # a code is digits, signs and brackets: nothing to escape
+    text = ('{\n "genus": %d,\n "root": 0,\n "vertices": %s,\n "edges": %s,\n'
+            ' "aut": %d,\n "code": "%s"\n}'
+            % (t.genus, json_list(vertices, 1), json_list(edges, 1), t.aut_order, t.code))
+    return text.replace("\n", "\n" + " " * level)
 
 
-def _validate_code(code: Code, is_root: bool = True) -> None:
-    g, kids = code
-    if is_root:
-        if g != 1:
-            raise TorexError("root genus must be 1, got %d" % g)
-        if not kids:
-            raise TorexError("root must have at least one child")
-    else:
-        if not kids:
-            if g < 1:
-                raise TorexError("leaf genus must be positive")
-        else:
-            if g != 0:
-                raise TorexError("internal vertex genus must be 0")
-            if len(kids) + 1 < 3:
-                raise TorexError("internal vertex valence must be >= 3")
-    if list(kids) != sorted(kids):
-        raise TorexError("children not in canonical order")
-    for k in kids:
-        _validate_code(k, is_root=False)
+def json_list(items: list, indent: int) -> str:
+    """A JSON array of items that carry their own newline and indent, its
+    closing bracket at the given indent."""
+    if not items:
+        return "[]"
+    return "[%s\n%s]" % (",".join(items), " " * indent)
 
 
 def _canonical_order(children, node) -> tuple:

@@ -1,6 +1,6 @@
 """Test-only references: a star tree, a brute-force automorphism count,
-the invariants and equality of an assembled strata expression, and a
-reader of `pullback`'s JSON."""
+a tree's JSON object, the invariants and equality of an assembled strata
+expression, and a reader of `pullback`'s JSON."""
 
 from __future__ import annotations
 
@@ -33,6 +33,18 @@ def aut_order_brute(t: ExtremalTree) -> int:
         if all(frozenset((full[u], full[w])) in edges for u, w in edges):
             count += 1
     return count
+
+
+def tree_dict(t: ExtremalTree) -> dict:
+    """The object whose json.dumps(..., indent=1) is a tree's JSON."""
+    return {
+        "genus": t.genus,
+        "root": 0,
+        "vertices": [{"id": v, "genus": t.genera[v]} for v in range(t.n_vertices)],
+        "edges": [[u, w] for (u, w) in t.edges()],
+        "aut": t.aut_order,
+        "code": t.code,
+    }
 
 
 def check_degree_balance(s: StrataExpression) -> bool:

@@ -1,3 +1,4 @@
+import fcntl
 import hashlib
 import importlib.util
 import io
@@ -15,6 +16,8 @@ import torex
 from torex import excess, products, strata
 from torex.cli import main
 from torex.trees import ExtremalTree, enumerate_trees
+
+from helpers import tree_dict
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TRACE_CHILD = BENCH / "trace_child.py"
@@ -62,6 +65,18 @@ class TestTrees:
         code, out, _ = run(capsys, "trees", "--genus", "4", "--format", "text")
         assert code == 0
         assert out.strip().endswith("total: 4")
+
+    @pytest.mark.parametrize("g, max_edges", [(g, None) for g in range(2, 10)]
+                             + [(7, 1), (7, 11)])
+    def test_json_bytes(self, capsys, g, max_edges):
+        # the tree writer against json.dumps of each tree's object
+        argv = ["trees", "--genus", str(g)]
+        if max_edges is not None:
+            argv += ["--max-edges", str(max_edges)]
+        code, out, _ = run(capsys, *argv)
+        ts = enumerate_trees(g, g - 1 if max_edges is None else max_edges)
+        assert code == 0
+        assert out == json.dumps([tree_dict(t) for t in ts], indent=1) + "\n"
 
 
 class TestContribution:
@@ -685,6 +700,48 @@ class TestInternalFailure:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
         assert re.search(reason, err) and "Traceback" not in err
+
+
+class TestClosedStdout:
+    """A reader that closes standard out early ends the command with exit
+    1 and nothing on stderr."""
+
+    def test_reader_closes_after_one_line(self):
+        src = str(Path(torex.__file__).resolve().parent.parent)
+        read_fd, write_fd = os.pipe()
+        # a one-page pipe: the 67 kB listing blocks long before its end
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+        proc = subprocess.Popen(
+            [sys.executable, "-B", "-m", "torex.cli", "trees", "--genus", "10",
+             "--format", "text"],
+            stdout=write_fd, stderr=subprocess.PIPE, env={"PYTHONPATH": src})
+        os.close(write_fd)
+        # unbuffered, readline takes the first line a byte at a time
+        with open(read_fd, "rb", buffering=0) as reader:
+            line = reader.readline()
+        err = proc.communicate(timeout=60)[1]
+        assert line.startswith(b"(1(") and b"aut=" in line
+        assert proc.returncode == 1
+        assert err == b""
+
+    def test_write_raises_broken_pipe(self, capsys, monkeypatch, memo):
+        class ClosedPipe(io.BytesIO):
+            def write(self, data):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.delenv("EXCESS_CACHE_DIR", raising=False)
+        saved = os.dup(1)
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(sys, "stdout", io.TextIOWrapper(ClosedPipe()))
+                code = main(["pullback", "--genus", "5"])
+            # fd 1 is left on os.devnull for the interpreter's last flush
+            assert os.path.samestat(os.fstat(1), os.stat(os.devnull))
+        finally:
+            os.dup2(saved, 1)
+            os.close(saved)
+        assert code == 1
+        assert capsys.readouterr().err == ""
 
 
 class TestUsage:

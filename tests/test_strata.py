@@ -5,7 +5,8 @@ import pytest
 
 from conftest import display_normal_form, tree_normal_form
 from golden_displays import GENUS4, GENUS5, GENUS6
-from helpers import check_degree_balance, check_vanishing_discipline, expression_equal, parse_json
+from helpers import (check_degree_balance, check_vanishing_discipline, expression_equal,
+                     parse_json, tree_dict)
 
 from torex.excess import all_contributions
 from torex.polyring import Poly, lamvar, psivar, var_degree, zvar
@@ -14,7 +15,6 @@ from torex.strata import (
     Summand,
     TreeTerm,
     _factor_is_rigid,
-    _tree_json,
     _truncation_bound,
     assemble_pullback,
     marking_index,
@@ -22,7 +22,7 @@ from torex.strata import (
     stratum_class,
     substitute_stratum,
 )
-from torex.trees import ExtremalTree, enumerate_trees
+from torex.trees import ExtremalTree, enumerate_trees, tree_json
 from torex.verify import WORKED_BRACKETS
 
 
@@ -68,7 +68,7 @@ def json_obj_reference(s):
         "genus": s.genus,
         "terms": [
             {
-                "tree": term.tree.to_json(),
+                "tree": tree_dict(term.tree),
                 "aut": term.tree.aut_order,
                 "summands": [
                     {"coeff": str(sm.coeff), "vertex_polys": sm.render()}
@@ -245,19 +245,19 @@ class TestSerialization:
 
 
 class TestTreeJson:
-    """The writer of a term's tree against json.dumps, re-indented the way
-    a term holds it."""
+    """The tree writer at a term's nesting level against json.dumps,
+    re-indented the way a term holds it."""
 
     @staticmethod
     def reference(t):
-        return json.dumps(t.to_json(), indent=1).replace("\n", "\n   ")
+        return json.dumps(tree_dict(t), indent=1).replace("\n", "\n   ")
 
     @pytest.mark.parametrize("g", range(2, 9))
     def test_matches_json_dumps(self, g):
         for t in enumerate_trees(g, g - 1):
-            assert _tree_json(t) == self.reference(t), t.code
+            assert tree_json(t, 3) == self.reference(t), t.code
 
     def test_deeply_nested_code(self):
         t = ExtremalTree.from_code("(1" + "(0" * 200 + "(1)(1)" + ")(1)" * 200 + ")")
         assert t.n_edges == 402
-        assert _tree_json(t) == self.reference(t)
+        assert tree_json(t, 3) == self.reference(t)

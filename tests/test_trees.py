@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations
 
@@ -14,11 +15,13 @@ from torex.trees import (
     mon,
     parse_code,
     smoothings,
+    tree_json,
     trees_by_code,
 )
+from torex.cli import main
 from torex.verify import G6_IRREDUCIBLE_AUT_WEIGHTS, TREE_INVENTORY
 
-from helpers import aut_order_brute, star
+from helpers import aut_order_brute, star, tree_dict
 
 
 def partitions_count(n):
@@ -73,6 +76,33 @@ class TestEnumeration:
             ExtremalTree.from_code("(1(0(0)(1)))")
         with pytest.raises(TorexError, match="expected genus at 3"):
             ExtremalTree.from_code("(1(-))")  # sign without digits
+
+    @pytest.mark.parametrize("text,reason", [
+        ("(2)", "root genus must be 1, got 2"),
+        ("(1)", "root must have at least one child"),
+        ("(1(-1)(1))", "leaf genus must be positive"),
+        ("(1(1(1)(1)))", "internal vertex genus must be 0"),
+        ("(1(0(1)))", "internal vertex valence must be >= 3"),
+        ("(1(0(2)(1)))", "children not in canonical order"),
+        # two faults: the first met in pre-order is the one raised, a
+        # vertex's own before its children's order before its children
+        ("(2(0))", "root genus must be 1, got 2"),
+        ("(1(1(2)(1)))", "internal vertex genus must be 0"),
+        ("(1(0(2)(0)))", "children not in canonical order"),
+        ("(1(1(1))(0))", "children not in canonical order"),
+        ("(1(0(0)(1))(1))", "leaf genus must be positive"),
+        # a fault deep in the first child before one in the second
+        ("(1(0(0(1))(1))(1(1)(1)))", "internal vertex valence must be >= 3"),
+    ])
+    def test_validation_order(self, capsys, text, reason):
+        with pytest.raises(TorexError) as exc:
+            ExtremalTree.from_code(text)
+        assert str(exc.value) == reason
+        with pytest.raises(SystemExit) as exc:
+            main(["contribution", "--genus", "4", "--tree", text])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: argument --tree: malformed tree code: %s\n" % reason)
 
     @pytest.mark.parametrize("text", ["(1(01))", "(1(\uff12))", "(1(0(1)(1)(02)))"])
     def test_rejects_non_canonical_spelling(self, text):
@@ -369,7 +399,8 @@ class TestDepth:
 class TestJson:
     def test_schema_fields(self):
         t = ExtremalTree.from_code("(1(0(1)(2)))")
-        data = t.to_json()
+        data = json.loads(tree_json(t, 0))
+        assert data == tree_dict(t)
         assert data["genus"] == 4
         assert data["root"] == 0
         assert {v["id"] for v in data["vertices"]} == set(range(4))
