@@ -18,3 +18,14 @@ __version__ = "0.1.0"
 class TorexError(Exception):
     """The one error the package raises for a failure it detects; the
     message states the reason, and the CLI prints it as one line."""
+
+
+def json_list(items: list, indent: int) -> str:
+    """The text json.dumps(..., indent=1) gives for an array whose items
+    it writes as the given texts: one item a line, one space deeper than
+    the given indent, and the closing bracket at it.  Every JSON array
+    the package writes directly is laid out by it."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (indent + 1)
+    return "[%s%s\n%s]" % (pad, ("," + pad).join(items), " " * indent)

@@ -23,7 +23,6 @@ from itertools import combinations
 from math import comb, lcm, prod
 
 from . import TorexError
-from .constants import product_coefficient
 from .polyring import Poly, det, lamvar
 
 
@@ -255,6 +254,9 @@ def virtual_class_product(g: int, k: int):
 def taut_projection_delta(g: int) -> Poly:
     """The tautological projection of the product-locus class:
     (g / 6|B_2g|) * lambda_{g-1}."""
+    # ring does not call it, and so does not execute constants
+    from .constants import product_coefficient
+
     if g < 1:
         raise TorexError("g must be >= 1")
     c = product_coefficient(g)

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from . import TorexError
+from . import TorexError, json_list
 
 
 def _lazy(name: str):
@@ -80,8 +80,7 @@ def cmd_trees(args) -> int:
     max_edges = args.max_edges if args.max_edges is not None else args.genus - 1
     ts = trees.enumerate_trees(args.genus, max_edges)
     if args.format == "json":
-        sys.stdout.write(trees.json_list(["\n " + trees.tree_json(t, 1) for t in ts], 0)
-                         + "\n")
+        sys.stdout.write(json_list([trees.tree_json(t, 1) for t in ts], 0) + "\n")
     else:
         for t in ts:
             print("%-28s edges=%d aut=%d" % (t.code, t.n_edges, t.aut_order))
@@ -200,16 +199,6 @@ def cmd_constants(args) -> int:
     return 0
 
 
-def _json_array(items: list, indent: int) -> str:
-    """The text json.dumps(..., indent=1) gives for an array whose items
-    it writes as the given texts: one item a line, one space deeper than
-    the given indent, and the closing bracket at it."""
-    if not items:
-        return "[]"
-    pad = "\n" + " " * (indent + 1)
-    return "[%s%s\n%s]" % (pad, ("," + pad).join(items), " " * indent)
-
-
 def _zeroint_json(g: int, all_ok: bool, pairs: list) -> str:
     """The text json.dumps(obj, indent=1) gives for the object
 
@@ -221,21 +210,21 @@ def _zeroint_json(g: int, all_ok: bool, pairs: list) -> str:
     is set."""
 
     def ints(xs, indent: int) -> str:
-        return _json_array([str(x) for x in xs], indent)
+        return json_list([str(x) for x in xs], indent)
 
     def component(comp) -> str:
         return '{\n     "sigma": %s,\n     "excess": %s\n    }' % (
             ints(comp.sigma.parts, 5),
-            _json_array([ints(ab, 6) for ab in comp.excess_bundle], 5))
+            json_list([ints(ab, 6) for ab in comp.excess_bundle], 5))
 
     entries = [
         '{\n   "first": %s,\n   "second": %s,\n   "vanishes": %s,\n   "components": %s\n  }'
         % (ints(p, 3), ints(q, 3), str(ok).lower(),
-           _json_array([component(c) for c in comps], 3))
+           json_list([component(c) for c in comps], 3))
         for p, q, ok, comps in pairs
     ]
     return '{\n "genus": %d,\n "all_vanish": %s,\n "pairs": %s\n}' % (
-        g, str(all_ok).lower(), _json_array(entries, 1))
+        g, str(all_ok).lower(), json_list(entries, 1))
 
 
 def cmd_zeroint(args) -> int:
@@ -304,15 +293,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="canonical tree code (omit for the full table)")
     p.add_argument("--method", choices=("recursion", "pixton", "both"),
                    default="recursion",
-                   help="both methods give identical bytes; pixton is the faster "
-                   "route from g = 9 on (see README); both runs the two and compares")
+                   help="both methods give identical bytes; pixton's table is the "
+                   "faster from g = 8 on (see README); both runs the two and compares")
     p.set_defaults(fn=cmd_contribution)
 
     p = sub.add_parser("pullback", help="full decorated-strata expression")
     add_common(p, fmt=("json", "admcycles"), jobs=True)
     p.add_argument("--method", choices=("recursion", "pixton"), default="recursion",
-                   help="both methods give identical bytes; pixton is the faster "
-                   "route from g = 9 on (see README)")
+                   help="both methods give identical bytes; pixton's table is the "
+                   "faster from g = 8 on (see README)")
     p.set_defaults(fn=cmd_pullback)
 
     p = sub.add_parser("ring", help="lambda-ring dimensions and pairings")

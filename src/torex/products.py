@@ -25,7 +25,6 @@ from functools import lru_cache
 from itertools import accumulate, combinations, groupby
 
 from . import TorexError
-from .polyring import Poly, det
 
 
 def split_partitions(g: int) -> list:
@@ -185,34 +184,27 @@ def extremal_refinements(p: Partition, q: Partition) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _ex(i: int) -> Poly:
-    """Elementary symmetric e_i of the first block of Chern roots."""
-    return Poly.var(("e", "x", i))
-
-
-def _ey(j: int) -> Poly:
-    """Elementary symmetric e_j of the second block of Chern roots."""
-    return Poly.var(("e", "y", j))
-
-
 @lru_cache(maxsize=None)
 def euler_tensor_e_basis(a: int, b: int) -> Poly:
     """prod_{i<=a, j<=b} (x_i + y_j) written in the elementary symmetric
-    generators e_i(x), e_j(y), via the Sylvester resultant of
-    f(t) = prod (t - x_i) and h(t) = prod (t + y_j):
+    generators e_i(x) = ("e", "x", i) and e_j(y) = ("e", "y", j), via the
+    Sylvester resultant of f(t) = prod (t - x_i) and h(t) = prod (t + y_j):
 
         prod h(x_i) = Res_t(f, h).
     """
+    # imported here, so that zeroint does not execute polyring
+    from .polyring import Poly, det
+
     if a < 1 or b < 1:
         raise TorexError("ranks must be >= 1")
     if a * b > 25:
         raise TorexError("rank product %d exceeds 25" % (a * b))
     # f coefficients, highest degree first: t^a - e1 t^(a-1) + ...
     f = [Poly.const(1)] + [
-        Poly.const((-1) ** i) * _ex(i) for i in range(1, a + 1)
+        Poly.const((-1) ** i) * Poly.var(("e", "x", i)) for i in range(1, a + 1)
     ]
     # h coefficients: t^b + e1(y) t^(b-1) + ... + e_b(y)
-    h = [Poly.const(1)] + [_ey(j) for j in range(1, b + 1)]
+    h = [Poly.const(1)] + [Poly.var(("e", "y", j)) for j in range(1, b + 1)]
     rows = []
     for s in range(b):  # b rows of f coefficients
         rows.append([Poly.zero()] * s + f + [Poly.zero()] * (b - 1 - s))
@@ -226,6 +218,8 @@ def euler_tensor_reduce(a: int, b: int) -> Poly:
     """The e-basis Euler class of the tensor product with the top classes
     e_a(x) and e_b(y) set to zero; the reduction is always zero, and this
     expansion is the reference for `zeroint_check`."""
+    from .polyring import Poly
+
     expr = euler_tensor_e_basis(a, b)
     zero = Poly.zero()
     return expr.substitute({("e", "x", a): zero, ("e", "y", b): zero})

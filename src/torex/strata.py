@@ -22,7 +22,7 @@ as term dicts and expanded by `Poly.substitute`; terms past a vertex
 bound are dropped before the rest are sorted.  `serialize` writes both
 formats directly, the JSON one as the bytes `json.dumps(..., indent=1)`
 gives for its fixed schema, each term's tree by `trees.tree_json`, the
-one writer of a tree's JSON.
+one writer of a tree's JSON, and every array by `torex.json_list`.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import gt
 
-from . import TorexError
+from . import TorexError, json_list
 from .excess import Contribution, all_contributions
 from .polyring import Poly, cvar, lamvar, mono_str, psivar, var_degree, zvar
-from .trees import ExtremalTree, json_list, tree_json
+from .trees import ExtremalTree, tree_json
 
 
 class Summand(namedtuple("Summand", "coeff monos")):
@@ -204,13 +204,12 @@ def _json_text(s: StrataExpression) -> str:
     terms = []
     for term in s.terms:
         summands = [
-            '\n    {\n     "coeff": "%s",\n     "vertex_polys": %s\n    }'
+            '{\n     "coeff": "%s",\n     "vertex_polys": %s\n    }'
             % (sm.coeff, json_list(lines, 5))
             for sm, lines in _rendered(
-                term.summands,
-                lambda m: "\n      " + encode_basestring_ascii(mono_str(m)))
+                term.summands, lambda m: encode_basestring_ascii(mono_str(m)))
         ]
-        terms.append('\n  {\n   "tree": %s,\n   "aut": %d,\n   "summands": %s\n  }'
+        terms.append('{\n   "tree": %s,\n   "aut": %d,\n   "summands": %s\n  }'
                      % (tree_json(term.tree, 3), term.tree.aut_order,
                         json_list(summands, 3)))
     return '{\n "genus": %d,\n "terms": %s\n}' % (s.genus, json_list(terms, 1))

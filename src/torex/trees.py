@@ -8,7 +8,8 @@ carries the 1-based label label[w], assigned in breadth-first order
 (these are the z-variable indices used everywhere downstream).
 
 `tree_json` is the one writer of a tree's JSON: `trees --format json`
-and every term of `pullback --format json` print their trees by it.
+and every term of `pullback --format json` print their trees by it,
+laying out its arrays by `torex.json_list`.
 """
 
 from __future__ import annotations
@@ -16,21 +17,30 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from . import TorexError
-from .polyring import Monomial, zvar
+from . import TorexError, json_list
 
 
 Code = tuple  # nested (genus, (child codes...)) structure
 
+# the deepest code parse_code reads, in vertices on a root-to-leaf path:
+# a tree of genus g has at most g, and building one 256 deep stays inside
+# the default recursion limit; parse_code checks it before the nested
+# tuple is hashed or compared, which recurses in C
+MAX_LEVELS = 256
+
 
 def parse_code(s: str) -> Code:
-    """Parse the printable canonical code back into its nested form."""
+    """Parse the printable canonical code back into its nested form; a
+    code nested deeper than MAX_LEVELS is refused."""
     pos = 0
 
-    def node() -> Code:
+    def node(level: int) -> Code:
         nonlocal pos
         if pos >= len(s) or s[pos] != "(":
             raise TorexError("expected '(' at %d in %r" % (pos, s))
+        if level > MAX_LEVELS:
+            raise TorexError("tree code nested deeper than %d levels at %d"
+                             % (MAX_LEVELS, pos))
         pos += 1
         start = pos
         while pos < len(s) and (s[pos].isdigit() or s[pos] == "-"):
@@ -41,13 +51,13 @@ def parse_code(s: str) -> Code:
             raise TorexError("expected genus at %d in %r" % (start, s)) from None
         kids = []
         while pos < len(s) and s[pos] == "(":
-            kids.append(node())
+            kids.append(node(level + 1))
         if pos >= len(s) or s[pos] != ")":
             raise TorexError("expected ')' at %d in %r" % (pos, s))
         pos += 1
         return (g, tuple(kids))
 
-    out = node()
+    out = node(1)
     if pos != len(s):
         raise TorexError("trailing input at %d in %r" % (pos, s))
     return out
@@ -131,12 +141,7 @@ class ExtremalTree:
     def from_code(s: str) -> "ExtremalTree":
         """The tree whose canonical code is s; raises TorexError for any
         other text, a non-canonical spelling of a tree included."""
-        # parse_code recurses once a level, the walk about three times
-        # (itself, its generator, join): too deep a code is refused here
-        try:
-            t = _tree(parse_code(s))
-        except RecursionError:
-            raise TorexError("tree code nested too deeply") from None
+        t = _tree(parse_code(s))
         if t.code != s:
             raise TorexError("%r is not canonical: the tree's code is %s" % (s, t.code))
         return t
@@ -195,21 +200,13 @@ def tree_json(t: ExtremalTree, level: int) -> str:
     with every line after the first indented level spaces more, as the
     tree stands level deep in a document.  `trees` and `pullback` print
     every tree by it: json.dumps runs its pure-Python encoder."""
-    vertices = ['\n  {\n   "id": %d,\n   "genus": %d\n  }' % vg for vg in enumerate(t.genera)]
-    edges = ['\n  [\n   %d,\n   %d\n  ]' % uw for uw in t.edges()]
+    vertices = ['{\n   "id": %d,\n   "genus": %d\n  }' % vg for vg in enumerate(t.genera)]
+    edges = ['[\n   %d,\n   %d\n  ]' % uw for uw in t.edges()]
     # a code is digits, signs and brackets: nothing to escape
     text = ('{\n "genus": %d,\n "root": 0,\n "vertices": %s,\n "edges": %s,\n'
             ' "aut": %d,\n "code": "%s"\n}'
             % (t.genus, json_list(vertices, 1), json_list(edges, 1), t.aut_order, t.code))
     return text.replace("\n", "\n" + " " * level)
-
-
-def json_list(items: list, indent: int) -> str:
-    """A JSON array of items that carry their own newline and indent, its
-    closing bracket at the given indent."""
-    if not items:
-        return "[]"
-    return "[%s\n%s]" % (",".join(items), " " * indent)
 
 
 def _canonical_order(children, node) -> tuple:
@@ -419,8 +416,10 @@ def shape(t: ExtremalTree) -> tuple:
     return code, tuple(t.label[w] for w in order[1:])
 
 
-def mon(t: ExtremalTree, v: int) -> Monomial:
-    """Product of edge variables on the root path of leaf v."""
+def mon(t: ExtremalTree, v: int) -> tuple:
+    """Product of edge variables on the root path of leaf v (a Monomial)."""
+    from .polyring import zvar
+
     if v <= 0 or v >= t.n_vertices or t.children[v]:
         raise TorexError("vertex %d is not a leaf" % v)
     return tuple(sorted((zvar(i), 1) for i in t.path_labels(v)))

@@ -22,8 +22,8 @@ from helpers import tree_dict
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TRACE_CHILD = BENCH / "trace_child.py"
 
-# a code nested past the interpreter's recursion limit, and a well-formed
-# tree that parses but is too deep to build
+# codes nested past the 256 levels parse_code reads: one past the
+# interpreter's recursion limit too, and a well-formed tree
 DEEP_CODE = "(1" * 1500 + ")" * 1500
 DEEP_TREE = "(1" + "(0" * 500 + "(1)(1)" + ")(1)" * 500 + ")"
 
@@ -789,6 +789,50 @@ class TestUsage:
         _, a, _ = run(capsys, "trees", "--genus", "5")
         _, b, _ = run(capsys, "trees", "--genus", "5")
         assert a == b
+
+
+def deep_tree(levels: int) -> str:
+    """A well-formed tree code on DEEP_TREE's pattern, levels vertices on
+    its deepest root-to-leaf path."""
+    n = levels - 2
+    return "(1" + "(0" * n + "(1)(1)" + ")(1)" * n + ")"
+
+
+class TestNestingBound:
+    """A plain script and the CLI read a tree code up to the same stated
+    depth, whatever their callers' stacks."""
+
+    SCRIPT = ("import sys\n"
+              "from torex import TorexError\n"
+              "from torex.trees import ExtremalTree\n"
+              "try:\n"
+              "    print(ExtremalTree.from_code(sys.argv[1]).n_edges)\n"
+              "except TorexError as exc:\n"
+              "    print(exc)\n")
+
+    @staticmethod
+    def fresh(*args):
+        src = str(Path(torex.__file__).resolve().parent.parent)
+        return subprocess.run([sys.executable, "-B", *args], capture_output=True, text=True,
+                              env={"PYTHONPATH": src}, timeout=60)
+
+    def test_deepest_code_is_read(self):
+        code = deep_tree(256)
+        script = self.fresh("-c", self.SCRIPT, code)
+        assert (script.returncode, script.stdout) == (0, "510\n")
+        cli = self.fresh("-m", "torex.cli", "contribution", "--genus", "4", "--tree", code)
+        assert cli.returncode == 1
+        assert cli.stderr.endswith("does not contribute for genus 4\n")
+
+    def test_one_level_deeper_is_refused(self):
+        code = deep_tree(257)
+        script = self.fresh("-c", self.SCRIPT, code)
+        assert (script.returncode, script.stdout) == (
+            0, "tree code nested deeper than 256 levels at 512\n")
+        cli = self.fresh("-m", "torex.cli", "contribution", "--genus", "4", "--tree", code)
+        assert cli.returncode == 2
+        assert cli.stderr.endswith(
+            "error: argument --tree: malformed tree code: " + script.stdout)
 
 
 def load_trace_child():

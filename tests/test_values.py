@@ -3,6 +3,7 @@ imports."""
 
 import ast
 import builtins
+import json
 import subprocess
 import sys
 from fractions import Fraction
@@ -107,8 +108,8 @@ def test_import_cli_runs_no_other_module():
 
 
 @pytest.mark.parametrize("command, ran", [
-    ("ring --genus 3", ["agring", "constants", "polyring"]),
-    ("zeroint --genus 3", ["polyring", "products"]),
+    ("ring --genus 3", ["agring", "polyring"]),
+    ("zeroint --genus 3", ["products"]),
     ("pullback --genus 3", ["excess", "polyring", "strata", "trees"]),
     ("verify-paper", LIBRARY),
 ])
@@ -140,6 +141,21 @@ def test_error_handler_runs_no_other_module():
     res = fresh_python(code)
     assert (res.returncode, res.stderr) == (1, "error: no table for you\n")
     assert res.stdout.splitlines()[0] == str(["cli", "excess", "polyring", "strata", "trees"])
+
+
+@pytest.mark.parametrize("indent", range(7))
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_json_list_is_the_json_dumps_layout(n, indent):
+    # an array standing indent deep in a document: json.dumps indents
+    # each of its lines after the first by that much more
+    def reference(obj):
+        return json.dumps(obj, indent=1).replace("\n", "\n" + " " * indent)
+
+    flat = ["x%d" % i for i in range(n)]
+    assert torex.json_list([json.dumps(x) for x in flat], indent) == reference(flat)
+    nested = [list(range(k)) for k in (3, 0, 1)[:n]]
+    items = [torex.json_list([str(x) for x in xs], indent + 1) for xs in nested]
+    assert torex.json_list(items, indent) == reference(nested)
 
 
 MODULES = sorted(Path(torex.__file__).resolve().parent.glob("*.py"))
