@@ -250,14 +250,3 @@ def virtual_class_product(g: int, k: int):
         out.append(cls)
     return tuple(out)
 
-
-def taut_projection_delta(g: int) -> Poly:
-    """The tautological projection of the product-locus class:
-    (g / 6|B_2g|) * lambda_{g-1}."""
-    # ring does not call it, and so does not execute constants
-    from .constants import product_coefficient
-
-    if g < 1:
-        raise TorexError("g must be >= 1")
-    c = product_coefficient(g)
-    return c * lam(g - 1) if g >= 2 else Poly.const(c)

@@ -62,10 +62,11 @@ c_i (slot 0 the c-free part), and never expands A:
 
 The z-polynomials are packed (`polyring.PackedLayout`), one layout per
 genus g: fields for z_1 .. z_{2g-3}, each (g-1).bit_length() + 1 bits
-wide, under the degree.  The recursion keeps each solved tree as terms
-(i, exps, coeff), coeff * c_i * prod_j z_j^exps[j-1] in the tree's own
-edge labels, and moves a smoothing's terms onto its source tree with one
-dot product of exps against the packed keys of the mapped edges.
+wide, under the degree; the key of z_j is `PackedLayout.unit[j]`.  The
+recursion keeps each solved tree as terms (i, exps, coeff), coeff * c_i
+* prod_j z_j^exps[j-1] in the tree's own edge labels, and moves a
+smoothing's terms onto its source tree with one dot product of exps
+against the packed keys of the mapped edges.
 
 A `Contribution` holds these terms and nothing else, whichever route
 made it: the table, the in-process memo and the cache file all hold
@@ -168,7 +169,7 @@ def recursion_contribution(t: ExtremalTree, solved: dict) -> tuple:
             raise TorexError("smoothing %s of %s has no solved contribution"
                              % (rec.target.code, t.code))
         # units[j] is the key of the image of the target's z_{j+1}
-        units = [unit[zvar(src)] for src in rec.edge_map]
+        units = [unit[src] for src in rec.edge_map]
         factor = sum(units)
         for i, exps, c in got:
             slot = slots[i]
@@ -177,10 +178,10 @@ def recursion_contribution(t: ExtremalTree, solved: dict) -> tuple:
     # the factors commute; shortest path first keeps the slots smaller (at
     # g = 10 the passes took 1.3 s, against 4.3 s in leaf order, in-process
     # on a 2-core Xeon VM)
-    leaves = sorted(([unit[zvar(i)] for i in t.path_labels(v)] for v in t.leaves()), key=len)
+    leaves = sorted(([unit[i] for i in t.path_labels(v)] for v in t.leaves()), key=len)
     # c(N) = A * E, with e_j = 0 above ell = g - 1 - k
     _times_leaf_factors(slots, leaves)
-    all_edges = sum(unit[zvar(i)] for i in range(1, n + 1))
+    all_edges = sum(unit[1:n + 1])
     slots = [layout.divide({key: c for key, c in slot.items() if c}, all_edges)
              for slot in slots[:g - k]]
     # e = [c / A]: slot i is now the coefficient of c_i

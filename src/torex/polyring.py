@@ -27,8 +27,9 @@ fields from the lowest bits up, each (max_deg).bit_length() + 1 bits
 wide, and the degree sits in the field above them all.  A monomial
 product is an int addition, a degree is a shift, and the top bit of each
 field guards the exact division against a borrow.  The recursion builds
-its keys from `PackedLayout.unit` and reads exponents back with
-`PackedLayout.exponents`; every other module sees tuple monomials only.
+its keys from `PackedLayout.unit`, indexed by the z index (unit[i] is the
+key of z_i), and reads exponents back with `PackedLayout.exponents`;
+every other module sees tuple monomials only.
 """
 
 from __future__ import annotations
@@ -433,16 +434,17 @@ class PackedLayout:
     max_deg.bit_length() + 1 bits wide: no exponent of a term of degree
     <= max_deg reaches its top bit, so that bit is a guard that shows a
     borrow in a division.  Callers keep every term at degree <= max_deg,
-    so no field overflows into the next.
+    so no field overflows into the next.  unit[i] is the key of z_i, and
+    unit[0] = 0 that of 1.
     """
 
     def __init__(self, n_z: int, max_deg: int):
         width = self.width = max_deg.bit_length() + 1
         self.fmask = (1 << width) - 1
         self.dshift = width * n_z
-        # the key of the monomial z_i, its degree included
-        self.unit = {zvar(i): (1 << width * (i - 1)) + (1 << self.dshift)
-                     for i in range(1, n_z + 1)}
+        # each key with its degree included
+        self.unit = (0,) + tuple((1 << width * (i - 1)) + (1 << self.dshift)
+                                 for i in range(1, n_z + 1))
         self.guard = sum(1 << width * i - 1 for i in range(1, n_z + 1))
 
     def degree(self, key: int) -> int:
@@ -462,7 +464,7 @@ class PackedLayout:
             # a guard bit cleared by the subtraction is a field that did
             q = (key | guard) - m
             if q & guard != guard:
-                n = len(self.unit)
+                n = len(self.unit) - 1
                 raise TorexError("term with z exponents %s not divisible by %s" % (
                     self.exponents(key, n), self.exponents(m, n)))
             out[q ^ guard] = c

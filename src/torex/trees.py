@@ -23,9 +23,9 @@ from . import TorexError, json_list
 Code = tuple  # nested (genus, (child codes...)) structure
 
 # the deepest code parse_code reads, in vertices on a root-to-leaf path:
-# a tree of genus g has at most g, and building one 256 deep stays inside
-# the default recursion limit; parse_code checks it before the nested
-# tuple is hashed or compared, which recurses in C
+# a tree of genus g has at most g, and parse_code, one frame a level,
+# reads 256 well inside the default recursion limit; it checks the bound
+# before the nested tuple is hashed or compared, which recurses in C
 MAX_LEVELS = 256
 
 
@@ -87,12 +87,18 @@ class ExtremalTree:
     def __init__(self, code: Code):
         genera, parent, children = [], [], []
         aut = 1
-
+        text = []
         # one pre-order walk checks, records and prints each vertex: it is
-        # checked before its children's order and they after it
-        def walk(node: Code, up) -> str:
-            nonlocal aut
-            g, kids = node
+        # checked before its children's order and they after it.  The walk
+        # keeps its own stack, of (node, parent) pairs and a None where a
+        # ")" closes, so MAX_LEVELS alone bounds a code's depth
+        stack = [(code, None)]
+        while stack:
+            item = stack.pop()
+            if item is None:
+                text.append(")")
+                continue
+            (g, kids), up = item
             if up is None:
                 if g != 1:
                     raise TorexError("root genus must be 1, got %d" % g)
@@ -119,9 +125,10 @@ class ExtremalTree:
             children.append([])
             if up is not None:
                 children[up].append(v)
-            return "(%d%s)" % (g, "".join(walk(k, v) for k in kids))
-
-        self.code = walk(code, None)
+            text.append("(%d" % g)
+            stack.append(None)
+            stack.extend((k, v) for k in reversed(kids))
+        self.code = "".join(text)
         self.aut_order = aut
         self.genera = tuple(genera)
         self.parent = tuple(parent)
@@ -307,13 +314,13 @@ def enumerate_trees(g: int, max_edges: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-class Smoothing(namedtuple("Smoothing", "target edge_map contracted")):
+class Smoothing(namedtuple("Smoothing", "target edge_map")):
     """A tree T' this tree degenerates from, with its edge correspondence.
 
     target is T', an ExtremalTree.  edge_map[j - 1] is the z label, in the
     degenerate tree, of the (non-contracted) edge that is the target's
-    z_j; contracted is the frozenset of the z labels of the edges
-    collapsed inside parts.
+    z_j; the labels not in edge_map are those of the edges collapsed
+    inside parts.
     """
 
     __slots__ = ()
@@ -336,10 +343,12 @@ def smoothings(t: ExtremalTree) -> list:
     valid set arises from exactly one, so this lists them all; the empty
     set, which leaves t itself, is dropped.
 
-    Records are sorted by target code, then by contracted labels.
+    Records are sorted by target code, then by the sorted labels of the
+    contracted edges, those not in the edge map.
     """
     out = [_smoothing(t, cut) for cut in _contractions(t, 0) if cut]
-    out.sort(key=lambda s: (s.target.code, sorted(s.contracted)))
+    labels = range(1, t.n_edges + 1)
+    out.sort(key=lambda s: (s.target.code, [j for j in labels if j not in s.edge_map]))
     return out
 
 
@@ -381,12 +390,10 @@ def _smoothing(t: ExtremalTree, cut) -> Smoothing:
     part = list(range(t.n_vertices))
     genus = list(t.genera)
     children = [[] for _ in genus]
-    contracted = []
     for u, w in t.edges():
         if w in cut:
             part[w] = part[u]
             genus[part[u]] += t.genera[w]
-            contracted.append(t.label[w])
         else:
             children[part[u]].append(w)
     # a contracted vertex gets a code too, which nothing reads
@@ -395,9 +402,8 @@ def _smoothing(t: ExtremalTree, cut) -> Smoothing:
         target = _tree(code)
     except TorexError as err:
         raise TorexError("contracting edges %s of %s leaves no extremal tree: %s"
-                         % (contracted, t.code, err)) from None
-    return Smoothing(target=target, edge_map=tuple(t.label[w] for w in order[1:]),
-                     contracted=frozenset(contracted))
+                         % (sorted(t.label[w] for w in cut), t.code, err)) from None
+    return Smoothing(target=target, edge_map=tuple(t.label[w] for w in order[1:]))
 
 
 @lru_cache(maxsize=None)
@@ -414,15 +420,6 @@ def shape(t: ExtremalTree) -> tuple:
     """
     code, order = _canonical_order(t.children, lambda v, kids: kids)
     return code, tuple(t.label[w] for w in order[1:])
-
-
-def mon(t: ExtremalTree, v: int) -> tuple:
-    """Product of edge variables on the root path of leaf v (a Monomial)."""
-    from .polyring import zvar
-
-    if v <= 0 or v >= t.n_vertices or t.children[v]:
-        raise TorexError("vertex %d is not a leaf" % v)
-    return tuple(sorted((zvar(i), 1) for i in t.path_labels(v)))
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import agring, constants, excess, products, strata
 from .excess import all_contributions
 from .polyring import PackedLayout, Poly, cvar, lamvar, psivar, zvar
-from .trees import ExtremalTree, depth, enumerate_trees, mon, smoothings
+from .trees import ExtremalTree, depth, enumerate_trees, smoothings
 
 
 def _z(i):
@@ -100,13 +100,13 @@ def _check_depths():
     )
 
 
-def _check_mon():
+def _check_leaf_paths():
+    # the z labels on a leaf's root path, whose product is its monomial
     t = ExtremalTree.from_code("(1(0(1)(2)))")
     leaf_a = next(v for v in t.leaves() if t.genera[v] == 1)
-    want = tuple(sorted(((zvar(1), 1), (zvar(2), 1))))
     weird = ExtremalTree.from_code("(1(0(1)(3))(1))")
     leaf_c = next(v for v in weird.leaves() if weird.parent[v] == 0)
-    return mon(t, leaf_a) == want and mon(weird, leaf_c) == ((zvar(2), 1),)
+    return t.path_labels(leaf_a) == [1, 2] and weird.path_labels(leaf_c) == [2]
 
 
 def _check_graded_leaf():
@@ -125,7 +125,7 @@ def _check_graded_leaf():
 def _check_rewrite_example():
     # z2 + z3 - 3 e1 with A = (1+z1+z2)(1+z1+z3), two line bundles, through
     # the recursion's leaf passes: slot i multiplies e_i, then c_i
-    z1, z2, z3 = PackedLayout(n_z=3, max_deg=2).unit.values()
+    _, z1, z2, z3 = PackedLayout(n_z=3, max_deg=2).unit
     slots = [{z2: 1, z3: 1}, {0: -3}]
     excess._over_leaf_factors(slots, [[z1, z2], [z1, z3]])
     # -3 c1 + 6 z1 + 4 z2 + 4 z3
@@ -226,7 +226,7 @@ CHECKS = [
     ("tree-aut-weights-g6", _check_aut_weights),
     ("smoothing-counts", _check_smoothing_counts),
     ("degeneration-depths", _check_depths),
-    ("leaf-path-monomials", _check_mon),
+    ("leaf-path-monomials", _check_leaf_paths),
     ("graded-part-genus3-leaf", _check_graded_leaf),
     ("symmetric-rewrite-two-lines", _check_rewrite_example),
     ("worked-contributions", _check_contributions),

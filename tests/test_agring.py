@@ -20,11 +20,9 @@ from torex.agring import (
     schur_wedge2,
     socle_degree,
     socle_pairing,
-    taut_projection_delta,
     virtual_class_product,
 )
 from torex.polyring import Poly, lamvar, zvar
-from torex.verify import PROJECTION_COEFFICIENTS
 
 
 def basis_monomial(J):
@@ -338,13 +336,3 @@ class TestVirtualClasses:
             virtual_class_product(4, 0)
         with pytest.raises(TorexError, match="need 1 <= k <= g-1, got k=4, g=4"):
             virtual_class_product(4, 4)
-
-
-class TestProjection:
-    def test_known_coefficients(self):
-        for g in (4, 5, 7):
-            want = single((g - 1,), PROJECTION_COEFFICIENTS[g])
-            assert taut_projection_delta(g) == want
-
-    def test_g6_formula_value(self):
-        assert taut_projection_delta(6) == single((5,), PROJECTION_COEFFICIENTS[6])

@@ -824,6 +824,20 @@ class TestNestingBound:
         assert cli.returncode == 1
         assert cli.stderr.endswith("does not contribute for genus 4\n")
 
+    def test_deepest_code_is_read_under_a_deep_stack(self):
+        # the tree is built by a walk with its own stack: only parsing
+        # takes a frame a level
+        script = ("import sys\n"
+                  "from torex import trees\n"
+                  "def down(k):\n"
+                  "    if k:\n"
+                  "        return down(k - 1)\n"
+                  "    trees._tree.cache_clear()\n"
+                  "    return trees.ExtremalTree.from_code(sys.argv[1]).n_edges\n"
+                  "print(down(400))\n")
+        res = self.fresh("-c", script, deep_tree(256))
+        assert (res.returncode, res.stdout) == (0, "510\n"), res.stderr
+
     def test_one_level_deeper_is_refused(self):
         code = deep_tree(257)
         script = self.fresh("-c", self.SCRIPT, code)

@@ -234,14 +234,13 @@ def from_slots(slots, var):
 
 def slot_polys(data, n_slots, n_z):
     """n_slots random packed polynomials in z_1 .. z_n_z, square-free."""
-    zs = [zvar(i) for i in range(1, n_z + 1)]
     term = st.tuples(st.integers(-9, 9), st.lists(st.integers(0, 1), min_size=n_z,
                                                   max_size=n_z))
     slots = []
     for _ in range(n_slots):
         slot = {}
         for coeff, exps in data.draw(st.lists(term, max_size=3)):
-            key = sum(WIDE.unit[v] for v, x in zip(zs, exps) if x)
+            key = sum(WIDE.unit[j] for j, x in enumerate(exps, 1) if x)
             slot[key] = slot.get(key, 0) + coeff
         slots.append(slot)
     return slots
@@ -263,7 +262,7 @@ class TestLeafPasses:
         A = Poly.const(1)
         for path in paths:
             A = A * (1 + sum((z(i) for i in path), Poly.zero()))
-        excess._over_leaf_factors(slots, [[WIDE.unit[zvar(i)] for i in path]
+        excess._over_leaf_factors(slots, [[WIDE.unit[i] for i in path]
                                           for path in paths])
         assert from_slots(slots, cvar) == elem_sym_rewrite(p, ell, A)
 
@@ -274,7 +273,7 @@ class TestLeafPasses:
         parts = chern_parts(t, g)
         slots = slot_polys(data, g, t.n_edges)
         p = from_slots(slots, cvar)
-        excess._times_leaf_factors(slots, [[WIDE.unit[zvar(i)] for i in t.path_labels(v)]
+        excess._times_leaf_factors(slots, [[WIDE.unit[i] for i in t.path_labels(v)]
                                            for v in t.leaves()])
         # e_j = 0 above ell
         want = p.substitute({cvar(i): parts[i] for i in range(1, g)})

@@ -26,7 +26,7 @@ def tree():
 # each builds a fresh instance from equal fields, by keyword
 VALUES = {
     "Contribution": lambda: Contribution(tree=tree(), terms=((0, (0, 0, 0, 0), 3),)),
-    "Smoothing": lambda: Smoothing(target=tree(), edge_map=(1, 3), contracted=frozenset({2})),
+    "Smoothing": lambda: Smoothing(target=tree(), edge_map=(1, 3)),
     "Summand": lambda: Summand(coeff=Fraction(1, 2), monos=((), ((("psi", -1, 1), 1),))),
     "TreeTerm": lambda: TreeTerm(tree=tree(), summands=(Summand(coeff=1, monos=((),)),)),
     "StrataExpression": lambda: StrataExpression(genus=4, terms=()),
@@ -112,6 +112,7 @@ def test_import_cli_runs_no_other_module():
     ("zeroint --genus 3", ["products"]),
     ("pullback --genus 3", ["excess", "polyring", "strata", "trees"]),
     ("verify-paper", LIBRARY),
+    ("constants --genus 3", ["constants"]),
 ])
 def test_command_runs_only_the_modules_it_uses(command, ran):
     code = ("import os, sys, types, torex.cli\n"
@@ -126,6 +127,13 @@ def test_direct_import_gives_ordinary_modules():
     code = "import sys, types; from torex import strata; " + RAN
     ran, registered = bare_python(code).splitlines()
     assert ran == registered == str(["excess", "polyring", "strata", "trees"])
+
+
+@pytest.mark.parametrize("name", ["constants", "trees"])
+def test_module_imports_no_other_module(name):
+    code = "import sys, types; from torex import %s; " % name + RAN
+    ran, registered = bare_python(code).splitlines()
+    assert ran == registered == str([name])
 
 
 def test_error_handler_runs_no_other_module():
