@@ -274,9 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, min_genus=2, fmt=("json", "text"), jobs=False):
+    def add_common(p, min_genus=2, fmt=("json", "text"), jobs=False, fmt_help=None):
         p.add_argument("--genus", type=_int_at_least(min_genus), required=True)
-        p.add_argument("--format", choices=fmt, default=fmt[0])
+        p.add_argument("--format", choices=fmt, default=fmt[0], help=fmt_help)
         if jobs:
             p.add_argument("--jobs", type=_int_at_least(1), default=1,
                            help="accepted for compatibility and ignored: "
@@ -298,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_contribution)
 
     p = sub.add_parser("pullback", help="full decorated-strata expression")
-    add_common(p, fmt=("json", "admcycles"), jobs=True)
+    add_common(p, fmt=("json", "admcycles"), jobs=True, fmt_help="admcycles is "
+               "torex's own audit listing, not input that admcycles reads")
     p.add_argument("--method", choices=("recursion", "pixton"), default="recursion",
                    help="both methods give identical bytes; pixton's table is the "
                    "faster from g = 8 on (see README)")

@@ -13,8 +13,8 @@ vertex is its m-th incident edge, the edge toward the root first and the
 child edges in canonical order.
 
 The assembled pullback is a weighted sum over all contributing trees
-with weights 1/|Aut|; each bracket summand stores one monomial per
-vertex, in vertex order.
+with weights 1/|Aut|; each bracket summand stores one text per vertex,
+in vertex order, as both formats print it ('lam1*psi2^2', or '1').
 
 A contribution holds terms in the z_e and c_i only (`excess`), so every
 variable of its `Poly` has a value.  The substitution values are built
@@ -22,14 +22,15 @@ as term dicts and expanded by `Poly.substitute`; terms past a vertex
 bound are dropped before the rest are sorted.  `serialize` writes both
 formats directly, the JSON one as the bytes `json.dumps(..., indent=1)`
 gives for its fixed schema, each term's tree by `trees.tree_json`, the
-one writer of a tree's JSON, and every array by `torex.json_list`.
+one writer of a tree's JSON, and every array by `torex.json_list`.  The
+`admcycles` format is torex's own audit listing, not input that
+admcycles reads.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from operator import gt
 
 from . import TorexError, json_list
@@ -39,13 +40,10 @@ from .trees import ExtremalTree, tree_json
 
 
 class Summand(namedtuple("Summand", "coeff monos")):
-    """A rational coefficient and one monomial in untagged lam/psi
-    variables per vertex."""
+    """A rational coefficient and one text per vertex, as printed: the
+    vertex's monomial in lam and psi, such as 'lam1*psi2^2', or '1'."""
 
     __slots__ = ()
-
-    def render(self) -> list:
-        return [mono_str(m) for m in self.monos]
 
 
 class TreeTerm(namedtuple("TreeTerm", "tree summands")):
@@ -108,43 +106,45 @@ def _substitutions(t: ExtremalTree, max_deg: int) -> dict:
 
 
 def substitute_stratum(c: Contribution, weight=1) -> list:
-    """Expand a contribution into bracket summands (coeff, vertex monos),
+    """Expand a contribution into bracket summands (coeff, vertex texts),
     every coefficient multiplied by weight, in the graded-lex order of the
     expanded monomials."""
     t = c.tree
     expanded = c.poly.substitute(_substitutions(t, max(c.degree, 0)))
     bounds = [_truncation_bound(t, v) for v in range(t.n_vertices)]
     nv = len(bounds)
-    # (var, e) -> (vertex, untagged (var, e), degree), filled as met
+    # (var, e) -> (vertex, untagged factor text, degree), filled as met
     place: dict = {}
     kept = []
     for mono, coeff in expanded.terms.items():
         # a monomial's variables sorted by (name, vertex, index) are
         # sorted by (name, index) within each vertex once untagged
-        monos = [()] * nv
+        factors = [()] * nv
         degrees = [0] * nv
         for ve in mono:
             got = place.get(ve)
             if got is None:
                 var, e = ve
-                got = place[ve] = (var[1], ((var[0], -1) + var[2:], e), var_degree(var) * e)
-            v, pair, d = got
-            monos[v] += (pair,)
+                got = place[ve] = (var[1], mono_str((((var[0], -1) + var[2:], e),)),
+                                   var_degree(var) * e)
+            v, text, d = got
+            factors[v] += (text,)
             degrees[v] += d
         if any(map(gt, degrees, bounds)):
             continue
         # the expanded monomials are distinct: the sort never reaches coeff
-        kept.append((sum(degrees), mono, coeff, monos))
+        kept.append((sum(degrees), mono, coeff, factors))
     kept.sort()
-    # equal monomials share one object, which serialize renders once
-    share = {}.setdefault
+    # one str per distinct decoration of the tree, to save memory
+    texts = {(): "1"}
     scaled: dict = {}  # coeff -> weight * coeff
     out = []
-    for _, _, coeff, monos in kept:
+    for _, _, coeff, factors in kept:
         w = scaled.get(coeff)
         if w is None:
             w = scaled[coeff] = weight * coeff
-        out.append(Summand(w, tuple(map(share, monos, monos))))
+        out.append(Summand(w, tuple([
+            texts.get(f) or texts.setdefault(f, "*".join(f)) for f in factors])))
     return out
 
 
@@ -179,20 +179,6 @@ def serialize(s: StrataExpression, format: str = "json") -> bytes:
     raise TorexError("unknown format %r" % format)
 
 
-def _rendered(summands, render):
-    """(summand, [render(mono) for each vertex monomial]) per summand,
-    each monomial object the summands share rendered once."""
-    done: dict = {}  # by id: the summands keep every monomial alive
-    for sm in summands:
-        texts = []
-        for m in sm.monos:
-            text = done.get(id(m))
-            if text is None:
-                text = done[id(m)] = render(m)
-            texts.append(text)
-        yield sm, texts
-
-
 def _json_text(s: StrataExpression) -> str:
     """The text json.dumps(obj, indent=1) gives for the object
 
@@ -203,11 +189,11 @@ def _json_text(s: StrataExpression) -> str:
     pure-Python encoder when indent is set."""
     terms = []
     for term in s.terms:
+        # a vertex text is letters, digits, '*' and '^': nothing to escape
         summands = [
             '{\n     "coeff": "%s",\n     "vertex_polys": %s\n    }'
-            % (sm.coeff, json_list(lines, 5))
-            for sm, lines in _rendered(
-                term.summands, lambda m: encode_basestring_ascii(mono_str(m)))
+            % (sm.coeff, json_list(['"%s"' % text for text in sm.monos], 5))
+            for sm in term.summands
         ]
         terms.append('{\n   "tree": %s,\n   "aut": %d,\n   "summands": %s\n  }'
                      % (tree_json(term.tree, 3), term.tree.aut_order,
@@ -216,8 +202,8 @@ def _json_text(s: StrataExpression) -> str:
 
 
 def _to_audit_text(s: StrataExpression) -> str:
-    """Human-auditable listing, one block per stratum, suitable for entry
-    into external tautological-ring software."""
+    """torex's own human-auditable listing, one block per stratum: not
+    input that admcycles reads."""
     lines = ["genus %d, %d strata" % (s.genus, len(s.terms))]
     for term in s.terms:
         t = term.tree
@@ -232,6 +218,6 @@ def _to_audit_text(s: StrataExpression) -> str:
         if not term.summands:
             lines.append("  class: 0")
             continue
-        for sm, texts in _rendered(term.summands, mono_str):
-            lines.append("  %s * [%s]" % (sm.coeff, ", ".join(texts)))
+        for sm in term.summands:
+            lines.append("  %s * [%s]" % (sm.coeff, ", ".join(sm.monos)))
     return "\n".join(lines) + "\n"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import agring, constants, excess, products, strata
+from . import TorexError, agring, constants, excess, products, strata
 from .excess import all_contributions
 from .polyring import PackedLayout, Poly, cvar, lamvar, psivar, zvar
 from .trees import ExtremalTree, depth, enumerate_trees, smoothings
@@ -45,7 +45,7 @@ WORKED_CONTRIBUTIONS = [  # (genus, tree code, contribution)
 ]
 G5_FOUR_EDGE_VALUES = ["-3", "-3", "-4"]  # reducible 4-edge trees, sorted text
 G6_TRIPLE_INTERSECTIONS = [Poly.const(15)] * 4  # 5-edge trees, two genus-0 vertices
-WORKED_BRACKETS = {  # (genus, tree code) -> {rendered vertex monomials: coefficient}
+WORKED_BRACKETS = {  # (genus, tree code) -> {vertex texts: coefficient}
     (6, "(1(0(1)(4)))"): {
         ("1", "1", "1", "lam2"): -3,
         ("1", "1", "1", "lam1*psi1"): 4,
@@ -71,9 +71,7 @@ def _contribution(g, code, method="recursion"):
 
 def _bracket_set(g, code):
     cont = all_contributions(g)[code]
-    return {
-        tuple(s.render()): s.coeff for s in strata.substitute_stratum(cont)
-    }
+    return {s.monos: s.coeff for s in strata.substitute_stratum(cont)}
 
 
 def _check_tree_counts():
@@ -132,8 +130,19 @@ def _check_rewrite_example():
     return slots == [{z1: 6, z2: 4, z3: 4}, {0: -3}]
 
 
+def _agree(kind, published, computed):
+    """True, or a TorexError naming the first (genus, tree code) whose
+    computed value differs from the published one."""
+    for g, code, want in published:
+        got = computed(g, code)
+        if got != want:
+            raise TorexError("%s of %s at genus %d: computed %s, published %s"
+                             % (kind, code, g, got, want))
+    return True
+
+
 def _check_contributions():
-    return all(_contribution(g, code) == want for g, code, want in WORKED_CONTRIBUTIONS)
+    return _agree("contribution", WORKED_CONTRIBUTIONS, _contribution)
 
 
 def _check_pixton_matches():
@@ -168,7 +177,8 @@ def _check_contribution_tables():
 
 
 def _check_strata_brackets():
-    return all(_bracket_set(g, code) == want for (g, code), want in WORKED_BRACKETS.items())
+    published = [(g, code, want) for (g, code), want in WORKED_BRACKETS.items()]
+    return _agree("brackets", published, _bracket_set)
 
 
 def _check_pullback_weights():
@@ -178,7 +188,7 @@ def _check_pullback_weights():
     ok_g = (
         len(g_term.summands) == 1
         and g_term.summands[0].coeff == Fraction(1, 120)
-        and all(m == () for m in g_term.summands[0].monos)
+        and all(m == "1" for m in g_term.summands[0].monos)
     )
     ten = len(strata.assemble_pullback(5).terms) == 10
     return ok_g and ten

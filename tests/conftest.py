@@ -1,6 +1,7 @@
-"""Shared helpers: a tiny parser for bracket decorations, the
-normal-form comparison used by the golden display tests, and a fixture
-that empties the in-process table of contributions."""
+"""Shared helpers: a tiny parser for bracket decorations and vertex
+texts, the normal-form comparison used by the golden display tests, a
+fixture that empties the in-process table of contributions, and the
+`slow` marker, whose tests run only under `-m slow`."""
 
 from __future__ import annotations
 
@@ -12,6 +13,20 @@ import pytest
 from torex import excess
 from torex.polyring import Poly, lamvar, psivar
 from torex.strata import StrataExpression
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "slow: seconds each; run only under -m slow")
+
+
+def pytest_collection_modifyitems(config, items):
+    """Tests marked slow run only when the -m expression names them."""
+    if "slow" in config.option.markexpr:
+        return
+    skip = pytest.mark.skip(reason="slow: run with -m slow")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)
 
 
 @pytest.fixture
@@ -57,6 +72,14 @@ def parse_decoration(text: str) -> Poly:
     return out
 
 
+def vertex_mono(text: str) -> tuple:
+    """The monomial of a vertex's text, such as 'lam1*psi2^3' or '1'."""
+    (mono, coeff), = parse_decoration(text).terms.items()
+    if coeff != 1:
+        raise ValueError("not a monomial: %r" % text)
+    return mono
+
+
 def bracket_normal_form(weight: Fraction, entries: list) -> dict:
     """Expand one weighted bracket into {per-vertex monomial tuple: coeff}."""
     polys = [parse_decoration(e) for e in entries]
@@ -87,6 +110,6 @@ def tree_normal_form(expr: StrataExpression, code: str) -> dict:
         if term.tree.code != code:
             continue
         for sm in term.summands:
-            key = sm.monos
+            key = tuple(map(vertex_mono, sm.monos))
             out[key] = out.get(key, Fraction(0)) + sm.coeff
     return {k: v for k, v in out.items() if v}

@@ -1,14 +1,15 @@
 """Test-only references: a star tree, a brute-force automorphism count,
 a tree's JSON object, the invariants and equality of an assembled strata
-expression, and a reader of `pullback`'s JSON."""
+expression, and readers of `pullback`'s JSON and audit text."""
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from itertools import permutations
 
-from conftest import parse_decoration
+from conftest import vertex_mono
 
 from torex.polyring import mono_degree
 from torex.strata import StrataExpression, Summand, TreeTerm, _factor_is_rigid
@@ -52,7 +53,7 @@ def check_degree_balance(s: StrataExpression) -> bool:
     for term in s.terms:
         n = term.tree.n_edges
         for sm in term.summands:
-            deco = sum(map(mono_degree, sm.monos))
+            deco = sum(mono_degree(vertex_mono(m)) for m in sm.monos)
             if n + deco != s.genus - 1:
                 return False
     return True
@@ -64,7 +65,8 @@ def check_vanishing_discipline(s: StrataExpression) -> bool:
     for term in s.terms:
         t = term.tree
         for sm in term.summands:
-            for v, mono in enumerate(sm.monos):
+            for v, text in enumerate(sm.monos):
+                mono = vertex_mono(text)
                 for var, _ in mono:
                     if var[0] == "lam" and t.genera[v] <= 1:
                         return False
@@ -81,29 +83,51 @@ def _normal_form(s: StrataExpression) -> dict:
     out: dict = {}
     for term in s.terms:
         for sm in term.summands:
-            key = (term.tree.code, sm.monos)
+            key = (term.tree.code, tuple(map(vertex_mono, sm.monos)))
             out[key] = out.get(key, Fraction(0)) + sm.coeff
     return {k: v for k, v in out.items() if v}
 
 
 def parse_json(data: bytes) -> StrataExpression:
-    """The expression that `serialize(..., "json")` wrote as data."""
+    """The expression that `serialize(..., "json")` wrote as data, each
+    vertex text kept as read."""
     obj = json.loads(data.decode("utf-8"))
     terms = []
     for entry in obj["terms"]:
         tree = ExtremalTree.from_code(entry["tree"]["code"])
         summands = tuple(
             Summand(coeff=Fraction(sm["coeff"]),
-                    monos=tuple(map(_vertex_mono, sm["vertex_polys"])))
+                    monos=tuple(sm["vertex_polys"]))
             for sm in entry["summands"]
         )
         terms.append(TreeTerm(tree=tree, summands=summands))
     return StrataExpression(genus=obj["genus"], terms=tuple(terms))
 
 
-def _vertex_mono(text: str) -> tuple:
-    """The monomial of a vertex's text, such as 'lam1*psi2^3' or '1'."""
-    (mono, coeff), = parse_decoration(text).terms.items()
-    if coeff != 1:
-        raise ValueError("not a monomial: %r" % text)
-    return mono
+def parse_audit_text(data: bytes) -> StrataExpression:
+    """The expression that `serialize(..., "admcycles")` wrote as data:
+    a header, then per stratum its code and |Aut|, its vertex and edge
+    lines, and either `class: 0` or one `coeff * [t0, t1, ...]` line per
+    summand."""
+    lines = data.decode("utf-8").split("\n")
+    if lines.pop() != "":
+        raise ValueError("no final newline")
+    genus, n_strata = re.fullmatch(r"genus (\d+), (\d+) strata", lines[0]).groups()
+    blocks: list = []  # [tree, summands]
+    for line in lines[1:]:
+        if line.startswith("stratum "):
+            code, aut = re.fullmatch(r"stratum (\S+)  aut=(\d+)", line).groups()
+            tree = ExtremalTree.from_code(code)
+            if tree.aut_order != int(aut):
+                raise ValueError("aut=%s for %s" % (aut, code))
+            blocks.append((tree, []))
+        elif line.startswith(("  vertices: ", "  edges: ")) or line == "  class: 0":
+            continue
+        else:
+            coeff, texts = re.fullmatch(r"  (\S+) \* \[(.*)\]", line).groups()
+            blocks[-1][1].append(Summand(coeff=Fraction(coeff),
+                                         monos=tuple(texts.split(", "))))
+    if len(blocks) != int(n_strata):
+        raise ValueError("%d strata, header says %s" % (len(blocks), n_strata))
+    return StrataExpression(genus=int(genus), terms=tuple(
+        TreeTerm(tree=tree, summands=tuple(summands)) for tree, summands in blocks))
