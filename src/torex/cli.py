@@ -256,12 +256,9 @@ def cmd_zeroint(args) -> int:
 def cmd_verify(args) -> int:
     results = verify.run_checks()
     failures = 0
-    for slug, ok, error in results:
-        status = "PASS" if ok else "FAIL"
-        if error is not None:
-            status += " (%s)" % error
-        print("%-36s %s" % (slug, status))
-        failures += 0 if ok else 1
+    for slug, error in results:
+        print("%-36s %s" % (slug, "PASS" if error is None else "FAIL (%s)" % error))
+        failures += error is not None
     print("%d/%d checks passed" % (len(results) - failures, len(results)))
     return 1 if failures else 0
 

@@ -8,12 +8,13 @@ import re
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import torex
-from torex import excess, products, strata
+from torex import agring, excess, products, strata, verify
 from torex.cli import main
 from torex.trees import ExtremalTree, enumerate_trees
 
@@ -611,6 +612,13 @@ class TestZeroint:
             "3ccf2f98a533a15c467146bff497c2e54c675133977b77f1438fe957c8cc459d")
 
 
+def closed_formula_gives_seven(monkeypatch):
+    """An empty table memo, and a closed formula of 7 for every shape."""
+    monkeypatch.setattr(excess, "_MEMO", {})
+    monkeypatch.setattr(excess, "pixton_contribution",
+                        lambda t: excess.Contribution(t, ((0, (0,) * t.n_edges, 7),)))
+
+
 class TestVerify:
     def test_all_checks_pass(self, capsys):
         code, out, _ = run(capsys, "verify-paper")
@@ -663,12 +671,72 @@ class TestVerify:
                              "computed -4, published 4)")
 
     def test_rewrite_check_runs_the_division_passes(self, monkeypatch):
-        from torex.verify import run_checks
-
         slug = "symmetric-rewrite-two-lines"
-        assert run_checks([slug]) == [(slug, True, None)]
+        assert verify.run_checks([slug]) == [(slug, None)]
         monkeypatch.setattr(excess, "_over_leaf_factors", lambda slots, leaves: None)
-        assert run_checks([slug]) == [(slug, False, None)]
+        assert verify.run_checks([slug]) == [(slug, (
+            "TorexError: slots of z2 + z3 - 3 e1 over (1+z1+z2)(1+z1+z3): "
+            "computed [{(0, 1, 0): 1, (0, 0, 1): 1}, {(0, 0, 0): -3}], "
+            "published [{(1, 0, 0): 6, (0, 1, 0): 4, (0, 0, 1): 4}, {(0, 0, 0): -3}]"))]
+
+    # one corruption per check that used to print a bare FAIL: a published
+    # value, or a library call where the published side is computed
+    MISMATCHES = [  # (slug, corruption, the first row that differs)
+        ("tree-inventory-counts",
+         lambda mp: mp.setitem(verify.TREE_INVENTORY, (5, 4), 11),
+         "trees of genus 5 with at most 4 edges: computed 10, published 11"),
+        ("tree-aut-weights-g6",
+         lambda mp: mp.setattr(verify, "G6_IRREDUCIBLE_AUT_WEIGHTS", [1, 1, 1, 2, 2, 6, 24]),
+         "automorphism orders of the irreducible genus-6 trees: "
+         "computed [1, 1, 1, 2, 2, 6, 120], published [1, 1, 1, 2, 2, 6, 24]"),
+        ("smoothing-counts",
+         lambda mp: mp.setitem(verify.SMOOTHING_COUNTS, "(1(0(0(1)(1))(3)))", 5),
+         "smoothings of (1(0(0(1)(1))(3))): computed 6, published 5"),
+        ("degeneration-depths",
+         lambda mp: mp.setitem(verify.DEPTHS, "(1(0(1)(2)))", 2),
+         "depth of (1(0(1)(2))): computed 1, published 2"),
+        ("leaf-path-monomials",
+         lambda mp: mp.setitem(verify.LEAF_PATHS, ("(1(0(1)(3))(1))", 4), [1]),
+         "z labels above vertex 4 of (1(0(1)(3))(1)): computed [2], published [1]"),
+        ("graded-part-genus3-leaf",
+         lambda mp: mp.setattr(verify, "G3_LEAF_DEGREE2", verify._lam(2)),
+         "degree-2 part of c(E^dual)/(1 - psi1) on a genus-3 leaf: "
+         "computed -lam1@0*psi1@0 + lam2@0 + psi1@0^2, published lam2@0"),
+        ("symmetric-rewrite-two-lines",
+         lambda mp: mp.setattr(verify, "REWRITE_SLOTS", [verify.REWRITE_SLOTS[0], {(0, 0, 0): 3}]),
+         "slots of z2 + z3 - 3 e1 over (1+z1+z2)(1+z1+z3): "
+         "computed [{(0, 1, 0): 4, (0, 0, 1): 4, (1, 0, 0): 6}, {(0, 0, 0): -3}], "
+         "published [{(1, 0, 0): 6, (0, 1, 0): 4, (0, 0, 1): 4}, {(0, 0, 0): 3}]"),
+        ("closed-formula-agreement-g2-6", closed_formula_gives_seven,
+         "closed formula of (1(1)) at genus 2: computed 7, published 1"),
+        ("contribution-tables-g4-g5-g6",
+         lambda mp: mp.setattr(verify, "G5_FOUR_EDGE_VALUES", ["-3", "-4", "-4"]),
+         "reducible 4-edge contributions at genus 5: "
+         "computed ['-3', '-3', '-4'], published ['-3', '-4', '-4']"),
+        ("pullback-weights",
+         lambda mp: mp.setattr(verify, "G6_STAR_WEIGHT", Fraction(1, 60)),
+         "weight of (1(1)(1)(1)(1)(1)) in the genus-6 pullback: "
+         "computed 1/120, published 1/60"),
+        ("projection-coefficients",
+         lambda mp: mp.setitem(verify.PROJECTION_COEFFICIENTS, 6, Fraction(2370, 691)),
+         "g/(6|B_2g|) at genus 6: computed 2730/691, published 2370/691"),
+        ("lambda-ring-relations",
+         lambda mp: mp.setattr(agring, "schur_wedge2", lambda g: agring.lam(1)),
+         "Euler class of wedge^2 E at genus 3: computed lam1, published lam1*lam2"),
+        ("virtual-product-classes",
+         lambda mp: mp.setattr(agring, "virtual_class_product",
+                               lambda g, k: (agring.lam(1), agring.lam(1))),
+         "virtual classes of the (2, 2) split: computed (Poly(lam1), Poly(lam1)), "
+         "published (Poly(-lam1), Poly(-lam1))"),
+        ("product-locus-vanishing",
+         lambda mp: mp.setitem(verify.REFINEMENT_COUNTS, ((1, 5), (3, 3)), 2),
+         "extremal refinements of (1, 5) x (3, 3): computed 1, published 2"),
+    ]
+
+    @pytest.mark.parametrize("slug, corrupt, row", MISMATCHES, ids=[m[0] for m in MISMATCHES])
+    def test_mismatch_names_the_row(self, capsys, monkeypatch, slug, corrupt, row):
+        corrupt(monkeypatch)
+        assert self.fail_line(capsys, slug).endswith("FAIL (TorexError: %s)" % row)
 
 
 class TestReferencesOffCommandPath:

@@ -18,6 +18,7 @@ from torex.products import (
     split_partitions,
     zeroint_check,
 )
+from torex.verify import REFINEMENT_COUNTS
 
 P = Partition.make
 
@@ -262,7 +263,7 @@ class TestRefinements:
 
     def test_even_split_single_component(self):
         comps = extremal_refinements(P([1, 5]), P([3, 3]))
-        assert len(comps) == 1
+        assert len(comps) == REFINEMENT_COUNTS[(1, 5), (3, 3)]
         assert comps[0].sigma.parts == (3, 2, 1)
 
     def test_self_intersection_diagonal(self):

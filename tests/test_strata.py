@@ -23,7 +23,7 @@ from torex.strata import (
     substitute_stratum,
 )
 from torex.trees import ExtremalTree, enumerate_trees, tree_json
-from torex.verify import WORKED_BRACKETS
+from torex.verify import G5_PULLBACK_STRATA, WORKED_BRACKETS
 
 
 def substitute_stratum_reference(c, weight=1):
@@ -240,7 +240,7 @@ class TestSerialization:
     def test_g5_block_count(self):
         data = serialize(assemble_pullback(5), "json")
         obj = json.loads(data)
-        assert len(obj["terms"]) == 10
+        assert len(obj["terms"]) == G5_PULLBACK_STRATA
 
     def test_audit_text_mentions_every_stratum(self):
         text = serialize(assemble_pullback(4), "admcycles").decode()

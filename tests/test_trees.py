@@ -17,7 +17,7 @@ from torex.trees import (
     trees_by_code,
 )
 from torex.cli import main
-from torex.verify import G6_IRREDUCIBLE_AUT_WEIGHTS, TREE_INVENTORY
+from torex.verify import DEPTHS, G6_IRREDUCIBLE_AUT_WEIGHTS, SMOOTHING_COUNTS, TREE_INVENTORY
 
 from helpers import aut_order_brute, star, tree_dict
 
@@ -297,7 +297,7 @@ class TestSmoothings:
     def test_deep_tree_has_six(self):
         t = ExtremalTree.from_code("(1(0(0(1)(1))(3)))")
         records = smoothings(t)
-        assert len(records) == 6
+        assert len(records) == SMOOTHING_COUNTS[t.code]
         assert sorted(r.target.code for r in records) == [
             "(1(0(1)(1)(3)))",
             "(1(0(1)(1))(3))",
@@ -324,9 +324,8 @@ class TestSmoothings:
 
 class TestDepth:
     def test_known_depths(self):
-        assert depth(ExtremalTree.from_code("(1(5))")) == 0
-        assert depth(ExtremalTree.from_code("(1(0(1)(2)))")) == 1
-        assert depth(ExtremalTree.from_code("(1(0(0(1)(1))(3)))")) == 2
+        for code, d in DEPTHS.items():
+            assert depth(ExtremalTree.from_code(code)) == d, code
 
     def test_matches_longest_chain_oracle(self):
         # brute-force longest degeneration chain over the whole poset
