@@ -214,7 +214,7 @@ def _zeroint_json(g: int, all_ok: bool, pairs: list) -> str:
 
     def component(comp) -> str:
         return '{\n     "sigma": %s,\n     "excess": %s\n    }' % (
-            ints(comp.sigma.parts, 5),
+            ints(comp.sigma, 5),
             json_list([ints(ab, 6) for ab in comp.excess_bundle], 5))
 
     entries = [
@@ -234,21 +234,20 @@ def cmd_zeroint(args) -> int:
     # parts descend, so the pairs p <= q are q in parts[:i + 1]
     for i, p in enumerate(parts):
         for q in parts[:i + 1]:
-            P, Q = products.Partition.make(p), products.Partition.make(q)
             # one enumeration of the pair's matrices serves both
-            comps = products.extremal_refinements(P, Q)
-            pairs.append((p, q, products.zeroint_check(P, Q, comps), comps))
+            comps = products.extremal_refinements(p, q)
+            pairs.append((p, q, products.zeroint_check(p, q, comps), comps))
     all_ok = all(ok for _, _, ok, _ in pairs)
     if args.format == "json":
         sys.stdout.write(_zeroint_json(g, all_ok, pairs) + "\n")
     else:
         for p, q, ok, comps in pairs:
             text = "; ".join(
-                "sigma=%s excess=%s" % (c.sigma.parts, [list(ab) for ab in c.excess_bundle])
+                "sigma=%s excess=%s" % (c.sigma, [list(ab) for ab in c.excess_bundle])
                 for c in comps
             )
             print("%s x %s -> vanishes=%s  [%s]"
-                  % (tuple(p), tuple(q), str(ok).lower(), text))
+                  % (p, q, str(ok).lower(), text))
         print("all pairs vanish: %s" % str(all_ok).lower())
     return 0 if all_ok else 1
 

@@ -83,7 +83,6 @@ import json
 import os
 import sys
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from math import prod
 from operator import mul
@@ -96,7 +95,9 @@ from .trees import ExtremalTree, enumerate_trees, shape, smoothings, trees_by_co
 class Contribution(namedtuple("Contribution", "tree terms")):
     """Cont_T of an ExtremalTree as a tuple of terms (i, exps, coeff), each
     coeff * c_i * prod_j z_j^exps[j-1] (c_0 = 1), exps one exponent per
-    edge of the tree, no (i, exps) twice."""
+    edge of the tree, coeff a nonzero int, no (i, exps) twice.  Every
+    route forms its class by ring operations and exact division by
+    monomials only, so every coefficient is integral."""
 
     __slots__ = ()
 
@@ -384,14 +385,14 @@ CACHE_FORMAT = 3
 
 def _cache_load(cache_dir, g, method):
     """The cached table, or None for a miss.  An entry holds a tree's code
-    and its contribution's terms [i, exps, coeff], coeff an int when it is
-    integral and the text "p/q" otherwise.  A file that does not parse,
-    was written in another format, by another package version, or for
-    another genus or method, does not hold each enumerated tree exactly
-    once, or holds a term without the form of a contribution of that genus
-    is a miss: the table is recomputed and the file rewritten.  Each entry
-    takes its tree from the enumeration by its code, spelled exactly as
-    the tree's own."""
+    and its contribution's terms [i, exps, coeff], coeff a JSON int.  A
+    file that does not parse, was written in another format, by another
+    package version, or for another genus or method, does not hold each
+    enumerated tree exactly once, or holds a term without the form of a
+    contribution of that genus (any other coefficient, "p/q" text among
+    them, has not) is a miss: the table is recomputed and the file
+    rewritten.  Each entry takes its tree from the enumeration by its
+    code, spelled exactly as the tree's own."""
     if not cache_dir:
         return None
     path = _cache_path(cache_dir, g, method)
@@ -411,24 +412,19 @@ def _cache_load(cache_dir, g, method):
             if len({(i, exps) for i, exps, _ in terms}) != len(terms):
                 return None  # a term given twice
             out[t.code] = Contribution(tree=t, terms=terms)
-    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError, RecursionError):
+    except (OSError, ValueError, KeyError, TypeError, RecursionError):
         return None
     return None if trees else out
 
 
 def _checked_terms(entry, n: int, d: int) -> tuple:
-    """The terms of a cache entry of a tree with n edges, exps a tuple and
-    each coefficient an int or a Fraction; raises ValueError unless every
-    term has the form of a contribution's: i and the n exponents
-    nonnegative ints of sum d, the coefficient a nonzero int or the text
-    of a non-integral fraction."""
+    """The terms of a cache entry of a tree with n edges, exps a tuple;
+    raises ValueError unless every term has the form of a contribution's:
+    i and the n exponents nonnegative ints of sum d, the coefficient a
+    nonzero int."""
     out = []
     for i, exps, c in entry:
-        if type(c) is str:
-            c = Fraction(c)
-            if c.denominator == 1:
-                raise ValueError("integral coefficient written as text")
-        elif type(c) is not int or not c:
+        if type(c) is not int or not c:
             raise ValueError("coefficient %r" % (c,))
         if type(i) is not int or i < 0 or len(exps) != n or i + sum(exps) != d:
             raise ValueError("term %r is not of degree %d in %d edges" % ([i, exps], d, n))
@@ -449,11 +445,8 @@ def _cache_store(cache_dir, g, method, table) -> None:
         "version": __version__,
         "genus": g,
         "method": method,
-        "contributions": [
-            {"code": code,
-             "poly": [[i, exps, c if type(c) is int else str(c)] for i, exps, c in cont.terms]}
-            for code, cont in table.items()
-        ],
+        "contributions": [{"code": code, "poly": cont.terms}
+                          for code, cont in table.items()],
     }
     # a reader sees the old file or the new one, never a partial write
     path = _cache_path(cache_dir, g, method)

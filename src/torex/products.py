@@ -1,6 +1,10 @@
 """Intersections of product loci: extremal common refinements, excess
 bundles, and the polynomial-level vanishing of their Euler classes.
 
+A partition of g, indexing the product locus A_{g_1} x ... x A_{g_k},
+is the weakly decreasing tuple (g_1, .., g_k) of positive integers with
+sum g, as `split_partitions` yields it.
+
 A common refinement of two partitions with assignment data is a matrix
 of nonnegative integers whose row sums give one partition and column
 sums the other; it is extremal exactly when no two refinement parts sit
@@ -42,33 +46,12 @@ def split_partitions(g: int) -> list:
     return list(rec(g, g - 1))
 
 
-class Partition(namedtuple("Partition", "parts")):
-    """A partition: parts, a tuple of weakly decreasing positive integers.
-    len() is its number of parts."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def make(parts) -> "Partition":
-        parts = tuple(sorted(parts, reverse=True))
-        if not parts or any(p < 1 for p in parts):
-            raise TorexError("parts must be positive, got %r" % (parts,))
-        return Partition(parts)
-
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-
 class RefinementComponent(namedtuple("RefinementComponent", "sigma cells excess_bundle")):
     """An extremal common refinement with its assignment data.
 
     cells: sorted tuple of (row, col, part); sigma is the multiset of
-    parts, a Partition; excess_bundle lists the (a, b) rank pairs of its
-    summands.
+    parts, as a partition (a weakly decreasing tuple); excess_bundle
+    lists the (a, b) rank pairs of its summands.
     """
 
     __slots__ = ()
@@ -146,8 +129,18 @@ def _row_orders(matrix: tuple, runs: list):
         rows[i + 1:hi] = rows[hi - 1:i:-1]
 
 
-def extremal_refinements(p: Partition, q: Partition) -> list:
-    """All extremal common refinements of p and q, up to reordering.
+def _partition(parts) -> tuple:
+    """parts as a partition: sorted into a weakly decreasing tuple, each
+    part a positive integer."""
+    parts = tuple(sorted(parts, reverse=True))
+    if not parts or any(p < 1 for p in parts):
+        raise TorexError("parts must be positive, got %r" % (parts,))
+    return parts
+
+
+def extremal_refinements(p: tuple, q: tuple) -> list:
+    """All extremal common refinements of p and q, up to reordering; p
+    and q are sorted into partitions, and checked, here.
 
     Columns move only within their run of equal sums, so for a fixed row
     order sorting each run of columns gives the least tuple of columns;
@@ -156,9 +149,9 @@ def extremal_refinements(p: Partition, q: Partition) -> list:
     matrix with its rows sorted within their runs, so only those are
     enumerated and keyed, and distinct orbits have distinct least keys.
     """
-    if p.total != q.total:
-        raise TorexError("partitions of genus %d and %d" % (p.total, q.total))
-    rows, cols = p.parts, q.parts
+    rows, cols = _partition(p), _partition(q)
+    if sum(rows) != sum(cols):
+        raise TorexError("partitions of genus %d and %d" % (sum(rows), sum(cols)))
     row_runs, col_runs = _runs(rows), _runs(cols)
     keys = {min(tuple(c for s in col_runs for c in sorted(columns[s]))
                 for order in _row_orders(matrix, row_runs)
@@ -173,9 +166,9 @@ def extremal_refinements(p: Partition, q: Partition) -> list:
             for (i1, j1, v1), (i2, j2, v2) in combinations(cells, 2)
             if i1 != i2 and j1 != j2
         ))
-        sigma = Partition.make([v for _, _, v in cells])
+        sigma = tuple(sorted((v for _, _, v in cells), reverse=True))
         out.append(RefinementComponent(sigma, cells, bundle))
-    out.sort(key=lambda comp: (comp.sigma.parts, comp.cells))
+    out.sort(key=lambda comp: (comp.sigma, comp.cells))
     return out
 
 
@@ -225,7 +218,7 @@ def euler_tensor_reduce(a: int, b: int) -> Poly:
     return expr.substitute({("e", "x", a): zero, ("e", "y", b): zero})
 
 
-def zeroint_check(p: Partition, q: Partition, components: list | None = None) -> bool:
+def zeroint_check(p: tuple, q: tuple, components: list | None = None) -> bool:
     """True when every extremal refinement component of the two loci has
     an excess bundle whose Euler class reduces to zero once the top
     Chern class of every Hodge factor is set to zero.
@@ -253,16 +246,15 @@ def zeroint_check(p: Partition, q: Partition, components: list | None = None) ->
 # ---------------------------------------------------------------------------
 
 
-def hodge_split_pullback(g: int, partition: Partition, m: int) -> dict:
-    """Restriction of lambda_m to the product locus of the partition, as
-    a sum of exterior tensor products of factorwise lambda classes.
+def hodge_split_pullback(parts: tuple, m: int) -> tuple:
+    """Restriction of lambda_m to the product locus of the partition
+    parts, as a sum of exterior tensor products of factorwise lambda
+    classes, each with coefficient 1.
 
-    Returns {(a_1, .., a_l): 1} over the compositions of m with a_i < g_i,
-    each reached once: terms carrying a top class a_i = g_i are deleted
-    since the top Hodge class vanishes on each factor.
+    Returns the compositions (a_1, .., a_l) of m with a_i < g_i, in
+    increasing lexicographic order: terms carrying a top class a_i = g_i
+    are deleted since the top Hodge class vanishes on each factor.
     """
-    if partition.total != g:
-        raise TorexError("partition of genus %d, not %d" % (partition.total, g))
-    if m < 0 or m > g:
+    if m < 0 or m > sum(parts):
         raise TorexError("degree %d out of range" % m)
-    return dict.fromkeys(_compositions(m, tuple(p - 1 for p in partition.parts)), 1)
+    return _compositions(m, tuple(p - 1 for p in parts))

@@ -214,15 +214,14 @@ def _virtual():
 
 
 def _products():
-    P = products.Partition.make
     for (p, q), n in REFINEMENT_COUNTS.items():
         yield ("extremal refinements of %s x %s" % (p, q),
-               len(products.extremal_refinements(P(p), P(q))), n)
+               len(products.extremal_refinements(p, q)), n)
     yield ("every component of (1, 4) x (2, 3) vanishes",
-           products.zeroint_check(P([1, 4]), P([2, 3])), True)
+           products.zeroint_check((1, 4), (2, 3)), True)
     yield "Euler class of E_2^dual x E_2^dual, reduced", products.euler_tensor_reduce(2, 2), 0
     yield ("lambda_4 on the (2, 3) locus of genus 5",
-           products.hodge_split_pullback(5, P([2, 3]), 4), {})
+           products.hodge_split_pullback((3, 2), 4), ())
 
 
 CHECKS = [

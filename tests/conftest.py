@@ -1,7 +1,6 @@
 """Shared helpers: a tiny parser for bracket decorations and vertex
-texts, the normal-form comparison used by the golden display tests, a
-fixture that empties the in-process table of contributions, and the
-`slow` marker, whose tests run only under `-m slow`."""
+texts, the normal-form comparison used by the golden display tests, and
+a fixture that empties the in-process table of contributions."""
 
 from __future__ import annotations
 
@@ -13,20 +12,6 @@ import pytest
 from torex import excess
 from torex.polyring import Poly, lamvar, psivar
 from torex.strata import StrataExpression
-
-
-def pytest_configure(config):
-    config.addinivalue_line("markers", "slow: seconds each; run only under -m slow")
-
-
-def pytest_collection_modifyitems(config, items):
-    """Tests marked slow run only when the -m expression names them."""
-    if "slow" in config.option.markexpr:
-        return
-    skip = pytest.mark.skip(reason="slow: run with -m slow")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip)
 
 
 @pytest.fixture

@@ -400,8 +400,7 @@ class TestCacheMisses:
 
     # each breaks the form of the degree 3 class of the one-edge tree
     # (1(4)): terms [i, [exponent of z1], coeff] with i + exponent = 3, both
-    # nonnegative ints, coeff a nonzero int or the text of a non-integral
-    # fraction, no (i, exponents) twice
+    # nonnegative ints, coeff a nonzero int, no (i, exponents) twice
     @pytest.mark.parametrize("poly", [
         [[1, [0, 2], 5]],
         [[3, [], 5]],
@@ -416,12 +415,14 @@ class TestCacheMisses:
         [[0, [3], 0]],
         [[0, [3], "0/2"]],
         [[0, [3], "5"]],
+        [[0, [3], "1/2"]],
         [[0, [3], 5], [0, [3], 2]],
         [[0, [3]]],
     ], ids=["c1*z2^2", "no-exponent", "degree-2", "float-exponent", "negative-exponent",
             "bool-exponent", "negative-class", "bool-class", "bool-coefficient",
             "float-coefficient", "zero-coefficient", "zero-text-coefficient",
-            "integral-text-coefficient", "repeated-term", "not-a-triple"])
+            "integral-text-coefficient", "fraction-text-coefficient", "repeated-term",
+            "not-a-triple"])
     def test_not_a_contribution(self, capsys, monkeypatch, tmp_path, uncached, poly):
         data = self.valid_file(tmp_path, monkeypatch, capsys)
         entry = next(e for e in data["contributions"] if e["code"] == "(1(4))")
@@ -443,13 +444,13 @@ class TestCacheMisses:
 
     def test_valid_file_is_a_hit(self, capsys, monkeypatch, tmp_path, uncached):
         # the faults above are each the only one: the same file without them,
-        # fractions included, is read
+        # its coefficients ints, is read
         data = self.valid_file(tmp_path, monkeypatch, capsys)
         entry = next(e for e in data["contributions"] if e["code"] == "(1(4))")
-        entry["poly"] = [[3, [0], "1/2"], [0, [3], 5]]
+        entry["poly"] = [[3, [0], -2], [0, [3], 5]]
         (tmp_path / self.PATH).write_text(json.dumps(data))
         table = excess._cache_load(str(tmp_path), 5, "recursion")
-        assert str(table["(1(4))"].poly) == "1/2*c3 + 5*z1^3"
+        assert str(table["(1(4))"].poly) == "-2*c3 + 5*z1^3"
 
     @pytest.mark.parametrize("method", ["recursion", "pixton"])
     @pytest.mark.parametrize("g", range(2, 9))
@@ -592,24 +593,12 @@ class TestZeroint:
         assert data["all_vanish"] is True
         assert all(p["vanishes"] for p in data["pairs"])
 
-    def test_genus7_digest(self, capsys):
-        code, out, _ = run(capsys, "zeroint", "--genus", "7")
-        assert code == 0
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-            "8e727d7abfa01ab6298f733fb4318601b9e51bfb0c7e5634ca3504a5d59ea710")
-
     @pytest.mark.parametrize("genus", range(2, 9))
     def test_json_is_what_json_dumps_writes(self, capsys, genus):
         # the report is written directly, in json.dumps(..., indent=1)'s bytes
         code, out, _ = run(capsys, "zeroint", "--genus", str(genus))
         assert code == 0
         assert out == json.dumps(json.loads(out), indent=1) + "\n"
-
-    def test_text_digest(self, capsys):
-        code, out, _ = run(capsys, "zeroint", "--genus", "6", "--format", "text")
-        assert code == 0
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-            "3ccf2f98a533a15c467146bff497c2e54c675133977b77f1438fe957c8cc459d")
 
 
 def closed_formula_gives_seven(monkeypatch):

@@ -341,13 +341,17 @@ class TestOracleEquivalence:
         for code in rec:
             assert rec[code].poly == pix[code].poly, code
 
-    @pytest.mark.parametrize("g, count", [(3, 2), (4, 3), (5, 5), (6, 7), (7, 11), (8, 15)])
+    @pytest.mark.parametrize("g, count", [(2, 1), (3, 2), (4, 3), (5, 5), (6, 7), (7, 11),
+                                          (8, 15), (9, 22)])
     def test_irreducible_base_equals_recursion(self, g, count):
-        # the base case on tuple monomials against the packed recursion
+        # the base case on tuple monomials against the packed recursion; its
+        # coefficients are ints too, which the cache relies on
         irreducible = [t for t in enumerate_trees(g, g - 1) if t.is_irreducible()]
         assert len(irreducible) == count
         for t in irreducible:
-            assert base_contribution(t).poly == tree_contribution(t).poly, t.code
+            base = base_contribution(t)
+            assert base.poly == tree_contribution(t).poly, t.code
+            assert all(type(c) is int and c for _, _, c in base.terms), t.code
 
     def test_recursion_equals_closed_formula_g8_bytes(self):
         rec = all_contributions(8, "recursion")
@@ -446,6 +450,8 @@ class TestTermsForm:
             assert cont.poly == want[code], code
             assert set(excess._terms_of(want[code], cont.tree.n_edges)) == set(cont.terms), code
             assert all(type(exps) is tuple for _, exps, _ in cont.terms), code
+            # the cache holds only int coefficients
+            assert all(type(c) is int and c for _, _, c in cont.terms), code
 
     def test_memo_holds_no_poly(self, memo):
         for method in ("recursion", "pixton"):

@@ -14,7 +14,7 @@ import pytest
 import torex
 from torex.constants import HodgeConstants
 from torex.excess import Contribution
-from torex.products import Partition, RefinementComponent
+from torex.products import RefinementComponent
 from torex.strata import StrataExpression, Summand, TreeTerm
 from torex.trees import ExtremalTree, Smoothing
 
@@ -30,9 +30,8 @@ VALUES = {
     "Summand": lambda: Summand(coeff=Fraction(1, 2), monos=((), ((("psi", -1, 1), 1),))),
     "TreeTerm": lambda: TreeTerm(tree=tree(), summands=(Summand(coeff=1, monos=((),)),)),
     "StrataExpression": lambda: StrataExpression(genus=4, terms=()),
-    "Partition": lambda: Partition(parts=(3, 2, 2)),
     "RefinementComponent": lambda: RefinementComponent(
-        sigma=Partition(parts=(1, 1)), cells=((0, 0, 1), (1, 1, 1)), excess_bundle=((1, 1),)),
+        sigma=(1, 1), cells=((0, 0, 1), (1, 1, 1)), excess_bundle=((1, 1),)),
     "HodgeConstants": lambda: HodgeConstants(tail_integral=Fraction(1, 24),
                                              triple_lambda=None),
 }
@@ -49,12 +48,6 @@ def test_value_type_is_immutable_and_equal_by_fields(name):
     with pytest.raises(AttributeError):
         a.extra = 1
     assert a == b
-
-
-def test_partition_len_is_its_number_of_parts():
-    p = Partition.make([2, 3, 2])
-    assert p.parts == (3, 2, 2) and len(p) == 3 and p.total == 7
-    assert p != (3, 2, 2) and p != Partition(parts=(3, 2))
 
 
 def fresh_python(code: str) -> subprocess.CompletedProcess:
