@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
-import json
 import os
 import sys
 
@@ -52,6 +51,9 @@ def _cache_dir() -> str | None:
 
 
 def _emit_json(obj) -> None:
+    # imported here: zeroint, trees and pullback write their JSON directly
+    import json
+
     sys.stdout.write(json.dumps(obj, indent=1) + "\n")
 
 

@@ -79,7 +79,6 @@ substituted or compared.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from collections import namedtuple
@@ -395,6 +394,9 @@ def _cache_load(cache_dir, g, method):
     code, spelled exactly as the tree's own."""
     if not cache_dir:
         return None
+    # imported here, so that a run without a cache does not execute json
+    import json
+
     path = _cache_path(cache_dir, g, method)
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -440,6 +442,8 @@ def _cache_store(cache_dir, g, method, table) -> None:
     stderr, and the run goes on as if no cache were set."""
     if not cache_dir:
         return
+    import json
+
     data = {
         "format": CACHE_FORMAT,
         "version": __version__,

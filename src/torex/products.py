@@ -16,9 +16,10 @@ to zero, its Euler class vanishes exactly when it has a summand
 (`zeroint_check`).
 
 Reordering permutes rows of equal sum and columns of equal sum; each
-orbit stands for its least key, its tuple of columns, found by sorting
-each column run under every arrangement of the rows, the arrangements
-stepped one at a time in a single list.
+orbit stands for its least key, its tuple of columns with each column
+run sorted, found by individualization and refinement (McKay and
+Piperno, "Practical graph isomorphism, II", 2014): the least next column
+fixes the rows up to ties, and only the ties are searched.
 """
 
 from __future__ import annotations
@@ -104,29 +105,36 @@ def _runs(sums: tuple) -> list:
     return [slice(a, b) for a, b in zip([0] + stops, stops)]
 
 
-def _row_orders(matrix: tuple, runs: list):
-    """Every distinct arrangement of matrix's rows within their runs, each
-    run sorted to begin with, one at a time in one list stepped in place:
-    the last run steps to its next arrangement in lexicographic order, and
-    a run past its last is sorted back and carries to the run before it."""
-    rows = list(matrix)
-    while True:
-        yield rows
-        for run in reversed(runs):
-            lo, hi = run.start, run.stop
-            i = hi - 2
-            while i >= lo and rows[i] >= rows[i + 1]:
-                i -= 1
-            if i >= lo:
-                break
-            rows[run] = rows[run][::-1]
-        else:
-            return
-        j = hi - 1
-        while rows[j] <= rows[i]:
-            j -= 1
-        rows[i], rows[j] = rows[j], rows[i]
-        rows[i + 1:hi] = rows[hi - 1:i:-1]
+def _least_key(runs: tuple, cells: tuple, memo: dict) -> tuple:
+    """The least tuple of the columns in runs, each run sorted, over the
+    arrangements of the rows within cells, by individualization and
+    refinement.  runs are the column runs still to key, each a sorted
+    tuple of columns; cells are the (start, stop) ranges of rows still free.
+
+    A column sorted within every cell is the least it can become, so the
+    next key column is the least of the run's columns so sorted.  Each
+    distinct column giving it fixes the rows up to ties: the rows of each
+    cell are sorted by it, each cell splits into its runs of equal entries,
+    and the rest of the key is searched with that column dropped.  The
+    least over those ties is the key; memo holds it for each (runs, cells).
+    """
+    if not runs or len(cells) == len(runs[0][0]):
+        # every row fixed: each run, sorted, is what is left of the key
+        return tuple(col for run in runs for col in run)
+    if (runs, cells) not in memo:
+        within = {col: tuple(v for a, b in cells for v in sorted(col[a:b])) for col in runs[0]}
+        first = min(within.values())
+        split = tuple((a + s.start, a + s.stop) for a, b in cells for s in _runs(first[a:b]))
+        rests = []
+        for col, least in within.items():
+            if least != first:
+                continue
+            order = [i for a, b in cells for i in sorted(range(a, b), key=col.__getitem__)]
+            moved = [sorted(tuple(c[i] for i in order) for c in run) for run in runs]
+            moved[0].remove(first)
+            rests.append(_least_key(tuple(tuple(run) for run in moved if run), split, memo))
+        memo[runs, cells] = (first,) + min(rests)
+    return memo[runs, cells]
 
 
 def _partition(parts) -> tuple:
@@ -142,21 +150,21 @@ def extremal_refinements(p: tuple, q: tuple) -> list:
     """All extremal common refinements of p and q, up to reordering; p
     and q are sorted into partitions, and checked, here.
 
-    Columns move only within their run of equal sums, so for a fixed row
-    order sorting each run of columns gives the least tuple of columns;
-    the orbit's least key is the least of those over the distinct
-    arrangements of the rows within their runs.  Every orbit holds a
-    matrix with its rows sorted within their runs, so only those are
-    enumerated and keyed, and distinct orbits have distinct least keys.
+    Columns move only within their run of equal sums and rows within
+    theirs, so an orbit's least key is the least tuple of columns, each
+    run of columns sorted, over the arrangements of the rows within their
+    runs (`_least_key`, one memo for every matrix of the pair).  Every
+    orbit holds a matrix with its rows sorted within their runs, so only
+    those are enumerated and keyed, and distinct orbits have distinct
+    least keys.
     """
     rows, cols = _partition(p), _partition(q)
     if sum(rows) != sum(cols):
         raise TorexError("partitions of genus %d and %d" % (sum(rows), sum(cols)))
-    row_runs, col_runs = _runs(rows), _runs(cols)
-    keys = {min(tuple(c for s in col_runs for c in sorted(columns[s]))
-                for order in _row_orders(matrix, row_runs)
-                for columns in (list(zip(*order)),))
-            for matrix in _row_sorted_matrices(rows, cols)}
+    cells, col_runs, memo = tuple((s.start, s.stop) for s in _runs(rows)), _runs(cols), {}
+    keys = {_least_key(tuple(tuple(sorted(columns[s])) for s in col_runs), cells, memo)
+            for matrix in _row_sorted_matrices(rows, cols)
+            for columns in (tuple(zip(*matrix)),)}
     out = []
     for key in keys:
         cells = tuple(sorted((i, j, v) for j, col in enumerate(key)

@@ -492,7 +492,7 @@ class TestCacheMisses:
             fh.write("partial")
             raise OSError("disk full")
 
-        monkeypatch.setattr(excess.json, "dump", broken_dump)
+        monkeypatch.setattr(json, "dump", broken_dump)
         excess._cache_store(str(tmp_path), 5, "recursion", {})
         assert capsys.readouterr().err == "warning: contribution cache not written: disk full\n"
         assert path.read_text() == "old"

@@ -2,12 +2,14 @@ from fractions import Fraction
 from itertools import chain, combinations, permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torex import TorexError
 from torex.polyring import Poly
 from torex.products import (
     _compositions as bounded_compositions,
-    _row_orders,
+    _least_key,
     _row_sorted_matrices,
     _runs,
     euler_tensor_e_basis,
@@ -174,6 +176,57 @@ def matrices_reference(rows, cols):
     ]
 
 
+def _row_orders(matrix: tuple, runs: list):
+    """Every distinct arrangement of matrix's rows within their runs, each
+    run sorted to begin with, one at a time in one list stepped in place:
+    the last run steps to its next arrangement in lexicographic order, and
+    a run past its last is sorted back and carries to the run before it."""
+    rows = list(matrix)
+    while True:
+        yield rows
+        for run in reversed(runs):
+            lo, hi = run.start, run.stop
+            i = hi - 2
+            while i >= lo and rows[i] >= rows[i + 1]:
+                i -= 1
+            if i >= lo:
+                break
+            rows[run] = rows[run][::-1]
+        else:
+            return
+        j = hi - 1
+        while rows[j] <= rows[i]:
+            j -= 1
+        rows[i], rows[j] = rows[j], rows[i]
+        rows[i + 1:hi] = rows[hi - 1:i:-1]
+
+
+def least_key_reference(matrix, rows, cols):
+    """The exhaustive minimum, the reference for `_least_key`: the least
+    tuple of columns, each run of columns sorted, over every arrangement
+    of the rows within their runs (sorted within them to begin with)."""
+    col_runs = _runs(cols)
+    return min(tuple(c for s in col_runs for c in sorted(columns[s]))
+               for order in _row_orders(matrix, _runs(rows))
+               for columns in (list(zip(*order)),))
+
+
+def least_key(matrix, rows, cols):
+    """The least key of matrix, with row sums rows and column sums cols,
+    by the search extremal_refinements runs."""
+    columns = tuple(zip(*matrix))
+    runs = tuple(tuple(sorted(columns[s])) for s in _runs(cols))
+    return _least_key(runs, tuple((s.start, s.stop) for s in _runs(rows)), {})
+
+
+def component_key(cells, n_rows, n_cols):
+    """The tuple of columns of the matrix whose nonzero cells are cells."""
+    matrix = [[0] * n_cols for _ in range(n_rows)]
+    for i, j, v in cells:
+        matrix[i][j] = v
+    return tuple(zip(*matrix))
+
+
 class TestMatrices:
     @pytest.mark.parametrize("g", range(2, 8))
     def test_matches_reference_in_order(self, g):
@@ -220,6 +273,44 @@ class TestRowOrders:
         matrix = ((0, 1), (0, 1), (1, 0), (0, 2), (1, 1))
         got = [tuple(order) for order in _row_orders(matrix, [slice(0, 3), slice(3, 5)])]
         assert len(got) == 3 * 2 == len(set(got))
+
+
+class TestLeastKey:
+    @pytest.mark.parametrize("g", [*range(2, 8), pytest.param(8, marks=pytest.mark.slow)])
+    def test_key_sets_equal_the_exhaustive_minimum(self, g):
+        parts = split_partitions(g)
+        for p in parts:
+            for q in parts:
+                want = {least_key_reference(m, p, q) for m in _row_sorted_matrices(p, q)}
+                got = {component_key(c.cells, len(p), len(q))
+                       for c in extremal_refinements(p, q)}
+                assert got == want, (p, q)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_invariant_under_reordering(self, data):
+        # a matrix up to 6 x 6, rows and columns sorted by their sums so
+        # that equal sums form runs (and rows sorted within their runs, as
+        # the reference takes them), keeps its least key when its rows are
+        # permuted within their runs and its columns within theirs
+        n_rows = data.draw(st.integers(1, 6))
+        n_cols = data.draw(st.integers(1, 6))
+        entry = st.integers(0, 2)
+        matrix = data.draw(st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols),
+                                    min_size=n_rows, max_size=n_rows))
+        columns = sorted(zip(*matrix), key=sum, reverse=True)
+        matrix = tuple(sorted(zip(*columns), key=lambda row: (-sum(row), row)))
+        columns = tuple(zip(*matrix))
+        rows, cols = tuple(map(sum, matrix)), tuple(map(sum, columns))
+
+        def shuffled(seq, runs):
+            return tuple(x for s in runs for x in data.draw(st.permutations(seq[s])))
+
+        moved = shuffled(matrix, _runs(rows))
+        moved = tuple(zip(*shuffled(tuple(zip(*moved)), _runs(cols))))
+        key = least_key(matrix, rows, cols)
+        assert least_key(moved, rows, cols) == key
+        assert key == least_key_reference(matrix, rows, cols)
 
 
 class TestRefinements:

@@ -115,6 +115,18 @@ def test_command_runs_only_the_modules_it_uses(command, ran):
     assert bare_python(code).splitlines()[0] == str(sorted(ran + ["cli"]))
 
 
+@pytest.mark.parametrize("command", [None, "zeroint --genus 3", "pullback --genus 3"])
+def test_json_is_imported_only_to_read_or_write_json(command):
+    # zeroint and pullback write their JSON directly, and with no cache
+    # set nothing reads or writes a cache file
+    code = "import os, sys, torex.cli\n"
+    if command:
+        code += ("out, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
+                 "assert torex.cli.main(%r) == 0\n"
+                 "sys.stdout = out\n" % command.split())
+    assert bare_python(code + "print('json' in sys.modules)") == "False"
+
+
 def test_direct_import_gives_ordinary_modules():
     # only the CLI registers modules lazily
     code = "import sys, types; from torex import strata; " + RAN
