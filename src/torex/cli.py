@@ -201,56 +201,50 @@ def cmd_constants(args) -> int:
     return 0
 
 
-def _zeroint_json(g: int, all_ok: bool, pairs: list) -> str:
-    """The text json.dumps(obj, indent=1) gives for the object
+def _zeroint_pair(fmt: str, p: tuple, q: tuple, ok: bool, comps: list) -> str:
+    """One pair of the zeroint report: its line of text, or its item of
+    the report's "pairs" array, in the bytes json.dumps(..., indent=1)
+    gives at that depth for
 
-        {"genus": g, "all_vanish": all_ok, "pairs": [{"first": p,
-          "second": q, "vanishes": ok, "components": [{"sigma": parts,
-          "excess": [[a, b], ...]}]}]}
+        {"first": p, "second": q, "vanishes": ok, "components": [{"sigma":
+          parts, "excess": [[a, b], ...]}]}
 
     written directly: json.dumps runs its pure-Python encoder when indent
     is set."""
+    if fmt == "text":
+        return "%s x %s -> vanishes=%s  [%s]" % (p, q, str(ok).lower(), "; ".join(
+            "sigma=%s excess=%s" % (c.sigma, [list(ab) for ab in c.excess_bundle]) for c in comps))
 
     def ints(xs, indent: int) -> str:
         return json_list([str(x) for x in xs], indent)
 
-    def component(comp) -> str:
-        return '{\n     "sigma": %s,\n     "excess": %s\n    }' % (
-            ints(comp.sigma, 5),
-            json_list([ints(ab, 6) for ab in comp.excess_bundle], 5))
-
-    entries = [
-        '{\n   "first": %s,\n   "second": %s,\n   "vanishes": %s,\n   "components": %s\n  }'
-        % (ints(p, 3), ints(q, 3), str(ok).lower(),
-           json_list([component(c) for c in comps], 3))
-        for p, q, ok, comps in pairs
-    ]
-    return '{\n "genus": %d,\n "all_vanish": %s,\n "pairs": %s\n}' % (
-        g, str(all_ok).lower(), json_list(entries, 1))
+    items = ['{\n     "sigma": %s,\n     "excess": %s\n    }'
+             % (ints(c.sigma, 5), json_list([ints(ab, 6) for ab in c.excess_bundle], 5))
+             for c in comps]
+    return '{\n   "first": %s,\n   "second": %s,\n   "vanishes": %s,\n   "components": %s\n  }' % (
+        ints(p, 3), ints(q, 3), str(ok).lower(), json_list(items, 3))
 
 
 def cmd_zeroint(args) -> int:
-    g = args.genus
-    parts = products.split_partitions(g)
-    pairs = []
+    # each pair is rendered as soon as it is judged, and only its text
+    # outlives it: a text pair is printed at once, a JSON pair is held,
+    # since the report's "all_vanish" comes before its "pairs"
+    entries, all_ok = [], True
+    emit = print if args.format == "text" else entries.append
+    parts = products.split_partitions(args.genus)
     # parts descend, so the pairs p <= q are q in parts[:i + 1]
     for i, p in enumerate(parts):
         for q in parts[:i + 1]:
             # one enumeration of the pair's matrices serves both
             comps = products.extremal_refinements(p, q)
-            pairs.append((p, q, products.zeroint_check(p, q, comps), comps))
-    all_ok = all(ok for _, _, ok, _ in pairs)
-    if args.format == "json":
-        sys.stdout.write(_zeroint_json(g, all_ok, pairs) + "\n")
-    else:
-        for p, q, ok, comps in pairs:
-            text = "; ".join(
-                "sigma=%s excess=%s" % (c.sigma, [list(ab) for ab in c.excess_bundle])
-                for c in comps
-            )
-            print("%s x %s -> vanishes=%s  [%s]"
-                  % (p, q, str(ok).lower(), text))
+            ok = products.zeroint_check(p, q, comps)
+            all_ok = all_ok and ok
+            emit(_zeroint_pair(args.format, p, q, ok, comps))
+    if args.format == "text":
         print("all pairs vanish: %s" % str(all_ok).lower())
+    else:
+        sys.stdout.write('{\n "genus": %d,\n "all_vanish": %s,\n "pairs": %s\n}\n'
+                         % (args.genus, str(all_ok).lower(), json_list(entries, 1)))
     return 0 if all_ok else 1
 
 
@@ -311,7 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, min_genus=1, fmt=("text", "json"))
     p.set_defaults(fn=cmd_constants)
 
-    p = sub.add_parser("zeroint", help="product-locus intersection vanishing")
+    p = sub.add_parser("zeroint", help="product-locus intersection vanishing", description=(
+        "Every pair vanishes: split_partitions yields only partitions with at least two parts, "
+        "so every matrix has two nonzero cells in different rows and different columns, and "
+        "every excess bundle is non-empty."))
     add_common(p)
     p.set_defaults(fn=cmd_zeroint)
 
@@ -330,6 +327,10 @@ def main(argv=None) -> int:
         return code
     except TorexError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 1
+    except MemoryError:
+        # one short line needs little memory, even here
+        print("error: out of memory", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # the reader closed standard out: end quietly, with fd 1 on

@@ -13,7 +13,10 @@ at most one part.  The excess bundle of a component is the sum of
 E_a^dual (x) E_b^dual over pairs of parts lying in different rows and
 different columns.  With the top Chern class of every Hodge factor set
 to zero, its Euler class vanishes exactly when it has a summand
-(`zeroint_check`).
+(`zeroint_check`).  So every pair `zeroint` runs vanishes:
+`split_partitions` yields only partitions with at least two parts, so
+every matrix has two nonzero cells in different rows and different
+columns, and every excess bundle is non-empty.
 
 Reordering permutes rows of equal sum and columns of equal sum; each
 orbit stands for its least key, its tuple of columns with each column

@@ -600,6 +600,43 @@ class TestZeroint:
         assert code == 0
         assert out == json.dumps(json.loads(out), indent=1) + "\n"
 
+    def test_text_pair_written_before_the_next_is_enumerated(self, monkeypatch):
+        # the number of lines stdout holds at each enumeration: pair k is
+        # written before pair k + 1 is enumerated, 21 pairs at genus 5
+        out, lines = io.StringIO(), []
+        enumerate_pair = products.extremal_refinements
+
+        def recording(p, q):
+            lines.append(out.getvalue().count("\n"))
+            return enumerate_pair(p, q)
+
+        monkeypatch.setattr(products, "extremal_refinements", recording)
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["zeroint", "--genus", "5", "--format", "text"]) == 0
+        assert lines == list(range(21))
+
+    @pytest.mark.parametrize("fault, line", [
+        (torex.TorexError("injected"), "error: injected\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ], ids=["TorexError", "MemoryError"])
+    def test_failure_after_two_pairs(self, capsys, monkeypatch, fault, line):
+        # the third pair's enumeration raises: the first two pair lines are
+        # on stdout, and one error line on stderr
+        argv = ["zeroint", "--genus", "5", "--format", "text"]
+        _, whole, _ = run(capsys, *argv)
+        calls = []
+        enumerate_pair = products.extremal_refinements
+
+        def failing(p, q):
+            calls.append((p, q))
+            if len(calls) == 3:
+                raise fault
+            return enumerate_pair(p, q)
+
+        monkeypatch.setattr(products, "extremal_refinements", failing)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "".join(whole.splitlines(True)[:2]), line)
+
 
 def closed_formula_gives_seven(monkeypatch):
     """An empty table memo, and a closed formula of 7 for every shape."""

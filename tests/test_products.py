@@ -448,6 +448,21 @@ class TestZeroint:
             for q in parts:
                 assert zeroint_check(p, q), (p, q)
 
+    @pytest.mark.parametrize("g", [*range(2, 9), pytest.param(9, marks=pytest.mark.slow)])
+    def test_every_bundle_non_empty(self, g):
+        # split partitions have at least two parts, so every matrix has two
+        # nonzero cells in different rows and different columns, and each
+        # such pair of cells is a summand of its excess bundle
+        parts = split_partitions(g)
+        for i, p in enumerate(parts):
+            for q in parts[:i + 1]:
+                comps = extremal_refinements(p, q)
+                for comp in comps:
+                    apart = [tuple(sorted((a, b))) for (i1, j1, a), (i2, j2, b)
+                             in combinations(comp.cells, 2) if i1 != i2 and j1 != j2]
+                    assert apart and tuple(sorted(apart)) == comp.excess_bundle, (p, q, comp)
+                assert comps and zeroint_check(p, q, comps), (p, q)
+
     def test_rejects_single_part(self):
         with pytest.raises(TorexError, match="both partitions need at least 2 parts"):
             zeroint_check((5,), (4, 1))
