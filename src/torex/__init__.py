@@ -24,7 +24,8 @@ def json_list(items: list, indent: int) -> str:
     """The text json.dumps(..., indent=1) gives for an array whose items
     it writes as the given texts: one item a line, one space deeper than
     the given indent, and the closing bracket at it.  Every JSON array
-    the package writes directly is laid out by it."""
+    the package writes directly is laid out by it, or item by item in
+    the same bytes by `cli._write_json_list`."""
     if not items:
         return "[]"
     pad = "\n" + " " * (indent + 1)

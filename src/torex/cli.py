@@ -57,6 +57,16 @@ def _emit_json(obj) -> None:
     sys.stdout.write(json.dumps(obj, indent=1) + "\n")
 
 
+def _write_json_list(items, indent: int) -> None:
+    """Write json_list(list(items), indent) to standard out, each item as
+    soon as it is made, so that no item outlives its writing."""
+    pad, opening = "\n" + " " * (indent + 1), "["
+    for item in items:
+        sys.stdout.write(opening + pad + item)
+        opening = ","
+    sys.stdout.write("[]" if opening == "[" else "\n" + " " * indent + "]")
+
+
 def _int_at_least(low: int):
     """argparse type: an int >= low; anything else is a usage error."""
 
@@ -82,7 +92,8 @@ def cmd_trees(args) -> int:
     max_edges = args.max_edges if args.max_edges is not None else args.genus - 1
     ts = trees.enumerate_trees(args.genus, max_edges)
     if args.format == "json":
-        sys.stdout.write(json_list([trees.tree_json(t, 1) for t in ts], 0) + "\n")
+        _write_json_list((trees.tree_json(t, 1) for t in ts), 0)
+        sys.stdout.write("\n")
     else:
         for t in ts:
             print("%-28s edges=%d aut=%d" % (t.code, t.n_edges, t.aut_order))
@@ -201,18 +212,22 @@ def cmd_constants(args) -> int:
     return 0
 
 
-def _zeroint_pair(fmt: str, p: tuple, q: tuple, ok: bool, comps: list) -> str:
-    """One pair of the zeroint report: its line of text, or its item of
-    the report's "pairs" array, in the bytes json.dumps(..., indent=1)
-    gives at that depth for
+def _zeroint_pair(fmt: str, p: tuple, q: tuple) -> str:
+    """One pair of the zeroint report, enumerated and checked: its line of
+    text, or its item of the report's "pairs" array, in the bytes
+    json.dumps(..., indent=1) gives at that depth for
 
-        {"first": p, "second": q, "vanishes": ok, "components": [{"sigma":
+        {"first": p, "second": q, "vanishes": true, "components": [{"sigma":
           parts, "excess": [[a, b], ...]}]}
 
     written directly: json.dumps runs its pure-Python encoder when indent
-    is set."""
+    is set.  A pair that does not vanish raises, naming it."""
+    # one enumeration of the pair's matrices serves the check and the text
+    comps = products.extremal_refinements(p, q)
+    if not products.zeroint_check(p, q, comps):
+        raise TorexError("the pair %s x %s does not vanish" % (p, q))
     if fmt == "text":
-        return "%s x %s -> vanishes=%s  [%s]" % (p, q, str(ok).lower(), "; ".join(
+        return "%s x %s -> vanishes=true  [%s]" % (p, q, "; ".join(
             "sigma=%s excess=%s" % (c.sigma, [list(ab) for ab in c.excess_bundle]) for c in comps))
 
     def ints(xs, indent: int) -> str:
@@ -221,31 +236,24 @@ def _zeroint_pair(fmt: str, p: tuple, q: tuple, ok: bool, comps: list) -> str:
     items = ['{\n     "sigma": %s,\n     "excess": %s\n    }'
              % (ints(c.sigma, 5), json_list([ints(ab, 6) for ab in c.excess_bundle], 5))
              for c in comps]
-    return '{\n   "first": %s,\n   "second": %s,\n   "vanishes": %s,\n   "components": %s\n  }' % (
-        ints(p, 3), ints(q, 3), str(ok).lower(), json_list(items, 3))
+    return ('{\n   "first": %s,\n   "second": %s,\n   "vanishes": true,\n   "components": %s\n  }'
+            % (ints(p, 3), ints(q, 3), json_list(items, 3)))
 
 
 def cmd_zeroint(args) -> int:
-    # each pair is rendered as soon as it is judged, and only its text
-    # outlives it: a text pair is printed at once, a JSON pair is held,
-    # since the report's "all_vanish" comes before its "pairs"
-    entries, all_ok = [], True
-    emit = print if args.format == "text" else entries.append
+    # every pair vanishes (see the products docstring), so the verdict is
+    # written first, and each pair is checked and written as it is made
     parts = products.split_partitions(args.genus)
     # parts descend, so the pairs p <= q are q in parts[:i + 1]
-    for i, p in enumerate(parts):
-        for q in parts[:i + 1]:
-            # one enumeration of the pair's matrices serves both
-            comps = products.extremal_refinements(p, q)
-            ok = products.zeroint_check(p, q, comps)
-            all_ok = all_ok and ok
-            emit(_zeroint_pair(args.format, p, q, ok, comps))
+    pairs = (_zeroint_pair(args.format, p, q) for i, p in enumerate(parts) for q in parts[:i + 1])
     if args.format == "text":
-        print("all pairs vanish: %s" % str(all_ok).lower())
+        sys.stdout.writelines(line + "\n" for line in pairs)
+        print("all pairs vanish: true")
     else:
-        sys.stdout.write('{\n "genus": %d,\n "all_vanish": %s,\n "pairs": %s\n}\n'
-                         % (args.genus, str(all_ok).lower(), json_list(entries, 1)))
-    return 0 if all_ok else 1
+        sys.stdout.write('{\n "genus": %d,\n "all_vanish": true,\n "pairs": ' % args.genus)
+        _write_json_list(pairs, 1)
+        sys.stdout.write("\n}\n")
+    return 0
 
 
 def cmd_verify(args) -> int:
@@ -306,9 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_constants)
 
     p = sub.add_parser("zeroint", help="product-locus intersection vanishing", description=(
-        "Every pair vanishes: split_partitions yields only partitions with at least two parts, "
-        "so every matrix has two nonzero cells in different rows and different columns, and "
-        "every excess bundle is non-empty."))
+        "Every pair vanishes: split_partitions yields only partitions with at least two parts, so "
+        "every matrix has two nonzero cells in different rows and different columns, and every "
+        "excess bundle is non-empty. A failed check would end with an error naming the pair."))
     add_common(p)
     p.set_defaults(fn=cmd_zeroint)
 

@@ -16,7 +16,9 @@ to zero, its Euler class vanishes exactly when it has a summand
 (`zeroint_check`).  So every pair `zeroint` runs vanishes:
 `split_partitions` yields only partitions with at least two parts, so
 every matrix has two nonzero cells in different rows and different
-columns, and every excess bundle is non-empty.
+columns, and every excess bundle is non-empty.  `zeroint` states that
+verdict first and checks each pair as it writes it; a pair whose check
+failed would end the report with one `error:` line naming it.
 
 Reordering permutes rows of equal sum and columns of equal sum; each
 orbit stands for its least key, its tuple of columns with each column

@@ -15,7 +15,7 @@ import pytest
 
 import torex
 from torex import agring, excess, products, strata, verify
-from torex.cli import main
+from torex.cli import _write_json_list, main
 from torex.trees import ExtremalTree, enumerate_trees
 
 from helpers import tree_dict
@@ -78,6 +78,35 @@ class TestTrees:
         ts = enumerate_trees(g, g - 1 if max_edges is None else max_edges)
         assert code == 0
         assert out == json.dumps([tree_dict(t) for t in ts], indent=1) + "\n"
+
+    def test_failure_after_two_trees(self, capsys, monkeypatch):
+        # the third tree's rendering raises: the first two trees are on
+        # stdout as the whole output has them, and one error line on stderr
+        argv = ["trees", "--genus", "6"]
+        _, whole, _ = run(capsys, *argv)
+        rendered = []
+        tree_json = sys.modules["torex.trees"].tree_json
+
+        def failing(t, indent):
+            if len(rendered) == 2:
+                raise torex.TorexError("injected")
+            rendered.append(tree_json(t, indent))
+            return rendered[-1]
+
+        monkeypatch.setattr(sys.modules["torex.trees"], "tree_json", failing)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, "error: injected\n")
+        assert whole.startswith(out) and out.endswith(rendered[1])
+
+
+class TestJsonListWriter:
+    @pytest.mark.parametrize("n", range(4))
+    @pytest.mark.parametrize("indent", [0, 1])
+    def test_bytes_of_json_list(self, capsys, n, indent):
+        # the streamed writer lays an array out as json_list does
+        items = ['{\n  "item": %d\n }' % i for i in range(n)]
+        _write_json_list(iter(items), indent)
+        assert capsys.readouterr().out == torex.json_list(items, indent)
 
 
 class TestContribution:
@@ -600,29 +629,32 @@ class TestZeroint:
         assert code == 0
         assert out == json.dumps(json.loads(out), indent=1) + "\n"
 
-    def test_text_pair_written_before_the_next_is_enumerated(self, monkeypatch):
-        # the number of lines stdout holds at each enumeration: pair k is
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_pair_written_before_the_next_is_enumerated(self, monkeypatch, fmt):
+        # the number of pairs stdout holds at each enumeration: pair k is
         # written before pair k + 1 is enumerated, 21 pairs at genus 5
-        out, lines = io.StringIO(), []
+        out, written = io.StringIO(), []
         enumerate_pair = products.extremal_refinements
 
         def recording(p, q):
-            lines.append(out.getvalue().count("\n"))
+            written.append(pairs_written(out.getvalue(), fmt))
             return enumerate_pair(p, q)
 
         monkeypatch.setattr(products, "extremal_refinements", recording)
         monkeypatch.setattr(sys, "stdout", out)
-        assert main(["zeroint", "--genus", "5", "--format", "text"]) == 0
-        assert lines == list(range(21))
+        assert main(["zeroint", "--genus", "5", "--format", fmt]) == 0
+        assert written == list(range(21))
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
     @pytest.mark.parametrize("fault, line", [
         (torex.TorexError("injected"), "error: injected\n"),
         (MemoryError(), "error: out of memory\n"),
     ], ids=["TorexError", "MemoryError"])
-    def test_failure_after_two_pairs(self, capsys, monkeypatch, fault, line):
-        # the third pair's enumeration raises: the first two pair lines are
-        # on stdout, and one error line on stderr
-        argv = ["zeroint", "--genus", "5", "--format", "text"]
+    def test_failure_after_two_pairs(self, capsys, monkeypatch, fault, line, fmt):
+        # the third pair's enumeration raises: stdout holds the whole
+        # output's bytes up to the end of the second pair, and stderr one
+        # error line
+        argv = ["zeroint", "--genus", "5", "--format", fmt]
         _, whole, _ = run(capsys, *argv)
         calls = []
         enumerate_pair = products.extremal_refinements
@@ -635,7 +667,59 @@ class TestZeroint:
 
         monkeypatch.setattr(products, "extremal_refinements", failing)
         code, out, err = run(capsys, *argv)
-        assert (code, out, err) == (1, "".join(whole.splitlines(True)[:2]), line)
+        assert (code, out, err) == (1, first_pairs(whole, fmt, 2), line)
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_pair_that_does_not_vanish(self, capsys, monkeypatch, fmt):
+        # a check that fails on the third pair ends the report after the
+        # second, with one error line naming the third
+        argv = ["zeroint", "--genus", "5", "--format", fmt]
+        _, whole, _ = run(capsys, *argv)
+        calls = []
+        check = products.zeroint_check
+
+        def failing(p, q, comps):
+            calls.append((p, q))
+            return len(calls) != 3 and check(p, q, comps)
+
+        monkeypatch.setattr(products, "zeroint_check", failing)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, first_pairs(whole, fmt, 2))
+        assert err == "error: the pair %s x %s does not vanish\n" % calls[2]
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_own_peak_memory(self, tmp_path):
+        # the JSON report at genus 10 is 14.6 MB; written pair by pair, the
+        # process's own peak stays far below what holding it took (65 MB)
+        src = str(Path(torex.__file__).resolve().parent.parent)
+        stub = ("import sys\nfrom torex.cli import main\ncode = main(sys.argv[1:])\n"
+                "sys.stdout.flush()\n"
+                "print(*(l for l in open('/proc/self/status') if l.startswith('VmHWM:')), "
+                "end='', file=sys.stderr)\nsys.exit(code)\n")
+        res = subprocess.run([sys.executable, "-B", "-c", stub, "zeroint", "--genus", "10"],
+                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                             env={"PYTHONPATH": src}, cwd=tmp_path, timeout=600)
+        assert res.returncode == 0, res.stderr
+        kb = int(re.fullmatch(r"VmHWM:\s+(\d+) kB\n", res.stderr).group(1))
+        assert kb < 40 * 1024, "own peak %d kB" % kb
+
+
+def pairs_written(out: str, fmt: str) -> int:
+    """The number of whole pairs a zeroint report holds so far."""
+    return out.count("\n") if fmt == "text" else out.count("\n  }")
+
+
+def first_pairs(whole: str, fmt: str, k: int) -> str:
+    """A whole zeroint report's bytes up to the end of its k-th pair: its
+    first k lines in text; in JSON, through the closing brace of the k-th
+    item of "pairs", the only braces two spaces deep."""
+    if fmt == "text":
+        return "".join(whole.splitlines(True)[:k])
+    end = 0
+    for _ in range(k):
+        end = whole.index("\n  }", end) + len("\n  }")
+    return whole[:end]
 
 
 def closed_formula_gives_seven(monkeypatch):

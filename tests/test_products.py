@@ -313,6 +313,27 @@ class TestLeastKey:
         assert key == least_key_reference(matrix, rows, cols)
 
 
+class TestDoublySorted:
+    @pytest.mark.parametrize("g", [*range(2, 8), pytest.param(8, marks=pytest.mark.slow)])
+    def test_every_orbit_holds_a_doubly_sorted_matrix(self, g):
+        # every orbit, named by its least key, holds a matrix whose rows are
+        # sorted within their row runs and whose columns are sorted within
+        # their column runs, both ascending as tuples: Lubiw's doubly lexical
+        # ordering, with the permutations confined to runs
+        parts = split_partitions(g)
+        for p in parts:
+            row_runs = _runs(p)
+            for q in parts:
+                # each orbit's matrices with their rows sorted within runs
+                # (the exhaustive key reads those), each keyed once
+                keys = {rows: least_key_reference(rows, p, q) for rows in {
+                    tuple(row for s in row_runs for row in sorted(matrix[s]))
+                    for matrix in matrices_reference(p, q)}}
+                doubly_sorted = {key for rows, key in keys.items()
+                                 if _rows_sorted(tuple(zip(*rows)), q)}
+                assert doubly_sorted == set(keys.values()), (p, q)
+
+
 class TestRefinements:
     @pytest.mark.parametrize("g", range(2, 6))
     def test_matches_brute_force_reference(self, g):
