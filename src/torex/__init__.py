@@ -30,3 +30,15 @@ def json_list(items: list, indent: int) -> str:
         return "[]"
     pad = "\n" + " " * (indent + 1)
     return "[%s%s\n%s]" % (pad, ("," + pad).join(items), " " * indent)
+
+
+def json_object(fields: list, indent: int) -> str:
+    """The text json.dumps(..., indent=1) gives for an object standing
+    indent deep whose (key, value text) pairs are the given ones, in
+    order: one pair a line, one space deeper than indent, and the closing
+    brace at it.  A key needs no escaping, and fields is not empty.  A
+    value text may be a placeholder such as '%s', so that a writer builds
+    its template once and fills it per item with one '%'.  Every JSON
+    object the package writes directly is laid out by it."""
+    pad = "\n" + " " * (indent + 1)
+    return "{%s%s\n%s}" % (pad, ("," + pad).join('"%s": %s' % kv for kv in fields), " " * indent)

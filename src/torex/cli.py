@@ -12,7 +12,7 @@ import importlib.util
 import os
 import sys
 
-from . import TorexError, json_list
+from . import TorexError, json_list, json_object
 
 
 def _lazy(name: str):
@@ -233,11 +233,11 @@ def _zeroint_pair(fmt: str, p: tuple, q: tuple) -> str:
     def ints(xs, indent: int) -> str:
         return json_list([str(x) for x in xs], indent)
 
-    items = ['{\n     "sigma": %s,\n     "excess": %s\n    }'
-             % (ints(c.sigma, 5), json_list([ints(ab, 6) for ab in c.excess_bundle], 5))
+    component = json_object([("sigma", "%s"), ("excess", "%s")], 4)
+    items = [component % (ints(c.sigma, 5), json_list([ints(ab, 6) for ab in c.excess_bundle], 5))
              for c in comps]
-    return ('{\n   "first": %s,\n   "second": %s,\n   "vanishes": true,\n   "components": %s\n  }'
-            % (ints(p, 3), ints(q, 3), json_list(items, 3)))
+    return json_object([("first", ints(p, 3)), ("second", ints(q, 3)), ("vanishes", "true"),
+                        ("components", json_list(items, 3))], 2)
 
 
 def cmd_zeroint(args) -> int:
@@ -250,9 +250,12 @@ def cmd_zeroint(args) -> int:
         sys.stdout.writelines(line + "\n" for line in pairs)
         print("all pairs vanish: true")
     else:
-        sys.stdout.write('{\n "genus": %d,\n "all_vanish": true,\n "pairs": ' % args.genus)
+        # the report's object, split where its pairs are streamed in
+        head, tail = json_object([("genus", str(args.genus)), ("all_vanish", "true"),
+                                  ("pairs", "%s")], 0).split("%s")
+        sys.stdout.write(head)
         _write_json_list(pairs, 1)
-        sys.stdout.write("\n}\n")
+        print(tail)
     return 0
 
 

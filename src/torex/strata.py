@@ -22,7 +22,8 @@ as term dicts and expanded by `Poly.substitute`; terms past a vertex
 bound are dropped before the rest are sorted.  `serialize` writes both
 formats directly, the JSON one as the bytes `json.dumps(..., indent=1)`
 gives for its fixed schema, each term's tree by `trees.tree_json`, the
-one writer of a tree's JSON, and every array by `torex.json_list`.  The
+one writer of a tree's JSON, every array by `torex.json_list` and every
+object by `torex.json_object`.  The
 `admcycles` format is torex's own audit listing, not input that
 admcycles reads.
 """
@@ -33,7 +34,7 @@ from collections import namedtuple
 from fractions import Fraction
 from operator import gt
 
-from . import TorexError, json_list
+from . import TorexError, json_list, json_object
 from .excess import Contribution, all_contributions
 from .polyring import Poly, cvar, lamvar, mono_str, psivar, var_degree, zvar
 from .trees import ExtremalTree, tree_json
@@ -187,18 +188,15 @@ def _json_text(s: StrataExpression) -> str:
 
     written directly, each tree by `tree_json`: json.dumps runs its
     pure-Python encoder when indent is set."""
-    terms = []
-    for term in s.terms:
-        # a vertex text is letters, digits, '*' and '^': nothing to escape
-        summands = [
-            '{\n     "coeff": "%s",\n     "vertex_polys": %s\n    }'
-            % (sm.coeff, json_list(['"%s"' % text for text in sm.monos], 5))
-            for sm in term.summands
-        ]
-        terms.append('{\n   "tree": %s,\n   "aut": %d,\n   "summands": %s\n  }'
-                     % (tree_json(term.tree, 3), term.tree.aut_order,
-                        json_list(summands, 3)))
-    return '{\n "genus": %d,\n "terms": %s\n}' % (s.genus, json_list(terms, 1))
+    summand = json_object([("coeff", '"%s"'), ("vertex_polys", "%s")], 4)
+    tree_term = json_object([("tree", "%s"), ("aut", "%d"), ("summands", "%s")], 2)
+    # a vertex text is letters, digits, '*' and '^': nothing to escape
+    terms = [tree_term % (tree_json(term.tree, 3), term.tree.aut_order, json_list(
+        [summand % (sm.coeff, json_list(['"%s"' % text for text in sm.monos], 5))
+         for sm in term.summands], 3)) for term in s.terms]
+    # filled as a template: a value passed to json_object is copied once
+    # more, and at g = 12 the terms are 274 MB
+    return json_object([("genus", "%d"), ("terms", "%s")], 0) % (s.genus, json_list(terms, 1))
 
 
 def _to_audit_text(s: StrataExpression) -> str:

@@ -9,7 +9,8 @@ carries the 1-based label label[w], assigned in breadth-first order
 
 `tree_json` is the one writer of a tree's JSON: `trees --format json`
 and every term of `pullback --format json` print their trees by it,
-laying out its arrays by `torex.json_list`.
+laying out its arrays by `torex.json_list` and its objects by
+`torex.json_object`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from . import TorexError, json_list
+from . import TorexError, json_list, json_object
 
 
 Code = tuple  # nested (genus, (child codes...)) structure
@@ -198,22 +199,29 @@ class ExtremalTree:
     def __repr__(self):
         return "ExtremalTree(%s)" % self.code
 
+
+@lru_cache(maxsize=None)
+def _tree_templates(level: int) -> tuple:
+    """tree_json's templates for a tree standing level deep: a vertex, an
+    edge and the tree."""
+    return (json_object([("id", "%d"), ("genus", "%d")], level + 2),
+            json_list(["%d", "%d"], level + 2),
+            # a code is digits, signs and brackets: nothing to escape
+            json_object([("genus", "%d"), ("root", "0"), ("vertices", "%s"), ("edges", "%s"),
+                         ("aut", "%d"), ("code", '"%s"')], level))
+
+
 def tree_json(t: ExtremalTree, level: int) -> str:
     """The text json.dumps(obj, indent=1) gives for the tree's object
 
         {"genus": g, "root": 0, "vertices": [{"id": v, "genus": g_v}, ...],
          "edges": [[u, w], ...] in label order, "aut": |Aut|, "code": code}
 
-    with every line after the first indented level spaces more, as the
-    tree stands level deep in a document.  `trees` and `pullback` print
+    standing level deep in a document.  `trees` and `pullback` print
     every tree by it: json.dumps runs its pure-Python encoder."""
-    vertices = ['{\n   "id": %d,\n   "genus": %d\n  }' % vg for vg in enumerate(t.genera)]
-    edges = ['[\n   %d,\n   %d\n  ]' % uw for uw in t.edges()]
-    # a code is digits, signs and brackets: nothing to escape
-    text = ('{\n "genus": %d,\n "root": 0,\n "vertices": %s,\n "edges": %s,\n'
-            ' "aut": %d,\n "code": "%s"\n}'
-            % (t.genus, json_list(vertices, 1), json_list(edges, 1), t.aut_order, t.code))
-    return text.replace("\n", "\n" + " " * level)
+    vertex, edge, tree = _tree_templates(level)
+    return tree % (t.genus, json_list([vertex % vg for vg in enumerate(t.genera)], level + 1),
+                   json_list([edge % uw for uw in t.edges()], level + 1), t.aut_order, t.code)
 
 
 def _canonical_order(children, node) -> tuple:

@@ -589,6 +589,36 @@ class TestLambdaProductsDigests:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def recorded_digest(source: str, command: str) -> str:
+    """A command's stdout sha256 as recorded: in bench/golden.json's full
+    digests, or in tests/census.json's rows."""
+    if source == "golden":
+        with open(BENCH / "golden.json", encoding="utf-8") as fh:
+            return json.load(fh)["digests"]["full"][command]
+    with open(Path(__file__).with_name("census.json"), encoding="utf-8") as fh:
+        return next(row["sha256"] for row in json.load(fh)["rows"] if row["command"] == command)
+
+
+class TestHashSeeds:
+    """Every other test runs under the one hash seed of its interpreter:
+    the promised bytes do not depend on it."""
+
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    @pytest.mark.parametrize("command, source, recorded", [
+        # the recursion's bytes are the closed formula's, which the
+        # benchmark pins under this command
+        ("pullback --genus 7", "golden", "pullback --genus 7 --method pixton --jobs 2"),
+        ("zeroint --genus 7", "census", "zeroint --genus 7"),
+    ])
+    def test_bytes_match_recorded_digest(self, seed, command, source, recorded):
+        src = str(Path(torex.__file__).resolve().parent.parent)
+        res = subprocess.run([sys.executable, "-B", "-m", "torex.cli", *command.split()],
+                             capture_output=True, timeout=300,
+                             env={"PYTHONPATH": src, "PYTHONHASHSEED": seed})
+        assert (res.returncode, res.stderr) == (0, b"")
+        assert hashlib.sha256(res.stdout).hexdigest() == recorded_digest(source, recorded)
+
+
 class TestCachedPullbackDigests:
     """The benchmark's cached workload: both formats read from a cache that
     the JSON command filled give the recorded bytes."""
@@ -1169,3 +1199,14 @@ class TestTraceChildProcess:
             assert measures == [[sum(sizes), max(sizes)]]
         else:
             assert measures == []
+
+
+@pytest.mark.slow
+def test_benchmark_selftest_passes():
+    # the benchmark traces library names and requires each workload to
+    # reach its layers: a library change that breaks either fails here
+    env = {k: v for k, v in os.environ.items() if k != "EXCESS_CACHE_DIR"}
+    res = subprocess.run([sys.executable, "bench/selftest.py"], cwd=BENCH.parent,
+                         capture_output=True, text=True, env=env, timeout=600)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert res.stdout.splitlines()[-1] == "selftest: ok"

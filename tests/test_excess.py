@@ -404,6 +404,35 @@ class TestShapes:
         assert labels == (2, 1, 3, 4)
 
 
+def shape_terms(table):
+    """Each shape code of a table -> its terms {(i, exps): coeff}, the
+    exponents put in the shape's edge order (shape edge i takes the
+    tree's exponent at labels[i - 1]); every tree of a shape must agree."""
+    out = {}
+    for cont in table.values():
+        code, labels = shape(cont.tree)
+        terms = {(i, tuple(exps[j - 1] for j in labels)): c for i, exps, c in cont.terms}
+        assert out.setdefault(code, terms) == terms, cont.tree.code
+    return out
+
+
+class TestGenusShift:
+    # The closed formula is (T * c(N)) in degree d = g - 1 - n, T the
+    # Taylor part by prod z_e, so its c_j part at genus g is T in degree
+    # d - j: the c_{j+1} part at genus g + 1.  The recursion has no such
+    # structure built in, so its table at g is checked against the closed
+    # formula's at g + 1.  The shift is an oracle only: no table is
+    # computed from it.
+    @pytest.mark.parametrize("g", [*range(3, 9), *(pytest.param(g, marks=pytest.mark.slow)
+                                                   for g in (9, 10))])
+    def test_recursion_at_g_is_the_closed_formula_at_g_plus_1_shifted(self, g, memo):
+        low = shape_terms(all_contributions(g, "recursion"))
+        high = shape_terms(all_contributions(g + 1, "pixton"))
+        assert set(low) <= set(high)
+        for code, terms in low.items():
+            assert {(i - 1, exps): c for (i, exps), c in high[code].items() if i >= 1} == terms, code
+
+
 def poly_of_terms_reference(terms):
     """The Poly of terms (i, exps, coeff) as the table built it when it held
     Polys: coeff * c_i * prod_j z_j^exps[j-1] with c_0 read as 1."""

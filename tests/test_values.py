@@ -171,6 +171,30 @@ def test_json_list_is_the_json_dumps_layout(n, indent):
     assert torex.json_list(items, indent) == reference(nested)
 
 
+@pytest.mark.parametrize("indent", range(7))
+@pytest.mark.parametrize("n", [1, 3])
+def test_json_object_is_the_json_dumps_layout(n, indent):
+    # an object standing indent deep in a document, laid out as json_list
+    # lays out an array
+    def reference(obj):
+        return json.dumps(obj, indent=1).replace("\n", "\n" + " " * indent)
+
+    flat = {"k%d" % i: "v%d" % i for i in range(n)}
+    assert torex.json_object([(k, json.dumps(v)) for k, v in flat.items()], indent) \
+        == reference(flat)
+    # values of each kind the package writes: an array, an object, a number
+    values = {"list": ([0, 1, 2], torex.json_list(["0", "1", "2"], indent + 1)),
+              "object": ({"a": 1, "b": []},
+                         torex.json_object([("a", "1"), ("b", "[]")], indent + 1)),
+              "int": (7, "7")}
+    keys = list(values)[:n]
+    fields = [(k, values[k][1]) for k in keys]
+    assert torex.json_object(fields, indent) == reference({k: values[k][0] for k in keys})
+    # a template built once and filled with one '%' gives the same text
+    template = torex.json_object([(k, "%s") for k in keys], indent)
+    assert template % tuple(text for _, text in fields) == torex.json_object(fields, indent)
+
+
 MODULES = sorted(Path(torex.__file__).resolve().parent.glob("*.py"))
 
 
