@@ -50,13 +50,6 @@ def _cache_dir() -> str | None:
     return os.environ.get("EXCESS_CACHE_DIR") or None
 
 
-def _emit_json(obj) -> None:
-    # imported here: zeroint, trees and pullback write their JSON directly
-    import json
-
-    sys.stdout.write(json.dumps(obj, indent=1) + "\n")
-
-
 def _write_json_list(items, indent: int) -> None:
     """Write json_list(list(items), indent) to standard out, each item as
     soon as it is made, so that no item outlives its writing."""
@@ -65,6 +58,11 @@ def _write_json_list(items, indent: int) -> None:
         sys.stdout.write(opening + pad + item)
         opening = ","
     sys.stdout.write("[]" if opening == "[" else "\n" + " " * indent + "]")
+
+
+def _ints(xs, indent: int) -> str:
+    """json_list of the ints xs, standing indent deep."""
+    return json_list([str(x) for x in xs], indent)
 
 
 def _int_at_least(low: int):
@@ -111,7 +109,7 @@ def cmd_contribution(args) -> int:
         texts = [{code: str(cont.poly) for code, cont in table.items()} for table in tables]
         table = texts[0]
         if args.format == "json":
-            _emit_json({code: table[code] for code in sorted(table)})
+            print(json_object([(code, '"%s"' % table[code]) for code in sorted(table)], 0))
         else:
             for code in sorted(table):
                 print("%-28s %s" % (code, table[code]))
@@ -131,10 +129,11 @@ def cmd_contribution(args) -> int:
     values = {method: str(excess.tree_contribution(tree, method).poly) for method in methods}
     match = len(set(values.values())) == 1
     if args.format == "json":
-        out = {"tree": tree.code, "genus": g, "contribution": values}
+        out = [("tree", '"%s"' % tree.code), ("genus", str(g)), ("contribution", json_object(
+            [(method, '"%s"' % text) for method, text in values.items()], 1))]
         if args.method == "both":
-            out["match"] = match
-        _emit_json(out)
+            out.append(("match", str(match).lower()))
+        print(json_object(out, 0))
     else:
         for method in methods:
             print("%s: %s" % (method, values[method]))
@@ -159,17 +158,10 @@ def cmd_ring(args) -> int:
     perfect = all(agring.pairing_is_perfect(g, d) for d in range(D + 1))
     socle = str(agring.socle_generator(g))
     if args.format == "json":
-        _emit_json(
-            {
-                "genus": g,
-                "dimension": sum(dims),
-                "graded_dimensions": dims,
-                "socle_degree": D,
-                "socle_generator": socle,
-                "pairing_ranks": ranks,
-                "gorenstein": perfect,
-            }
-        )
+        print(json_object([("genus", str(g)), ("dimension", str(sum(dims))),
+                           ("graded_dimensions", _ints(dims, 1)), ("socle_degree", str(D)),
+                           ("socle_generator", '"%s"' % socle), ("pairing_ranks", _ints(ranks, 1)),
+                           ("gorenstein", str(perfect).lower())], 0))
     else:
         print("genus %d: dim %d = 2^%d, socle degree %d, generator %s"
               % (g, sum(dims), g - 1, D, socle))
@@ -186,19 +178,14 @@ def cmd_constants(args) -> int:
     hc = constants.hodge_constants(g)
     variant = constants.coefficient_discrepancy(g)
     if args.format == "json":
-        out = {
-            "genus": g,
-            "coefficient": str(coeff),
-            "tail_integral": str(hc.tail_integral),
-            "triple_lambda": str(hc.triple_lambda) if hc.triple_lambda is not None else None,
-        }
+        out = [("genus", str(g)), ("coefficient", '"%s"' % coeff),
+               ("tail_integral", '"%s"' % hc.tail_integral), ("triple_lambda",
+               "null" if hc.triple_lambda is None else '"%s"' % hc.triple_lambda)]
         if variant is not None:
-            out["discrepancy"] = {
-                "formula_value": str(coeff),
-                "printed_variant": str(variant),
-                "note": "digit transposition suspected; the formula value is used",
-            }
-        _emit_json(out)
+            out.append(("discrepancy", json_object([
+                ("formula_value", '"%s"' % coeff), ("printed_variant", '"%s"' % variant),
+                ("note", '"digit transposition suspected; the formula value is used"')], 1)))
+        print(json_object(out, 0))
     else:
         print(str(coeff))
         print("tail integral: %s" % hc.tail_integral)
@@ -229,14 +216,10 @@ def _zeroint_pair(fmt: str, p: tuple, q: tuple) -> str:
     if fmt == "text":
         return "%s x %s -> vanishes=true  [%s]" % (p, q, "; ".join(
             "sigma=%s excess=%s" % (c.sigma, [list(ab) for ab in c.excess_bundle]) for c in comps))
-
-    def ints(xs, indent: int) -> str:
-        return json_list([str(x) for x in xs], indent)
-
     component = json_object([("sigma", "%s"), ("excess", "%s")], 4)
-    items = [component % (ints(c.sigma, 5), json_list([ints(ab, 6) for ab in c.excess_bundle], 5))
+    items = [component % (_ints(c.sigma, 5), json_list([_ints(ab, 6) for ab in c.excess_bundle], 5))
              for c in comps]
-    return json_object([("first", ints(p, 3)), ("second", ints(q, 3)), ("vanishes", "true"),
+    return json_object([("first", _ints(p, 3)), ("second", _ints(q, 3)), ("vanishes", "true"),
                         ("components", json_list(items, 3))], 2)
 
 

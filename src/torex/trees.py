@@ -256,17 +256,19 @@ def _canonical_order(children, node) -> tuple:
 @lru_cache(maxsize=None)
 def _subtree_codes(h: int, edge_budget: int) -> tuple:
     """Canonical subtree codes of total genus h using <= edge_budget edges
-    strictly below the subtree root (the edge to the parent not counted)."""
+    strictly below the subtree root (the edge to the parent not counted),
+    each once."""
     out = [(h, ())] if h >= 1 else []
     if h >= 2 and edge_budget >= 2:
         # genus-0 vertex with >= 2 child subtrees of total genus h
         for kids in _child_multisets(h, edge_budget, 2):
             out.append((0, kids))
-    return tuple(sorted(set(out)))
+    return tuple(out)
 
 
 def _child_multisets(h: int, edge_budget: int, min_children: int) -> list:
-    """Non-increasing tuples of subtree codes with genera summing to h.
+    """Non-decreasing tuples of subtree codes with genera summing to h,
+    each multiset once: the codes are chosen non-increasing and reversed.
 
     Each child consumes its own edges plus the edge joining it to the
     parent.
@@ -295,13 +297,12 @@ def _child_multisets(h: int, edge_budget: int, min_children: int) -> list:
     return results
 
 
-def _root_codes(g: int, max_edges: int) -> set:
+def _root_codes(g: int, max_edges: int) -> list:
     if g < 2:
         raise TorexError("genus must be >= 2")
     if max_edges < 1:
         raise TorexError("max_edges must be >= 1")
-    return {(1, tuple(sorted(kids)))
-            for kids in _child_multisets(g - 1, max_edges, 1)}
+    return [(1, kids) for kids in _child_multisets(g - 1, max_edges, 1)]
 
 
 def trees_by_code(g: int, max_edges: int) -> dict:

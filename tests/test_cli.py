@@ -109,6 +109,26 @@ class TestJsonListWriter:
         assert capsys.readouterr().out == torex.json_list(items, indent)
 
 
+METHODS = ("recursion", "pixton", "both")
+# the commands whose JSON is laid out by json_object, strings unescaped
+JSON_COMMANDS = (
+    [("ring", "--genus", str(g)) for g in range(1, 10)]
+    + [("constants", "--genus", str(g), "--format", "json") for g in range(1, 13)]
+    + [("contribution", "--genus", str(g), "--method", m) for g in range(2, 8) for m in METHODS]
+    + [("contribution", "--genus", str(g), "--tree", code, "--method", m)
+       for code, g in (("(1(0(1)(2)))", 4), ("(1(0(0(1)(1))(3)))", 6)) for m in METHODS]
+)
+
+
+@pytest.mark.parametrize("argv", JSON_COMMANDS, ids=" ".join)
+def test_every_json_command_writes_the_json_dumps_layout(capsys, argv):
+    # a string value that ever needed escaping would fail here, not
+    # print invalid JSON
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=1) + "\n"
+
+
 class TestContribution:
     def test_both_methods_match(self, capsys):
         code, out, _ = run(

@@ -115,10 +115,14 @@ def test_command_runs_only_the_modules_it_uses(command, ran):
     assert bare_python(code).splitlines()[0] == str(sorted(ran + ["cli"]))
 
 
-@pytest.mark.parametrize("command", [None, "zeroint --genus 3", "pullback --genus 3"])
+@pytest.mark.parametrize("command", [
+    None, "zeroint --genus 3", "pullback --genus 3", "ring --genus 3",
+    "constants --genus 3 --format json", "contribution --genus 3",
+    "contribution --genus 3 --tree (1(1)(1))",
+])
 def test_json_is_imported_only_to_read_or_write_json(command):
-    # zeroint and pullback write their JSON directly, and with no cache
-    # set nothing reads or writes a cache file
+    # every command writes its JSON directly, and with no cache set
+    # nothing reads or writes a cache file
     code = "import os, sys, torex.cli\n"
     if command:
         code += ("out, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
@@ -226,3 +230,15 @@ def test_only_the_package_defines_an_error_class(path):
     errors = [node.name for node in ast.walk(tree)
               if isinstance(node, ast.ClassDef) and any(map(is_error, node.bases))]
     assert errors == (["TorexError"] if path.name == "__init__.py" else [])
+
+
+def test_only_the_cache_imports_json():
+    # the package writes its JSON by json_list and json_object; json
+    # itself reads and writes the contribution cache, in excess
+    def imports_json(node):
+        return (isinstance(node, ast.Import) and any(a.name == "json" for a in node.names)
+                or isinstance(node, ast.ImportFrom) and node.module == "json")
+
+    importers = [path.name for path in MODULES
+                 if any(map(imports_json, ast.walk(ast.parse(path.read_text(encoding="utf-8")))))]
+    assert importers == ["excess.py"]
