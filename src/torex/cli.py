@@ -1,8 +1,14 @@
 """Deterministic command-line front end.
 
 Every subcommand writes JSON or aligned text to standard out; for fixed
-inputs the bytes are identical across runs.  The EXCESS_CACHE_DIR
-environment variable, when set, caches contribution tables as JSON.
+inputs the bytes are identical across runs.  Every JSON document is the
+text json.dumps(..., indent=1) gives, laid out by torex.json_list and
+torex.json_object (an array streamed item by item by _write_json_list),
+so no command imports json; each but pullback's ends with a newline.
+A string value goes out between quotes as it is: every one is ASCII
+letters, digits and "()*^+-/;, ", which JSON does not escape.  The
+EXCESS_CACHE_DIR environment variable, when set, caches contribution
+tables as JSON, which excess reads and writes with json.
 """
 
 from __future__ import annotations
@@ -178,9 +184,9 @@ def cmd_constants(args) -> int:
     hc = constants.hodge_constants(g)
     variant = constants.coefficient_discrepancy(g)
     if args.format == "json":
+        triple = "null" if hc.triple_lambda is None else '"%s"' % hc.triple_lambda
         out = [("genus", str(g)), ("coefficient", '"%s"' % coeff),
-               ("tail_integral", '"%s"' % hc.tail_integral), ("triple_lambda",
-               "null" if hc.triple_lambda is None else '"%s"' % hc.triple_lambda)]
+               ("tail_integral", '"%s"' % hc.tail_integral), ("triple_lambda", triple)]
         if variant is not None:
             out.append(("discrepancy", json_object([
                 ("formula_value", '"%s"' % coeff), ("printed_variant", '"%s"' % variant),
@@ -217,7 +223,8 @@ def _zeroint_pair(fmt: str, p: tuple, q: tuple) -> str:
         return "%s x %s -> vanishes=true  [%s]" % (p, q, "; ".join(
             "sigma=%s excess=%s" % (c.sigma, [list(ab) for ab in c.excess_bundle]) for c in comps))
     component = json_object([("sigma", "%s"), ("excess", "%s")], 4)
-    items = [component % (_ints(c.sigma, 5), json_list([_ints(ab, 6) for ab in c.excess_bundle], 5))
+    items = [component % (_ints(c.sigma, 5),
+                          json_list([_ints(ab, 6) for ab in c.excess_bundle], 5))
              for c in comps]
     return json_object([("first", _ints(p, 3)), ("second", _ints(q, 3)), ("vanishes", "true"),
                         ("components", json_list(items, 3))], 2)
