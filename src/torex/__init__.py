@@ -25,7 +25,7 @@ def json_list(items: list, indent: int) -> str:
     it writes as the given texts: one item a line, one space deeper than
     the given indent, and the closing bracket at it.  Every JSON array a
     command prints is laid out by it, or item by item in the same bytes
-    by `cli._write_json_list`; json itself is read only by the
+    by `cli._write_json_list`; the json module is imported only by the
     contribution cache."""
     if not items:
         return "[]"
@@ -40,7 +40,7 @@ def json_object(fields: list, indent: int) -> str:
     brace at it.  A key needs no escaping, and fields is not empty.  A
     value text may be a placeholder such as '%s', so that a writer builds
     its template once and fills it per item with one '%'.  Every JSON
-    object a command prints is laid out by it; json itself is read only
-    by the contribution cache."""
+    object a command prints is laid out by it; the json module is
+    imported only by the contribution cache."""
     pad = "\n" + " " * (indent + 1)
     return "{%s%s\n%s}" % (pad, ("," + pad).join('"%s": %s' % kv for kv in fields), " " * indent)
