@@ -351,9 +351,22 @@ class TestCacheMisses:
         self.memo.clear()
         return out
 
+    @staticmethod
+    def file_bytes(data):
+        """The bytes of a cache file holding data, laid out as the writer
+        lays it out."""
+        return json.dumps(data, separators=(",", ":"), sort_keys=True).encode()
+
+    @staticmethod
+    def table_span(raw):
+        """Where the table of a file the writer made starts and ends."""
+        return raw.index(b"["), raw.index(b',"format"')
+
     def cached_run(self, capsys, monkeypatch, tmp_path, content):
         path = tmp_path / self.PATH
-        path.write_text(content if isinstance(content, str) else json.dumps(content))
+        if isinstance(content, str):
+            content = content.encode()
+        path.write_bytes(content if isinstance(content, bytes) else self.file_bytes(content))
         monkeypatch.setenv("EXCESS_CACHE_DIR", str(tmp_path))
         code, out, err = run(capsys, "pullback", "--genus", "5")
         self.memo.clear()
@@ -370,7 +383,11 @@ class TestCacheMisses:
         monkeypatch.setenv("EXCESS_CACHE_DIR", str(tmp_path))
         run(capsys, "pullback", "--genus", "5")
         self.memo.clear()
-        return json.loads((tmp_path / self.PATH).read_text())
+        written = (tmp_path / self.PATH).read_bytes()
+        data = json.loads(written)
+        # each case's edit is the only difference from the writer's file
+        assert self.file_bytes(data) == written
+        return data
 
     def test_empty_table_without_header(self, capsys, monkeypatch, tmp_path, uncached):
         got = self.cached_run(capsys, monkeypatch, tmp_path,
@@ -412,7 +429,7 @@ class TestCacheMisses:
         assert self.cached_run(capsys, monkeypatch, tmp_path, data) == uncached
 
     @pytest.mark.parametrize("key,value", [("format", 0), ("format", 1), ("format", 2),
-                                           ("version", "0.0.0")])
+                                           ("format", 3), ("version", "0.0.0")])
     def test_other_format_or_version(self, capsys, monkeypatch, tmp_path, uncached,
                                      key, value):
         data = self.valid_file(tmp_path, monkeypatch, capsys)
@@ -482,6 +499,37 @@ class TestCacheMisses:
         data = self.valid_file(tmp_path, monkeypatch, capsys)
         data["contributions"].append({"code": "(1(4))", "poly": [[3, [0], 1]]})
         assert self.cached_run(capsys, monkeypatch, tmp_path, data) == uncached
+
+    # each edits only the values of a file the writer made: every term keeps
+    # the form of a contribution's
+    @pytest.mark.parametrize("edit", ["coefficient", "dropped-term", "empty-class"])
+    def test_edited_table(self, capsys, monkeypatch, tmp_path, uncached, edit):
+        data = self.valid_file(tmp_path, monkeypatch, capsys)
+        written = (tmp_path / self.PATH).read_bytes()
+        polys = {entry["code"]: entry["poly"] for entry in data["contributions"]}
+        if edit == "coefficient":
+            polys["(1(4))"][0][2] += 2
+        elif edit == "dropped-term":
+            next(poly for poly in polys.values() if len(poly) > 1).pop()
+        else:
+            polys["(1(4))"].clear()
+        assert self.cached_run(capsys, monkeypatch, tmp_path, data) == uncached
+        assert (tmp_path / self.PATH).read_bytes() == written
+
+    def test_flipped_digits(self, capsys, monkeypatch, tmp_path, uncached):
+        # a digit flipped to another digit leaves valid JSON and every term
+        # of a contribution's form; 20 evenly spaced digits of the table
+        self.valid_file(tmp_path, monkeypatch, capsys)
+        path = tmp_path / self.PATH
+        written = path.read_bytes()
+        start, end = self.table_span(written)
+        digits = [i for i in range(start, end) if written[i:i + 1].isdigit()]
+        for k in range(20):
+            pos = digits[len(digits) * k // 20]
+            flipped = bytearray(written)
+            flipped[pos] ^= 1
+            assert self.cached_run(capsys, monkeypatch, tmp_path, bytes(flipped)) == uncached
+            assert path.read_bytes() == written, pos
 
     def test_code_spelled_otherwise(self, capsys, monkeypatch, tmp_path):
         # the code names the right tree, but is not the tree's own code
