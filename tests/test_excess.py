@@ -494,13 +494,13 @@ class TestTermsForm:
 
 class TestCacheDir:
     @pytest.mark.parametrize("method, digest", [
-        ("recursion", "21b3ceb1c8d26b400f00d0e4149bddfbcfcea66d79794c2160b5f1c3339d544c"),
-        ("pixton", "8e714fc1107ea5f39f8663d12cae5293a71a4e17da4ee83ad9901c5c930d1db0"),
+        ("recursion", "bc6726109be5afd9d5bc4c4913545eb6c4ae4bda48accd611696e11873b875e5"),
+        ("pixton", "6be469aaadad63a32a919eed51e364003a358ee800e2b3612ec352dcda12cf77"),
     ])
     def test_file_bytes_pinned(self, tmp_path, memo, method, digest):
-        # the bytes of a format-3 file do not move; the package version
+        # the bytes of a format-4 file do not move; the package version
         # they carry is read as 0.1.0
-        assert excess.CACHE_FORMAT == 3, "a new format pins new digests"
+        assert excess.CACHE_FORMAT == 4, "a new format pins new digests"
         all_contributions(6, method, cache_dir=str(tmp_path))
         data = (tmp_path / ("contrib-g6-%s.json" % method)).read_bytes()
         version = ('"version":%s' % json.dumps(torex.__version__)).encode()
