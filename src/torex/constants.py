@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
 _bernoulli_table = [Fraction(1)]
@@ -73,7 +72,6 @@ def hodge_constants(g: int) -> HodgeConstants:
     return HodgeConstants(tail_integral=tail, triple_lambda=triple)
 
 
-@lru_cache(maxsize=None)
 def _log_sine_series(order: int) -> tuple:
     """-log(sin(t/2) / (t/2)) as an exact series up to degree 2*order: a
     tuple whose entry k is the coefficient of t^(2k), k = 0..order (the

@@ -415,7 +415,6 @@ def _smoothing(t: ExtremalTree, cut) -> Smoothing:
     return Smoothing(target=target, edge_map=tuple(t.label[w] for w in order[1:]))
 
 
-@lru_cache(maxsize=None)
 def shape(t: ExtremalTree) -> tuple:
     """t's shape code and t's labels of the shape's edges.
 
