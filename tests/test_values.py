@@ -233,12 +233,25 @@ def test_only_the_package_defines_an_error_class(path):
 
 
 def test_only_the_cache_imports_json():
-    # the package writes its JSON by json_list and json_object; json
-    # itself reads and writes the contribution cache, in excess
-    def imports_json(node):
-        return (isinstance(node, ast.Import) and any(a.name == "json" for a in node.names)
-                or isinstance(node, ast.ImportFrom) and node.module == "json")
+    # the package writes its JSON by json_list and json_object; json and
+    # zlib read and write the contribution cache, and are imported only
+    # inside excess's _cache_load and _cache_store
+    def imported(node):
+        if isinstance(node, ast.Import):
+            return {alias.name.partition(".")[0] for alias in node.names}
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            return {node.module.partition(".")[0]}
+        return set()
 
-    importers = [path.name for path in MODULES
-                 if any(map(imports_json, ast.walk(ast.parse(path.read_text(encoding="utf-8")))))]
-    assert importers == ["excess.py"]
+    sites = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # each node -> the name of its innermost enclosing function
+        scope = {child: node.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for child in ast.walk(node)}
+        sites += [(path.name, scope.get(node), name) for node in ast.walk(tree)
+                  for name in sorted(imported(node) & {"json", "zlib"})]
+    assert sorted(sites) == [("excess.py", function, name)
+                             for function in ("_cache_load", "_cache_store")
+                             for name in ("json", "zlib")]
