@@ -369,11 +369,6 @@ class TestCacheMisses:
         return b"%s\n%s" % (json.dumps(header, separators=(",", ":"), sort_keys=True).encode(),
                             json.dumps(data["contributions"], separators=(",", ":")).encode())
 
-    @staticmethod
-    def table_span(raw):
-        """Where the table of a file the writer made starts and ends."""
-        return raw.index(b"\n") + 1, len(raw)
-
     def cached_run(self, capsys, monkeypatch, tmp_path, content):
         path = tmp_path / self.PATH
         if isinstance(content, str):
@@ -534,12 +529,13 @@ class TestCacheMisses:
 
     def test_flipped_digits(self, capsys, monkeypatch, tmp_path, uncached):
         # a digit flipped to another digit leaves valid JSON and every term
-        # of a contribution's form; 20 evenly spaced digits of the table
+        # of a contribution's form; 20 evenly spaced digits of the table,
+        # which follows the header line
         self.valid_file(tmp_path, monkeypatch, capsys)
         path = tmp_path / self.PATH
         written = path.read_bytes()
-        start, end = self.table_span(written)
-        digits = [i for i in range(start, end) if written[i:i + 1].isdigit()]
+        digits = [i for i in range(written.index(b"\n") + 1, len(written))
+                  if written[i:i + 1].isdigit()]
         for k in range(20):
             pos = digits[len(digits) * k // 20]
             flipped = bytearray(written)
